@@ -9,41 +9,23 @@ recomputes the same cells and requires the committed file to match.
 
 Regenerate only for an intended behaviour change::
 
-    python scripts/record_golden_digests.py            # rewrite the lockfile
-    python scripts/record_golden_digests.py --check    # compare, exit 1 on drift
+    python scripts/record_golden_digests.py
 """
 
-import argparse
+import json
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from repro.testing.golden import (  # noqa: E402
-    GOLDEN_PATH,
-    compute_golden_digests,
-    dump_golden_digests,
-)
+from repro.testing.golden import GOLDEN_PATH, compute_golden_digests  # noqa: E402
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--output", default=str(ROOT / GOLDEN_PATH),
-                        help="lockfile path (default: %(default)s)")
-    parser.add_argument("--check", action="store_true",
-                        help="compare against the existing file instead of "
-                             "writing it; exit 1 on any difference")
-    args = parser.parse_args(argv)
-    text = dump_golden_digests(compute_golden_digests())
-    output = Path(args.output)
-    if args.check:
-        if not output.exists() or output.read_text() != text:
-            print(f"{output}: golden digests differ", file=sys.stderr)
-            return 1
-        print(f"{output}: all golden digests match")
-        return 0
-    output.write_text(text)
+def main() -> int:
+    output = ROOT / GOLDEN_PATH
+    output.write_text(
+        json.dumps(compute_golden_digests(), indent=1, sort_keys=True) + "\n")
     print(f"wrote {output}")
     return 0
 

@@ -40,28 +40,26 @@ same answers:
     checksums (edge count, total weight, mean-interval sum) and the detected
     assignment CRC must match bit for bit.
 ``world_tick_10k``
-    The scale tentpole: the ``rwp-10k`` catalog scenario (10 000 pedestrians
-    at quick/full scale) run through the staged tick pipeline.  Baseline:
-    per-follower movement loop + single-threaded ``KDTreeConnectivity``.
-    Current: batched ``MovementEngine`` + ``ShardedConnectivity``.  The
-    throughput key is detection throughput (ticks per second of pure
-    detector time, from the ``connectivity.detect`` sub-meter) — the gated
-    claim is *sharded detection at least 2x single-threaded k-d tree on the
-    same machine* — and the per-phase wall-time breakdown rides along.  The
-    delivery/contact checksums plus an end-of-run position checksum must be
-    bit-identical: sharding must not change a single simulation outcome.
+    The ``rwp-10k`` catalog scenario (10 000 pedestrians at quick/full
+    scale) run through the staged tick pipeline.  Baseline: the reference
+    tick of :mod:`repro.testing.reference` (per-follower movement, fresh
+    connections, a scan over every live link, every router ticked) on the
+    single-threaded ``KDTreeConnectivity``.  Current: the production world
+    on ``ShardedConnectivity``.  The throughput key is detection throughput
+    (ticks per second of pure detector time, from the
+    ``connectivity.detect`` sub-meter); the per-phase wall-time breakdown
+    and ``router_ticks_per_s`` (the routers sweep against tick-every-router)
+    ride along.  The delivery/contact checksums plus an end-of-run position
+    checksum must be bit-identical.
 
 ``world_tick_100k``
-    The flattened-tick tentpole.  The *paired* half re-uses the
-    ``world_tick_10k`` runs but gates on **whole-tick** throughput: the
-    flattened pipeline (idle-router skip-list + batched link bookkeeping +
-    O(active) transfer advancement + sharded detection) must at least
-    double ticks-per-second over the pre-tentpole serial world at 10k
-    nodes, with bit-identical checksums.  A ``scale_100k`` section rides
-    along holding one completed ``rwp-100k`` run (100 000 pedestrians at
-    city scale) and a re-run of the same seed through the serial reference
-    world (k-d tree + per-follower movement + tick-every-router); its
-    ``reference_checksums_match`` bit is the tentpole's correctness claim.
+    The *paired* half re-uses the ``world_tick_10k`` runs but gates on
+    **whole-tick** throughput of the production world against the
+    reference world at 10k nodes, with bit-identical checksums.  A
+    ``scale_100k`` section rides along holding one completed ``rwp-100k``
+    run (100 000 pedestrians at city scale) and a re-run of the same seed
+    on the reference world; its ``reference_checksums_match`` bit is the
+    scale correctness claim.
 
 ``--compare`` turns the harness into a regression gate: current throughputs
 are checked against a committed baseline JSON (CI fails on >25% regression
@@ -337,15 +335,48 @@ def bench_scenario(scale: Dict[str, float], seed: int,
 
 
 # ------------------------------------------------------------ 10k world tick
-def bench_world_tick(scale: Dict[str, float], seed: int, reference: bool,
-                     extra_overrides: Optional[Dict[str, object]] = None
-                     ) -> Dict[str, object]:
-    """The ``rwp-10k`` scenario through the staged tick pipeline, one mode.
+def _best_of_runs(config, repeats: int, reference: bool):
+    """Run *config* *repeats* times, each on a fresh world.
 
-    Reference: per-follower movement loop + single-threaded k-d tree
-    detection + every router ticked every update (the pre-tentpole serial
-    world).  Current: batched movement + sharded connectivity + the idle
-    router skip-list.  Both modes run the *same* seed and must end in the
+    Returns the best wall seconds, the best seconds per tick phase and the
+    last (stopped) :class:`~repro.experiments.builder.BuiltScenario`; the
+    runs are identical by construction, so only the timings differ.
+    """
+    seconds = float("inf")
+    best_phases: Dict[str, float] = {}
+    for _ in range(repeats):
+        built = build_scenario(config, reference=reference)
+        start = time.perf_counter()
+        built.run()
+        seconds = min(seconds, time.perf_counter() - start)
+        for name, value in built.stats.tick_phase_seconds.items():
+            best_phases[name] = min(value, best_phases.get(name, value))
+        built.world.stop()  # releases the sharded detector's worker pool
+    return seconds, best_phases, built
+
+
+def _world_checksums(built) -> Dict[str, object]:
+    """Delivery counters plus the summed end-of-run position matrix."""
+    stats = built.stats
+    return {
+        "created": stats.created,
+        "delivered": stats.delivered,
+        "relayed": stats.relayed,
+        "dropped": stats.dropped,
+        "contacts": stats.contacts,
+        "delivery_ratio": stats.delivery_ratio,
+        "average_latency": stats.average_latency,
+        "positions_sum": float(built.world.positions().sum()),
+    }
+
+
+def bench_world_tick(scale: Dict[str, float], seed: int,
+                     reference: bool) -> Dict[str, object]:
+    """The ``rwp-10k`` scenario through the staged tick pipeline, one world.
+
+    Reference: the reference tick (:mod:`repro.testing.reference`) on
+    single-threaded k-d tree detection.  Current: the production world on
+    sharded connectivity.  Both run the *same* seed and must end in the
     same state bit for bit; the checksums include the summed end-of-run
     position matrix, so a single diverging float64 anywhere in 10 000
     trajectories fails the pair.
@@ -355,10 +386,6 @@ def bench_world_tick(scale: Dict[str, float], seed: int, reference: bool,
     best-of-repeats — the phase wall times at 10k nodes are small enough
     that a single run is hostage to scheduler noise on shared CI machines,
     and the gate compares timing *ratios*.
-
-    ``extra_overrides`` pins individual tick features for intermediate
-    baselines (e.g. ``{"router_soa": False}`` isolates the SoA router sweep
-    against the per-router skip-scan with everything else current).
     """
     overrides: Dict[str, object] = {
         "num_nodes": int(scale["world_nodes"]),
@@ -367,27 +394,9 @@ def bench_world_tick(scale: Dict[str, float], seed: int, reference: bool,
     }
     if reference:
         overrides["detector"] = "kdtree"
-        overrides["batch_movement"] = False
-        overrides["router_skiplist"] = False
-        overrides["flat_tick"] = False
-        overrides["router_soa"] = False
-        overrides["transfer_engine"] = False
-    if extra_overrides:
-        overrides.update(extra_overrides)
     config = make_scenario("rwp-10k", overrides)
-    seconds = float("inf")
-    best_phases: Dict[str, float] = {}
-    for _ in range(int(scale.get("world_repeats", 1))):
-        built = build_scenario(config)
-        start = time.perf_counter()
-        built.run()
-        elapsed = time.perf_counter() - start
-        seconds = min(seconds, elapsed)
-        for name, value in built.stats.tick_phase_seconds.items():
-            if name not in best_phases or value < best_phases[name]:
-                best_phases[name] = value
-        built.world.stop()  # releases the sharded detector's worker pool
-    stats = built.stats
+    seconds, best_phases, built = _best_of_runs(
+        config, int(scale.get("world_repeats", 1)), reference)
     world = built.world
     ticks = max(1, world.updates)
     phases = {name: round(value, 4)
@@ -395,7 +404,6 @@ def bench_world_tick(scale: Dict[str, float], seed: int, reference: bool,
     detect_seconds = max(best_phases.get("connectivity.detect", 0.0), 1e-9)
     move_seconds = max(best_phases.get("move", 0.0), 1e-9)
     routers_seconds = max(best_phases.get("routers", 0.0), 1e-9)
-    positions_sum = float(world.positions().sum())
     return {
         "seconds": round(seconds, 4),
         "ms_per_tick": round(1000.0 * seconds / ticks, 4),
@@ -409,32 +417,22 @@ def bench_world_tick(scale: Dict[str, float], seed: int, reference: bool,
         "routers_skipped": world.routers_skipped,
         "routers_batched": world.routers_batched,
         "ticks": ticks,
-        "checksums": {
-            "created": stats.created,
-            "delivered": stats.delivered,
-            "relayed": stats.relayed,
-            "dropped": stats.dropped,
-            "contacts": stats.contacts,
-            "delivery_ratio": stats.delivery_ratio,
-            "average_latency": stats.average_latency,
-            "positions_sum": positions_sum,
-        },
+        "checksums": _world_checksums(built),
     }
 
 
 # ----------------------------------------------------------- 100k world tick
 def bench_world_tick_100k_run(scale: Dict[str, float],
                               seed: int) -> Dict[str, object]:
-    """One completed ``rwp-100k`` run, plus a serial-reference parity check.
+    """One completed ``rwp-100k`` run, plus a reference-world parity check.
 
-    The current mode is the scenario as catalogued: sharded detection,
-    batched movement, batched link bookkeeping, skip-list on.  The reference
-    re-runs the same seed through the pre-tentpole world — single-threaded
-    k-d tree, per-follower movement, every router ticked — and the two
-    checksum sets (delivery counters + summed end-of-run positions) must be
-    identical: ``reference_checksums_match`` is the scale tentpole's
-    correctness bit.  Single run per mode; at 100 000 nodes the workload is
-    long enough that best-of-repeats buys nothing.
+    The current run is the scenario as catalogued on the production world.
+    The reference re-runs the same seed on the reference tick over the
+    single-threaded k-d tree, and the two checksum sets (delivery counters
+    + summed end-of-run positions) must be identical:
+    ``reference_checksums_match`` is the scale correctness bit.  Single run
+    per world; at 100 000 nodes the workload is long enough that
+    best-of-repeats buys nothing.
     """
     nodes = int(scale["world100k_nodes"])
     sim_time = float(scale["world100k_ticks"])
@@ -446,41 +444,23 @@ def bench_world_tick_100k_run(scale: Dict[str, float],
             "seed": seed,
         }
         if reference:
-            overrides.update(detector="kdtree", batch_movement=False,
-                             router_skiplist=False, flat_tick=False,
-                             router_soa=False, transfer_engine=False)
+            overrides["detector"] = "kdtree"
         config = make_scenario("rwp-100k", overrides)
-        built = build_scenario(config)
-        start = time.perf_counter()
-        built.run()
-        seconds = time.perf_counter() - start
-        stats = built.stats
+        seconds, phases, built = _best_of_runs(config, 1, reference)
         world = built.world
         ticks = max(1, world.updates)
-        result = {
+        return {
             "seconds": round(seconds, 4),
             "ms_per_tick": round(1000.0 * seconds / ticks, 4),
             "ticks_per_s": round(ticks / seconds, 2),
-            "phase_seconds": {
-                name: round(value, 4) for name, value
-                in sorted(stats.tick_phase_seconds.items())},
+            "phase_seconds": {name: round(value, 4)
+                              for name, value in sorted(phases.items())},
             "routers_ticked": world.routers_ticked,
             "routers_skipped": world.routers_skipped,
             "routers_batched": world.routers_batched,
             "ticks": ticks,
-            "checksums": {
-                "created": stats.created,
-                "delivered": stats.delivered,
-                "relayed": stats.relayed,
-                "dropped": stats.dropped,
-                "contacts": stats.contacts,
-                "delivery_ratio": stats.delivery_ratio,
-                "average_latency": stats.average_latency,
-                "positions_sum": float(world.positions().sum()),
-            },
+            "checksums": _world_checksums(built),
         }
-        built.world.stop()
-        return result
 
     current = run_once(reference=False)
     reference = run_once(reference=True)
@@ -515,12 +495,11 @@ def _records_crc(records, fields) -> int:
 
 def bench_transfer_churn(scale: Dict[str, float], seed: int,
                          reference: bool) -> Dict[str, object]:
-    """The ``rwp-10k-traffic`` scenario through one transfers-phase mode.
+    """The ``rwp-10k-traffic`` scenario on one world.
 
-    Reference: the per-connection ``Connection.advance`` loop over the
-    active set (``transfer_engine=False``; everything else — sharded
-    detection, batched movement, SoA routers — stays current, so the pair
-    isolates the transfers phase).  Current: the columnar
+    Reference: the reference tick, whose transfers phase scans every live
+    link through ``Connection.advance`` (same sharded detector, so the
+    detection cost is shared).  Current: the production world's columnar
     :class:`~repro.net.engine.TransferEngine` sweep.  Same seed, and the
     checksums chain a CRC-32 over every relayed, delivered and aborted
     record — field-exact completion times and byte counts — so the pair
@@ -538,21 +517,9 @@ def bench_transfer_churn(scale: Dict[str, float], seed: int,
         "traffic_rate": float(scale["traffic_rate"]),
         "seed": seed,
     }
-    if reference:
-        overrides["transfer_engine"] = False
     config = make_scenario("rwp-10k-traffic", overrides)
-    seconds = float("inf")
-    best_phases: Dict[str, float] = {}
-    for _ in range(int(scale.get("traffic_repeats", 1))):
-        built = build_scenario(config)
-        start = time.perf_counter()
-        built.run()
-        elapsed = time.perf_counter() - start
-        seconds = min(seconds, elapsed)
-        for name, value in built.stats.tick_phase_seconds.items():
-            if name not in best_phases or value < best_phases[name]:
-                best_phases[name] = value
-        built.world.stop()
+    seconds, best_phases, built = _best_of_runs(
+        config, int(scale.get("traffic_repeats", 1)), reference)
     stats = built.stats
     world = built.world
     ticks = max(1, world.updates)
@@ -568,8 +535,8 @@ def bench_transfer_churn(scale: Dict[str, float], seed: int,
         "transfers_ticks_per_s": round(ticks / transfers_seconds, 2),
         "phase_seconds": {name: round(value, 4)
                           for name, value in sorted(best_phases.items())},
-        "engine_rows_attached": engine.rows_attached if engine else None,
-        "engine_rows_completed": engine.rows_completed if engine else None,
+        "engine_rows_attached": None if reference else engine.rows_attached,
+        "engine_rows_completed": None if reference else engine.rows_completed,
         "ticks": ticks,
         "checksums": {
             "created": stats.created,
@@ -782,10 +749,10 @@ def run_benchmarks(scale_name: str = "quick", seed: int = 1) -> Dict[str, object
         {"scenario": "rwp-10k", "nodes": int(scale["world_nodes"]),
          "ticks": int(scale["world_ticks"])})
 
-    # the transfers phase isolated: the rwp-10k-traffic workload (Poisson
+    # the transfers phase under load: the rwp-10k-traffic workload (Poisson
     # arrivals, 1 MiB payloads over a slow radio keep thousands of links
-    # draining at once) with only the columnar TransferEngine toggled;
-    # gated on payload bytes completed per wall-second of transfers phase.
+    # draining at once) on the reference and the production world; gated on
+    # payload bytes completed per wall-second of transfers phase.
     # The CRC checksums chain every relayed/delivered/aborted record, so
     # the pair also pins completion order and byte accounting
     benchmarks["transfer_churn"] = _paired(
@@ -796,28 +763,12 @@ def run_benchmarks(scale_name: str = "quick", seed: int = 1) -> Dict[str, object
         {"scenario": "rwp-10k-traffic", "nodes": int(scale["traffic_nodes"]),
          "ticks": int(scale["traffic_ticks"]),
          "traffic_rate": float(scale["traffic_rate"]),
-         "baseline": "transfer_engine=False (per-connection advance loop)"})
+         "baseline": "reference tick (live-link scan)"})
 
-    # the routers phase isolated: the same 10k scenario with only the SoA
-    # sweep disabled (per-router skip-scan baseline; sharded detection,
-    # batched movement and the flat tick stay on) against the full current
-    # configuration, gated on routers-phase throughput.  Reuses
-    # world_current as the current half, so the pair shares one
-    # measurement of the vectorized run.
-    benchmarks["router_sweep"] = _paired(
-        "router_sweep",
-        bench_world_tick(scale, seed, reference=False,
-                         extra_overrides={"router_soa": False}),
-        world_current,
-        "router_ticks_per_s",
-        {"scenario": "rwp-10k", "nodes": int(scale["world_nodes"]),
-         "ticks": int(scale["world_ticks"]),
-         "baseline": "router_soa=False (per-router skip-scan)"})
-
-    # the same two runs gate a second claim: whole-tick throughput of the
-    # flattened pipeline (skip-list + batched links + O(active) transfers)
-    # against the pre-tentpole serial world, at 10k nodes where repeats are
-    # cheap; the completed 100k run rides along with its own parity bit
+    # the world_tick_10k runs gate a second claim: whole-tick throughput of
+    # the production world against the reference world, at 10k nodes where
+    # repeats are cheap; the completed 100k run rides along with its own
+    # parity bit
     entry = _paired(
         "world_tick_100k",
         world_reference,

@@ -55,8 +55,10 @@ __all__ = [
 
 #: manifest magic — identifies the container independently of the filename
 MAGIC = "repro-checkpoint"
-#: bump on any incompatible layout change; readers reject other versions
-FORMAT_VERSION = 1
+#: bump on any incompatible layout change; readers reject other versions.
+#: 2: the world lost its tick-mode flags (and their attributes), and the
+#: embedded scenario config its five tick-mode fields
+FORMAT_VERSION = 2
 #: arrays with at least this many elements move to their own NPY entry
 ARRAY_EXTERNALIZE_THRESHOLD = 32
 

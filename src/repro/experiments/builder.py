@@ -220,7 +220,8 @@ def build_detector(config: ScenarioConfig) -> ConnectivityDetector:
                                workers_mode=config.world_workers_mode)
 
 
-def build_scenario(config: ScenarioConfig) -> BuiltScenario:
+def build_scenario(config: ScenarioConfig, *,
+                   reference: bool = False) -> BuiltScenario:
     """Assemble the simulator, world, nodes, routers and traffic for *config*.
 
     Geometric mobility kinds get a :class:`~repro.world.world.World` with
@@ -228,6 +229,12 @@ def build_scenario(config: ScenarioConfig) -> BuiltScenario:
     :class:`~repro.traces.replay.TraceReplayWorld` whose link events come from
     the configured contact trace.  Everything downstream (routers, traffic,
     statistics, runners, backends) is identical for both.
+
+    ``reference=True`` builds the same scenario on the naive reference tick
+    of :mod:`repro.testing.reference` (an executable specification for
+    tests and benchmark baselines, imported only when requested).  It is
+    not part of the scenario's identity: both worlds produce byte-identical
+    reports.
     """
     simulator = Simulator(seed=config.seed, end_time=config.sim_time)
     stats = StatsCollector(keep_records=config.keep_records,
@@ -251,20 +258,20 @@ def build_scenario(config: ScenarioConfig) -> BuiltScenario:
     else:  # pragma: no cover - defensive
         raise ValueError(f"unknown mobility kind {config.mobility!r}")
 
+    world_class, replay_class = World, TraceReplayWorld
+    if reference:
+        from repro.testing.reference import (
+            ReferenceTraceReplayWorld,
+            ReferenceWorld,
+        )
+        world_class, replay_class = ReferenceWorld, ReferenceTraceReplayWorld
     if trace is not None:
-        world: World = TraceReplayWorld(
+        world: World = replay_class(
             simulator, trace, update_interval=config.update_interval,
-            stats=stats, router_skiplist=config.router_skiplist,
-            flat_tick=config.flat_tick, router_soa=config.router_soa,
-            transfer_engine=config.transfer_engine)
+            stats=stats)
     else:
-        world = World(simulator, update_interval=config.update_interval,
-                      stats=stats, detector=build_detector(config),
-                      batch_movement=config.batch_movement,
-                      router_skiplist=config.router_skiplist,
-                      flat_tick=config.flat_tick,
-                      router_soa=config.router_soa,
-                      transfer_engine=config.transfer_engine)
+        world = world_class(simulator, update_interval=config.update_interval,
+                            stats=stats, detector=build_detector(config))
 
     interface = Interface(transmit_range=config.transmit_range,
                           transmit_speed=config.transmit_speed)

@@ -113,33 +113,6 @@ class ScenarioConfig:
     #: position snapshot in shared memory (bit-identical; see
     #: repro.world.sharded)
     world_workers_mode: str = "thread"
-    #: advance batch-capable mobility models through the vectorized
-    #: MovementEngine kernel (False pins the exact per-follower loop)
-    batch_movement: bool = True
-    #: let the routers phase skip provably idle routers (False pins the
-    #: historical tick-every-router loop; bit-identical either way, see
-    #: DESIGN.md "The idle router contract")
-    router_skiplist: bool = True
-    #: False pins the historical tick structure — per-event contact stats,
-    #: no connection pooling, O(live links) transfer scan — as the reference
-    #: half of the world-tick benchmarks (requires router_skiplist=False);
-    #: bit-identical simulation outcomes either way
-    flat_tick: bool = True
-    #: resolve the routers phase through the struct-of-arrays sweep
-    #: (RouterStateStore): the idle-router skip predicate evaluates as
-    #: vectorized masks over columnar per-router state, and provably no-op
-    #: ticks of batch-capable protocols resolve without executing.  False
-    #: pins the per-router skip-scan as the benchmark baseline (requires
-    #: router_skiplist=True when on); bit-identical simulation outcomes
-    #: either way, see DESIGN.md "Struct-of-arrays router state"
-    router_soa: bool = True
-    #: resolve the transfers phase through the columnar TransferEngine:
-    #: in-flight head-of-queue bytes drain in one vectorized subtraction,
-    #: with an exact per-connection replay only for completed heads.  False
-    #: pins the per-connection Connection.advance loop as the benchmark
-    #: baseline (requires flat_tick=True when on); byte-identical reports
-    #: either way, see DESIGN.md "Columnar transfer accounting"
-    transfer_engine: bool = True
 
     # traffic
     message_interval: Tuple[float, float] = (25.0, 35.0)
@@ -211,20 +184,6 @@ class ScenarioConfig:
             raise ValueError(
                 "world_workers_mode='process' requires detector='sharded' "
                 "(the other detectors have no worker pool)")
-        if self.router_skiplist and not self.flat_tick:
-            raise ValueError(
-                "flat_tick=False (the historical reference tick) requires "
-                "router_skiplist=False")
-        if self.router_soa and not self.router_skiplist:
-            raise ValueError(
-                "router_skiplist=False (the per-router reference loop) "
-                "requires router_soa=False (the SoA sweep is a vectorized "
-                "evaluation of the skip predicate)")
-        if self.transfer_engine and not self.flat_tick:
-            raise ValueError(
-                "flat_tick=False (the historical reference tick) requires "
-                "transfer_engine=False (the engine's push seams only exist "
-                "on the flattened tick)")
         if self.traffic_model not in ("uniform", "poisson", "bursty"):
             raise ValueError(
                 f"traffic_model must be 'uniform', 'poisson' or 'bursty', "

@@ -450,11 +450,10 @@ class StatsCollector:
     def router_sweep(self, ticked: int, skipped: int, batched: int = 0) -> None:
         """Record one routers-phase outcome split.
 
-        Called once per world update by ``World._update_routers`` in every
-        mode (reference loop, per-router skip-scan, SoA sweep); the three
-        counts sum to the node count per tick.  Observability like
-        :meth:`tick_phase` — the split depends on the tick mode, so it is
-        excluded from deterministic result comparisons.
+        Called once per world update by the routers phase; the three counts
+        sum to the node count per tick.  Observability like
+        :meth:`tick_phase` — the split differs between the production and
+        the reference tick, so it is excluded from result comparisons.
         """
         self.routers_ticked += int(ticked)
         self.routers_skipped += int(skipped)

@@ -43,10 +43,9 @@ class SimulationReport:
     control_rows_exchanged: int
     control_bytes_exchanged: int
 
-    # transfers-phase outcome counters.  Deterministic (identical whatever
-    # tick mode produced them — reference loop or TransferEngine — pinned by
-    # the engine parity tests), so they stay in the canonical serialisation,
-    # unlike the routers split below
+    # transfers-phase outcome counters.  Deterministic (identical on the
+    # production and the reference tick), so they stay in the canonical
+    # serialisation, unlike the routers split below
     transfers_completed: int = 0
     transfers_aborted: int = 0
     bytes_delivered: int = 0
@@ -59,9 +58,8 @@ class SimulationReport:
 
     # routers-phase outcome split: Router.update calls run / provably idle
     # skipped / awake no-ops resolved in batch by the SoA sweep.  The split
-    # depends on the tick mode (reference loop vs skip-scan vs SoA), so —
-    # like the phase timings — it is excluded from the canonical
-    # serialisation by default.
+    # differs between the production and the reference tick, so — like the
+    # phase timings — it is excluded from the canonical serialisation.
     routers_ticked: int = 0
     routers_skipped: int = 0
     routers_batched: int = 0

@@ -308,7 +308,7 @@ class MessageBuffer:
     def next_expiry(self) -> float:
         """Earliest TTL deadline of any stored replica (``inf`` when none).
 
-        This is the wake-up key the world's idle-router skip-list consults: a
+        This is the wake-up key the world's routers sweep consults: a
         router with buffered messages but no contacts needs its next
         ``update`` tick no earlier than this instant.  Stale heap tops
         (replicas removed without an expiry sweep) are purged on the way, so

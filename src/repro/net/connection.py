@@ -97,8 +97,8 @@ class Connection:
         #: optional list the connection appends itself to when its queue goes
         #: empty -> non-empty (the world's O(active) transfer-phase feed)
         self.activity_sink: Optional[List["Connection"]] = None
-        #: the world's columnar transfer engine (None when the engine is
-        #: off); world-owned like ``activity_sink``, assigned at
+        #: the world's columnar transfer engine (None outside a production
+        #: world); world-owned like ``activity_sink``, assigned at
         #: establishment.  enqueue/tear_down push depth updates and row
         #: detach through it — see repro.net.engine
         self.engine: Optional["TransferEngine"] = None

@@ -1,11 +1,11 @@
 """Columnar in-flight transfer state: the vectorized transfers-phase sweep.
 
-The flattened tick already bounded the transfers phase to O(connections with
-queued transfers), but every one of those connections still drained bytes
-through per-object Python (``Connection.advance``): a sort of the active
-sequence numbers, a method call, a deque peek and a handful of float ops per
-link per tick.  Under traffic load — the ``rwp-10k-traffic`` workload keeps
-thousands of links busy at once — that loop *is* the transfers phase.
+The naive transfers phase (the reference tick in :mod:`repro.testing.
+reference`) scans every live link and drains bytes through per-object Python
+(``Connection.advance``): a method call, a deque peek and a handful of float
+ops per link per tick.  Under traffic load — the ``rwp-10k-traffic``
+workload keeps thousands of links busy at once — that loop *is* the
+transfers phase.
 
 :class:`TransferEngine` moves the per-link accounting into struct-of-arrays
 columns, one row per connection that currently holds queued transfers:
@@ -35,13 +35,13 @@ drain — runs for just that connection, handling multi-transfer completion,
 state transitions and leftover budget bit-for-bit.  Completed rows are
 replayed in ascending ``established_seq`` order, so completion dispatch
 (router hand-off, first-accepted-arrival dedupe, every stats record) happens
-in the historical iteration order and reports are byte-identical engine-on
-vs engine-off.
+in the reference tick's iteration order and reports are byte-identical to
+the reference's.
 
 Synchronisation is push-seam, mirroring ``RouterStateStore`` (no polling):
 
 * a connection announces its queue going empty -> non-empty through
-  ``Connection.activity_sink`` (the flat tick's existing feed); the sweep
+  ``Connection.activity_sink`` (the world's ``_newly_active`` feed); the sweep
   ingests those rows first,
 * ``Connection.enqueue`` bumps the row's depth through
   ``Connection.engine`` when a row already exists,

@@ -35,7 +35,7 @@ class Router:
     #: protocol name used by the registry, reports and benchmarks
     name = "base"
 
-    #: Whether the world's idle-router skip-list may skip this router's
+    #: Whether the world's routers sweep may skip this router's
     #: ``update`` tick while it is provably idle (see DESIGN.md, "The idle
     #: router contract").  A router is skip-safe when its ``on_update`` has
     #: no observable effect in the idle states the world skips: an empty
@@ -45,7 +45,7 @@ class Router:
     #: (PRoPHET's predictability aging is the one in-tree case — repeated
     #: ``gamma ** dt`` products are not float-associative with one catch-up
     #: ``gamma ** elapsed``) must set this ``False``; they are then ticked
-    #: every update regardless of the skip-list setting.
+    #: every update.
     idle_skip_safe = True
 
     #: Whether the struct-of-arrays routers sweep (``routing/soa.py``) may

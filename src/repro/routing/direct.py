@@ -20,7 +20,7 @@ class DirectDeliveryRouter(Router):
         if not len(self.buffer):
             # nothing buffered means nothing deliverable on any link; skip
             # the per-connection scan (a woken-but-empty router is the
-            # common case under the world's idle skip-list)
+            # common case under the world's routers sweep)
             return
         for connection in self.connections():
             self.send_deliverable(connection)

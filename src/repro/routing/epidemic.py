@@ -28,7 +28,7 @@ class EpidemicRouter(Router):
             # nothing buffered means nothing deliverable and nothing to
             # flood on any link; skip the per-connection scan (a
             # woken-but-empty router is the common case under the world's
-            # idle skip-list)
+            # routers sweep)
             return
         for connection in self.connections():
             self.send_deliverable(connection)

@@ -1,18 +1,18 @@
 """Struct-of-arrays router state: the vectorized routers-phase sweep.
 
-PR6's idle-router skip-list bounded *how many* routers run per tick, but the
-proof that a router may sleep was still evaluated by per-router Python — an
-O(nodes) scan per tick that dominates the routers phase at 100k nodes where
-~83% of routers are asleep.  :class:`RouterStateStore` moves the state that
-scan reads into columnar NumPy arrays (one row per node, registration
-order), so the whole wake predicate becomes a handful of vectorized masks:
+The naive routers phase (the reference tick in :mod:`repro.testing.
+reference`) calls ``Router.update`` on every router, every tick — at 100k
+nodes, where ~83% of routers are idle, almost all of those calls are
+provable no-ops.  :class:`RouterStateStore` keeps the state that proves it
+in columnar NumPy arrays (one row per node, registration order), so the
+whole wake predicate is a handful of vectorized masks (DESIGN.md, "The idle
+router contract"):
 
 ``awake``
-    exactly the skip-list predicate of ``World._update_routers``: a router
-    wakes on a link event this tick, when it opts out of skipping
+    a router wakes on a link event this tick, when it opts out of skipping
     (``Router.idle_skip_safe`` False), when it holds messages and has live
     contacts or a TTL due, or when it is the endpoint of a connection with
-    queued transfers.
+    queued transfers; every other row is provably idle (``skipped``).
 ``noop``
     awake rows whose ``update`` call is *provably* without observable
     effect, resolved in batch (counted as ``routers_batched``) instead of
@@ -27,9 +27,9 @@ order), so the whole wake predicate becomes a handful of vectorized masks:
 
 Everything not provably a no-op runs through the exact per-router
 ``Router.update`` in ascending row (= registration) order, which is the
-serial loop's iteration order — so the event stream, and therefore every
+reference loop's iteration order — so the event stream, and therefore every
 report byte, is identical to the reference.  Mid-sweep wakes are honoured
-the same way the serial loop honours them: when an executed router enqueues
+the same way the reference loop honours them: when an executed router enqueues
 the first transfer onto a previously idle connection (announced through
 ``Connection.activity_sink``), any *later* row among the endpoints is woken
 — classified as batched when its no-op proof holds, otherwise merged into
@@ -194,7 +194,7 @@ class RouterStateStore:
 
         ``ticked`` rows executed a real ``Router.update``; ``batched`` rows
         were awake but resolved as provable no-ops by the masks; ``skipped``
-        rows slept under the exact PR6 skip predicate.  The three always sum
+        rows were provably idle under the wake predicate.  The three always sum
         to the node count.
         """
         n = len(self._nodes)
@@ -220,47 +220,23 @@ class RouterStateStore:
 
         # endpoints of connections with queued transfers: the serial
         # predicate's defensive wake for empty-buffer routers.  Every such
-        # connection is registered in the active set or announced itself
-        # through activity_sink (the flat tick's invariant), so this is the
-        # complete set — stale registrations are filtered exactly like the
-        # transfers phase filters them.
+        # connection holds a transfer-engine row (up with a non-empty queue
+        # by invariant) or announced itself through activity_sink since the
+        # transfers phase, so this is the complete set — stale announcements
+        # are filtered exactly like the engine's ingest filters them.
         queued = np.zeros(n, dtype=bool)
         newly = world._newly_active
+        row_of = self._row
         engine = world.transfer_engine
-        if engine is not None:
-            # the engine's rows replace _active_transfers (which stays
-            # empty); every row is up with a non-empty queue by invariant
-            if len(engine):
-                row_of = self._row
-                for connection in engine.connections():
-                    row = row_of.get(connection.node_a.node_id)
-                    if row is not None:
-                        queued[row] = True
-                    row = row_of.get(connection.node_b.node_id)
-                    if row is not None:
-                        queued[row] = True
-            active = {}
-        else:
-            active = world._active_transfers
-        if active or newly:
-            row_of = self._row
-            for seq, connection in active.items():
-                if (connection.established_seq == seq and connection.is_up
-                        and connection.has_queued):
-                    row = row_of.get(connection.node_a.node_id)
-                    if row is not None:
-                        queued[row] = True
-                    row = row_of.get(connection.node_b.node_id)
-                    if row is not None:
-                        queued[row] = True
-            for connection in newly:
-                if connection.is_up and connection.has_queued:
-                    row = row_of.get(connection.node_a.node_id)
-                    if row is not None:
-                        queued[row] = True
-                    row = row_of.get(connection.node_b.node_id)
-                    if row is not None:
-                        queued[row] = True
+        busy = engine.connections() if len(engine) else []
+        busy += [c for c in newly if c.is_up and c.has_queued]
+        for connection in busy:
+            row = row_of.get(connection.node_a.node_id)
+            if row is not None:
+                queued[row] = True
+            row = row_of.get(connection.node_b.node_id)
+            if row is not None:
+                queued[row] = True
 
         awake = (event | ~idle_safe
                  | (~empty & ((conns > 0) | (expiry <= now)))
@@ -273,7 +249,6 @@ class RouterStateStore:
         run_rows = np.flatnonzero(awake & ~noop).tolist()
 
         nodes = self._nodes
-        row_of = self._row
         ticked = 0
         late: List[int] = []
         run_idx = 0

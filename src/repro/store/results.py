@@ -116,20 +116,23 @@ class ResultsStore:
                 # SQLite recommends for multi-process append workloads
                 self._connection.execute("PRAGMA journal_mode=WAL")
             self._connection.executescript(_SCHEMA)
+            # two processes opening a fresh file may both get here before
+            # either commits: OR IGNORE makes the stamp idempotent, and the
+            # re-read validates whichever version won
+            self._connection.execute(
+                "INSERT OR IGNORE INTO store_meta (key, value) VALUES (?, ?)",
+                ("schema_version", str(SCHEMA_VERSION)))
+            self._connection.execute(
+                "INSERT OR IGNORE INTO store_meta (key, value) "
+                "VALUES (?, ?)", ("created_utc", _utc_now()))
+            self._connection.commit()
             row = self._connection.execute(
                 "SELECT value FROM store_meta WHERE key='schema_version'"
             ).fetchone()
-            if row is None:
-                self._connection.execute(
-                    "INSERT INTO store_meta (key, value) VALUES (?, ?)",
-                    ("schema_version", str(SCHEMA_VERSION)))
-                self._connection.execute(
-                    "INSERT OR IGNORE INTO store_meta (key, value) "
-                    "VALUES (?, ?)", ("created_utc", _utc_now()))
-                self._connection.commit()
-            elif int(row[0]) != SCHEMA_VERSION:
+            if row is None or int(row[0]) != SCHEMA_VERSION:
+                found = None if row is None else row[0]
                 raise sqlite3.DatabaseError(
-                    f"store schema version {row[0]} != supported "
+                    f"store schema version {found} != supported "
                     f"{SCHEMA_VERSION}")
 
     # ------------------------------------------------------------- lifecycle

@@ -7,6 +7,11 @@ routing decisions) is known in advance.  The helpers live here — inside the
 installed package rather than in ``tests/conftest.py`` — so test modules can
 import them without relying on pytest's ``conftest`` path insertion (which
 broke when ``benchmarks/conftest.py`` shadowed ``tests/conftest.py``).
+
+Two submodules hold the behavioural contract: :mod:`repro.testing.golden`
+defines the committed golden-digest lockfile, and
+:mod:`repro.testing.reference` is the naive executable specification of the
+world tick.  Neither is imported by production code.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ from repro.traces.contact_trace import ContactEvent, ContactTrace
 from repro.traces.replay import TraceReplayWorld, build_trace_world
 
 __all__ = ["make_trace", "make_contact_plan", "make_world", "inject_message",
-           "canonical_report_bytes", "admissible_checkpoint_times",
-           "assert_resume_equality"]
+           "run_report", "canonical_report_bytes",
+           "admissible_checkpoint_times", "assert_resume_equality"]
 
 
 def make_trace(events: Iterable[Tuple[float, int, int, bool]]) -> ContactTrace:
@@ -62,6 +67,20 @@ def inject_message(world, source: int, destination: int, *, now: float = 0.0,
     return message
 
 
+def run_report(config, *, reference: bool = False):
+    """Build, run and summarise *config* — :func:`~repro.experiments.runner.
+    run_scenario`, optionally on the reference tick."""
+    from repro.experiments.builder import build_scenario
+    from repro.experiments.runner import finalize_report
+
+    built = build_scenario(config, reference=reference)
+    try:
+        built.run()
+    finally:
+        built.world.stop()
+    return finalize_report(built.stats, config)
+
+
 # ------------------------------------------------------ resume equality
 def canonical_report_bytes(report) -> bytes:
     """The canonical byte form of a :class:`SimulationReport`.
@@ -69,8 +88,9 @@ def canonical_report_bytes(report) -> bytes:
     Timings are excluded (they measure the machine, not the simulation);
     everything else — metrics, counters, per-protocol extras — is serialized
     with sorted keys, so two runs are behaviourally identical iff their
-    canonical bytes are equal.  This is the same payload the PR5/PR6 pin
-    tests compare across ``flat_tick``/skip-list/process-pool modes.
+    canonical bytes are equal.  This is the payload the golden-digest
+    lockfile pins, and the one compared between production and reference
+    worlds, serial and process-pool backends, and resumed and straight runs.
     """
     payload = report.as_dict(include_timings=False)
     # community_detection_seconds is wall-clock time spent in the detector —
@@ -97,7 +117,7 @@ def admissible_checkpoint_times(config, *, stride: int = 1) -> List[float]:
 
 def assert_resume_equality(config,
                            checkpoint_times: Optional[Sequence[float]] = None,
-                           *, stride: int = 1) -> None:
+                           *, stride: int = 1, reference: bool = False) -> None:
     """Assert that checkpoint/restore is invisible in *config*'s report.
 
     Runs the scenario straight through, then — for every checkpoint time —
@@ -105,22 +125,23 @@ def assert_resume_equality(config,
     the world to container bytes, tear the original down, deserialize,
     resume) and requires the resumed run's canonical report bytes to equal
     the straight-through run's exactly.  ``checkpoint_times`` defaults to
-    :func:`admissible_checkpoint_times` with *stride*.
+    :func:`admissible_checkpoint_times` with *stride*; ``reference=True``
+    runs both on the reference tick (:mod:`repro.testing.reference`).
 
     Raises ``AssertionError`` naming the first diverging checkpoint time.
     """
     from repro.checkpoint import load_checkpoint_bytes, save_checkpoint_bytes
     from repro.experiments.builder import build_scenario
-    from repro.experiments.runner import finalize_report, run_scenario
+    from repro.experiments.runner import finalize_report
 
     if checkpoint_times is None:
         checkpoint_times = admissible_checkpoint_times(config, stride=stride)
-    baseline = canonical_report_bytes(run_scenario(config))
+    baseline = canonical_report_bytes(run_report(config, reference=reference))
     for at in checkpoint_times:
         if not 0.0 < at < config.sim_time:
             raise ValueError(
                 f"checkpoint time {at:g} outside (0, {config.sim_time:g})")
-        built = build_scenario(config)
+        built = build_scenario(config, reference=reference)
         try:
             built.simulator.run(until=at)
             blob = save_checkpoint_bytes(built.world, config=config)

@@ -18,17 +18,15 @@ intended, and say so in the change description.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping
 
-from repro.testing import canonical_report_bytes
+from repro.testing import canonical_report_bytes, run_report
 
 __all__ = ["HEADLINE_PROTOCOLS", "SEEDS", "GoldenCell", "golden_cells",
            "portable_config_hash", "cell_digests", "catalog_config_hashes",
-           "compute_golden_digests",
-           "dump_golden_digests", "GOLDEN_PATH"]
+           "compute_golden_digests", "GOLDEN_PATH"]
 
 #: the protocols the paper compares (EER, CR against MaxProp, EBR and
 #: Spray-and-Wait) plus epidemic, the flooding upper bound
@@ -39,9 +37,9 @@ SEEDS = (1, 2)
 #: deliveries in every scenario, short enough that the grid stays cheap
 HORIZON = 200.0
 #: per-scenario overrides on top of the horizon.  The paper scenario ticks
-#: every 0.1 s, so a shorter horizon covers the same number of ticks; the
-#: city-scale scenarios shrink to a few hundred nodes (the population is
-#: part of the cell key)
+#: every 0.1 s, so a shorter horizon still covers more ticks; the city-scale
+#: scenarios shrink to at most a thousand nodes (the population is part of
+#: the cell key)
 SCENARIO_OVERRIDES: Dict[str, Dict[str, object]] = {
     "paper": {"sim_time": 60.0},
     "rwp-10k": {"num_nodes": 200},
@@ -108,11 +106,12 @@ def portable_config_hash(config) -> str:
     return config.config_hash()
 
 
-def cell_digests(cell: GoldenCell) -> Dict[str, object]:
-    """Run *cell* and return its lockfile entry."""
-    from repro.experiments.runner import run_scenario
+def cell_digests(cell: GoldenCell, *,
+                 reference: bool = False) -> Dict[str, object]:
+    """Run *cell* (optionally on the reference tick) and return its
+    lockfile entry."""
     config = cell.config()
-    report = run_scenario(config)
+    report = run_report(config, reference=reference)
     return {
         "sim_time": config.sim_time,
         "config_hash": portable_config_hash(config),
@@ -135,8 +134,3 @@ def compute_golden_digests() -> Dict[str, Dict[str, object]]:
         "catalog": catalog_config_hashes(),
         "cells": {cell.key: cell_digests(cell) for cell in golden_cells()},
     }
-
-
-def dump_golden_digests(digests: Mapping[str, object]) -> str:
-    """The lockfile's exact text (sorted keys, one trailing newline)."""
-    return json.dumps(digests, indent=1, sort_keys=True) + "\n"

@@ -42,15 +42,9 @@ class TraceReplayWorld(World):
 
     def __init__(self, simulator: Simulator, trace: ContactTrace,
                  update_interval: float = 1.0,
-                 stats: Optional[StatsCollector] = None,
-                 router_skiplist: bool = True,
-                 flat_tick: bool = True,
-                 router_soa: bool = True,
-                 transfer_engine: bool = True) -> None:
+                 stats: Optional[StatsCollector] = None) -> None:
         super().__init__(simulator, update_interval=update_interval,
-                         stats=stats, router_skiplist=router_skiplist,
-                         flat_tick=flat_tick, router_soa=router_soa,
-                         transfer_engine=transfer_engine)
+                         stats=stats)
         self.trace = trace
         # pre-sort events once; replay walks them with an index
         self._events = trace.events
@@ -95,10 +89,7 @@ def build_trace_world(trace: ContactTrace, protocol: str = "epidemic",
                       num_nodes: Optional[int] = None,
                       communities: Optional[Dict[int, int]] = None,
                       router_params: Optional[dict] = None,
-                      router_skiplist: bool = True,
-                      flat_tick: bool = True,
-                      router_soa: bool = True,
-                      transfer_engine: bool = True,
+                      *, reference: bool = False,
                       ) -> Tuple[Simulator, TraceReplayWorld]:
     """Build a simulator + trace-replay world with one router per trace node.
 
@@ -131,10 +122,10 @@ def build_trace_world(trace: ContactTrace, protocol: str = "epidemic",
         Optional node -> community mapping (required by the CR protocol).
     router_params:
         Extra keyword arguments for the router factory.
-    router_skiplist, flat_tick, router_soa, transfer_engine:
-        World tick-structure flags, passed through to
-        :class:`TraceReplayWorld` (see :class:`~repro.world.world.World`);
-        the defaults match the scenario pipeline.
+    reference:
+        Build the naive reference tick of :mod:`repro.testing.reference`
+        instead of the production world (an executable specification for
+        tests and benchmark baselines; imported only when requested).
 
     Returns
     -------
@@ -148,10 +139,11 @@ def build_trace_world(trace: ContactTrace, protocol: str = "epidemic",
         If *num_nodes* is too small for the ids appearing in the trace.
     """
     simulator = Simulator(seed=seed)
-    world = TraceReplayWorld(simulator, trace, update_interval=update_interval,
-                             router_skiplist=router_skiplist,
-                             flat_tick=flat_tick, router_soa=router_soa,
-                             transfer_engine=transfer_engine)
+    world_class = TraceReplayWorld
+    if reference:
+        from repro.testing.reference import ReferenceTraceReplayWorld
+        world_class = ReferenceTraceReplayWorld
+    world = world_class(simulator, trace, update_interval=update_interval)
     trace_ids = trace.node_ids()
     highest = max(trace_ids) if trace_ids else -1
     count = num_nodes if num_nodes is not None else highest + 1

@@ -10,10 +10,11 @@
    loop),
 2. ``connectivity`` — re-detect link pairs and raise link-up / link-down
    events,
-3. ``transfers`` — progress in-flight transfers on every live connection and
-   hand completed replicas to the receiving routers,
-4. ``routers`` — give every router an ``update`` tick so it can expire TTLs
-   and enqueue new transfers.
+3. ``transfers`` — progress in-flight transfers on every connection with
+   queued transfers (one columnar sweep) and hand completed replicas to the
+   receiving routers,
+4. ``routers`` — run ``update`` on every router that is not provably idle,
+   so it can expire TTLs and enqueue new transfers (one columnar sweep).
 
 Each phase is wall-clock metered through the stats collector (see
 ``tick_phase_seconds``), which is how the world-tick benchmarks attribute
@@ -74,15 +75,11 @@ def _sorted_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _decode_codes(codes: np.ndarray) -> List[Tuple[int, int]]:
     """Unpack sorted link codes into ascending ``(id_lo, id_hi)`` key tuples.
 
-    One vectorized shift and one mask over the whole array (instead of the
-    historical per-code Python ``int()`` comprehension); ``tolist`` hands
-    back native ints, and sorted codes unpack to keys in ascending pair
-    order — the order the link dispatch contract requires.
-
-    The ``int64`` normalisation below guarantees the ``tolist`` results are
-    plain Python ints whatever array dtype (or plain sequence) the caller
-    hands in — keys land in dicts holding up to 100k ids, where a stray
-    ``np.int64`` key would hash equal but cost an object per lookup.
+    Sorted codes unpack to keys in ascending pair order — the order the link
+    dispatch contract requires.  The ``int64`` normalisation guarantees the
+    ``tolist`` results are plain Python ints whatever the caller hands in:
+    keys land in dicts holding up to 100k ids, where a stray ``np.int64``
+    key would hash equal but cost an object per lookup.
     """
     codes = np.asarray(codes, dtype=np.int64)
     if not len(codes):
@@ -92,6 +89,13 @@ def _decode_codes(codes: np.ndarray) -> List[Tuple[int, int]]:
 
 class World:
     """Container and update driver for a set of DTN nodes.
+
+    The tick is the one production path described in DESIGN.md ("The world
+    tick"): pooled connections with batched contact statistics, the
+    columnar :class:`~repro.net.engine.TransferEngine` transfers sweep and
+    the struct-of-arrays :class:`~repro.routing.soa.RouterStateStore`
+    routers sweep.  Its naive executable specification lives outside the
+    production code, in :mod:`repro.testing.reference`.
 
     Parameters
     ----------
@@ -104,91 +108,30 @@ class World:
         Statistics collector; a fresh one is created if not supplied.
     detector:
         Connectivity detector implementation.
-    batch_movement:
-        ``False`` pins the ``move`` phase to the historical per-follower
-        loop; the default lets batch-capable mobility models advance through
-        the vectorized :class:`~repro.mobility.engine.MovementEngine`
-        kernel (bit-identical either way, see engine.py).
-    router_skiplist:
-        ``True`` (the default) lets the ``routers`` phase skip provably idle
-        routers (see DESIGN.md, "The idle router contract"): a router is
-        ticked only when it has buffered messages, a live connection with
-        queued transfers, a TTL due, a link event this tick, or opts out of
-        skipping (``Router.idle_skip_safe``).  ``False`` pins the historical
-        tick-every-router loop; both settings are bit-identical by
-        construction, pinned by report-equality tests.
-    router_soa:
-        ``True`` (the default) resolves the ``routers`` phase through the
-        struct-of-arrays sweep (see DESIGN.md, "Struct-of-arrays router
-        state"): the skip predicate evaluates as vectorized masks over
-        columnar per-router state, provable no-op ticks of batch-capable
-        protocols (``Router.supports_batch_update``) resolve without
-        executing, and the remainder runs the exact per-router loop in the
-        same order.  ``False`` pins the PR6 per-router skip-scan as the
-        benchmark baseline; bit-identical simulation outcomes either way.
-        Requires ``router_skiplist`` (the sweep *is* the skip predicate).
-    transfer_engine:
-        ``True`` (the default) resolves the ``transfers`` phase through the
-        columnar :class:`~repro.net.engine.TransferEngine` (see DESIGN.md,
-        "Columnar transfer accounting"): in-flight head-of-queue bytes
-        drain in one vectorized subtraction over struct-of-arrays rows, and
-        only connections whose head transfer completed this tick replay the
-        exact reference drain (in ``established_seq`` order, so completion
-        dispatch is byte-identical).  ``False`` pins the per-connection
-        ``Connection.advance`` loop as the benchmark baseline.  Requires
-        ``flat_tick`` (the engine's push seams — activity sink,
-        ``established_seq`` — only exist there).
     """
 
     def __init__(self, simulator: Simulator, update_interval: float = 1.0,
                  stats: Optional[StatsCollector] = None,
-                 detector: Optional[ConnectivityDetector] = None,
-                 batch_movement: bool = True,
-                 router_skiplist: bool = True,
-                 flat_tick: bool = True,
-                 router_soa: bool = True,
-                 transfer_engine: bool = True) -> None:
+                 detector: Optional[ConnectivityDetector] = None) -> None:
         if update_interval <= 0:
             raise ValueError("update_interval must be positive")
-        if router_skiplist and not flat_tick:
-            # the skip-list's O(1) queued-transfer check relies on the
-            # flattened tick's activity-sink registrations; the historical
-            # tick never populates them
-            raise ValueError("router_skiplist requires flat_tick")
-        if router_soa and not router_skiplist:
-            # the SoA sweep is a vectorized evaluation of the skip
-            # predicate; without the skip-list there is no predicate to
-            # vectorize (the reference loop ticks every router)
-            raise ValueError("router_soa requires router_skiplist")
-        if transfer_engine and not flat_tick:
-            # engine rows key on established_seq and ingest from the
-            # activity sink — flat-tick machinery the historical tick
-            # never assigns
-            raise ValueError("transfer_engine requires flat_tick")
         self.simulator = simulator
         self.update_interval = float(update_interval)
         self.stats = stats if stats is not None else StatsCollector()
         self.detector = detector if detector is not None else KDTreeConnectivity()
-        self.router_skiplist = bool(router_skiplist)
-        self.router_soa = bool(router_soa)
-        #: False pins the historical tick structure — per-event contact
-        #: stats, a fresh Connection per establishment (no pooling) and the
-        #: O(live links) transfer scan — as the reference half of the
-        #: world-tick benchmarks; identical simulation outcomes either way
-        self.flat_tick = bool(flat_tick)
         #: world-scoped shared services (e.g. the community provider all CR
         #: routers of this world consult); keyed by an arbitrary hashable
         self.services: Dict[object, object] = {}
         self._nodes: Dict[int, DTNNode] = {}
         self._node_order: List[DTNNode] = []
         self._positions = PositionStore()
-        self.movement = MovementEngine(self._positions, batch=batch_movement)
+        self.movement = MovementEngine(self._positions)
         self._connections: Dict[Tuple[int, int], Connection] = {}
         #: sorted int64 codes (id_lo << 32 | id_hi) of the live links
         self._link_codes = _empty_codes()
         #: node ids that received a link event since their last routers phase
-        #: (the skip-list's dirty set; cleared at the end of every routers
-        #: phase)
+        #: (a wake condition of the routers sweep; cleared at the end of
+        #: every routers phase)
         self._router_events: set = set()
         # connection pooling: a connection released by a tear-down becomes
         # reusable only from the *next* link-diff application onward —
@@ -200,25 +143,20 @@ class World:
         #: connections whose queue went empty -> non-empty since the last
         #: transfers phase (fed by Connection.activity_sink)
         self._newly_active: List[Connection] = []
-        #: established_seq -> connection, for every connection that may hold
-        #: queued transfers; the transfers phase walks this instead of every
-        #: live link
-        self._active_transfers: Dict[int, Connection] = {}
-        # skip-list/sweep observability (surfaced on SimulationReport, the
+        # routers-phase observability (surfaced on SimulationReport, the
         # CI smoke and the benchmarks): ticked = real Router.update calls,
         # skipped = provably asleep, batched = awake no-ops the SoA sweep
         # resolved without executing
         self.routers_ticked = 0
         self.routers_skipped = 0
         self.routers_batched = 0
-        #: columnar per-router state behind the vectorized routers phase
-        #: (None when router_soa is off; see repro.routing.soa)
-        self.router_store = RouterStateStore() if self.router_soa else None
-        #: columnar in-flight transfer state behind the vectorized transfers
-        #: phase (None when the engine is off; see repro.net.engine).  With
-        #: the engine on, ``_active_transfers`` stays empty — the engine's
-        #: rows *are* the active set
-        self.transfer_engine = TransferEngine() if transfer_engine else None
+        #: columnar per-router state behind the routers phase (see
+        #: repro.routing.soa)
+        self.router_store = RouterStateStore()
+        #: columnar in-flight transfer state behind the transfers phase; its
+        #: rows are the set of connections holding queued transfers (see
+        #: repro.net.engine)
+        self.transfer_engine = TransferEngine()
         #: per-node caches rebuilt lazily after node registration
         self._ranges_cache: Optional[np.ndarray] = None
         self._ids_cache: Optional[np.ndarray] = None
@@ -260,10 +198,9 @@ class World:
         self.movement.register(node.follower)
         self._nodes[node.node_id] = node
         self._node_order.append(node)
-        if self.router_store is not None:
-            # SoA rows are appended in registration order, so store row
-            # index == _node_order index == the serial loop's visit order
-            self.router_store.register(node)
+        # SoA rows are appended in registration order, so store row index
+        # == _node_order index == the serial loop's visit order
+        self.router_store.register(node)
         self._ranges_cache = None
         self._ids_cache = None
         return node
@@ -393,13 +330,6 @@ class World:
         if down_keys or up_keys:
             self._apply_link_changes(down_keys, up_keys, now)
 
-    @staticmethod
-    def _decode(code: np.int64) -> Tuple[int, int]:
-        """Decode one packed link code (kept for tests/exploratory use; the
-        tick uses the vectorized :func:`_decode_codes`)."""
-        value = int(code)
-        return value >> 32, value & 0xFFFFFFFF
-
     def _apply_link_changes(self, down_keys: List[Tuple[int, int]],
                             up_keys: List[Tuple[int, int]], now: float) -> None:
         """Apply one tick's sorted link diff and notify routers in batches.
@@ -416,11 +346,10 @@ class World:
         is always notified after the smaller-id endpoint has folded the
         contact into its own state.
         """
-        flat = self.flat_tick
         # connections released by the *previous* diff application become
         # reusable now: routers saw those objects in that tick's batch
-        # dispatch, and any stale transfer-phase registration has been purged
-        if flat and self._released_connections:
+        # dispatch
+        if self._released_connections:
             self._connection_pool.extend(self._released_connections)
             self._released_connections = []
         events_by_node: Dict[int, List[Tuple[Connection, bool]]] = {}
@@ -431,7 +360,7 @@ class World:
             event = (connection, False)
             bucket(key[0], []).append(event)
             bucket(key[1], []).append(event)
-        if flat and down_keys:
+        if down_keys:
             self.stats.contact_down_batch(down_keys, now)
         establish = self._establish_link
         for key in up_keys:
@@ -439,11 +368,10 @@ class World:
             event = (connection, True)
             bucket(key[0], []).append(event)
             bucket(key[1], []).append(event)
-        if flat and up_keys:
+        if up_keys:
             self.stats.contact_up_batch(up_keys, now)
         # every endpoint that saw a link event must run its next routers
-        # phase (the skip-list's wake condition: per-meeting evaluation gates
-        # are consumed on that tick)
+        # phase (per-meeting evaluation gates are consumed on that tick)
         self._router_events.update(events_by_node)
         nodes = self._nodes
         for node_id in sorted(events_by_node):
@@ -453,53 +381,46 @@ class World:
 
     def _establish_link(self, key: Tuple[int, int], now: float) -> Connection:
         """World-side bookkeeping for a new link (no router notification;
-        contact stats are recorded in batch by the caller on the flat tick,
-        per event here on the historical one)."""
+        contact stats are recorded in batch by the caller)."""
         node_a = self._nodes[key[0]]
         node_b = self._nodes[key[1]]
         bitrate = node_a.interface.link_bitrate(node_b.interface)
-        if not self.flat_tick:
-            connection = Connection(node_a, node_b, bitrate, now)
-            self.stats.contact_up(node_a.node_id, node_b.node_id, now)
-        elif self._connection_pool:
+        if self._connection_pool:
             connection = self._connection_pool.pop()
             connection.reset(node_a, node_b, bitrate, now)
         else:
             connection = Connection(node_a, node_b, bitrate, now)
-        if self.flat_tick:
-            self._conn_seq += 1
-            connection.established_seq = self._conn_seq
-            connection.activity_sink = self._newly_active
-            connection.engine = self.transfer_engine
+        self._conn_seq += 1
+        connection.established_seq = self._conn_seq
+        connection.activity_sink = self._newly_active
+        connection.engine = self.transfer_engine
         self._connections[key] = connection
         node_a.connections[node_b.node_id] = connection
         node_b.connections[node_a.node_id] = connection
-        if self.router_store is not None:
-            self.router_store.link_delta(key[0], key[1], 1)
+        self.router_store.link_delta(key[0], key[1], 1)
         return connection
 
     def _teardown_link(self, key: Tuple[int, int], now: float) -> Connection:
         """World-side bookkeeping for a lost link (no router notification;
         contact stats are recorded in batch by the caller)."""
         connection = self._connections.pop(key)
-        aborted = connection.tear_down(now)
-        for transfer in aborted:
+        self._abort_transfers(connection, now)
+        node_a = connection.node_a
+        node_b = connection.node_b
+        node_a.connections.pop(node_b.node_id, None)
+        node_b.connections.pop(node_a.node_id, None)
+        self.router_store.link_delta(key[0], key[1], -1)
+        self._released_connections.append(connection)
+        return connection
+
+    def _abort_transfers(self, connection: Connection, now: float) -> None:
+        """Tear *connection* down and report every transfer it aborted."""
+        for transfer in connection.tear_down(now):
             self.stats.transfer_aborted(
                 transfer.message, transfer.sender.node_id,
                 transfer.receiver.node_id, now, transfer.bytes_left)
             assert transfer.sender.router is not None
             transfer.sender.router.transfer_aborted(transfer)
-        node_a = connection.node_a
-        node_b = connection.node_b
-        node_a.connections.pop(node_b.node_id, None)
-        node_b.connections.pop(node_a.node_id, None)
-        if self.router_store is not None:
-            self.router_store.link_delta(key[0], key[1], -1)
-        if self.flat_tick:
-            self._released_connections.append(connection)
-        else:
-            self.stats.contact_down(node_a.node_id, node_b.node_id, now)
-        return connection
 
     def _link_up(self, key: Tuple[int, int], now: float) -> None:
         """Establish one link and notify both routers (single-event path)."""
@@ -514,50 +435,14 @@ class World:
 
         O(connections with queued transfers), not O(live links): routers
         announce queue activity through ``Connection.activity_sink`` and the
-        registrations drain here.  Processing in ascending
-        ``established_seq`` order reproduces the historical iteration order
-        of the live-link table exactly (dict insertion order == establishment
-        order, because a re-established key re-enters the table at the end
-        with a fresh sequence number).  No transfer is ever enqueued during
-        this phase — sends happen in router hooks (contact/update) — so the
-        active set only shrinks mid-phase.
+        :class:`~repro.net.engine.TransferEngine` ingests the announcements,
+        drains head-of-queue bytes in one vectorized sweep and replays only
+        completed heads, in ascending ``established_seq`` order — the
+        iteration order of the live-link table (dict insertion order ==
+        establishment order, because a re-established key re-enters the
+        table at the end with a fresh sequence number).
         """
-        if not self.flat_tick:
-            # historical structure: scan every live link (the reference
-            # half of the world-tick benchmarks)
-            for connection in list(self._connections.values()):
-                for transfer in connection.advance(now, dt):
-                    self._complete_transfer(transfer, now)
-            return
-        engine = self.transfer_engine
-        if engine is not None:
-            # columnar path: one vectorized byte sweep, exact replay only
-            # for rows whose head completed (see repro.net.engine).  The
-            # engine's rows replace ``_active_transfers`` entirely
-            engine.sweep(self, now, dt)
-            return
-        active = self._active_transfers
-        pending = self._newly_active
-        if pending:
-            for connection in pending:
-                active[connection.established_seq] = connection
-            pending.clear()
-        if not active:
-            return
-        finished: List[int] = []
-        for seq in sorted(active):
-            connection = active[seq]
-            # a pooled connection re-established under a new sequence number
-            # leaves its old registration stale; likewise torn-down links
-            if connection.established_seq != seq or not connection.is_up:
-                finished.append(seq)
-                continue
-            for transfer in connection.advance(now, dt):
-                self._complete_transfer(transfer, now)
-            if not connection.has_queued:
-                finished.append(seq)
-        for seq in finished:
-            del active[seq]
+        self.transfer_engine.sweep(self, now, dt)
 
     def _complete_transfer(self, transfer: Transfer, now: float) -> None:
         sender = transfer.sender
@@ -577,80 +462,24 @@ class World:
         if accepted:
             sender.router.transfer_completed(transfer)
 
-    def _no_queued_transfers(self) -> bool:
-        """Whether provably no connection anywhere holds a queued transfer.
-
-        The O(1) half of the skip-list wake predicate.  With the transfer
-        engine on the active set lives in the engine's rows
-        (``_active_transfers`` stays empty); either way an un-ingested
-        announcement in ``_newly_active`` counts as queued.
-        """
-        if self._newly_active:
-            return False
-        if self.transfer_engine is not None:
-            return not len(self.transfer_engine)
-        return not self._active_transfers
-
     def router_rebound(self, node: DTNNode) -> None:
         """Notification that a router was (re)attached to *node*.
 
         Called by :meth:`~repro.routing.base.Router.attach`; refreshes the
         node's SoA row so router-derived columns (skip safety, batch
         capability) never go stale across mid-run router swaps.  No-op when
-        the SoA store is off or the node is not registered yet (the
-        builders attach routers before ``add_node``).
+        the node is not registered yet (the builders attach routers before
+        ``add_node``).
         """
-        if self.router_store is not None:
-            self.router_store.rebind(node)
+        self.router_store.rebind(node)
 
     def _update_routers(self, now: float) -> None:
-        events = self._router_events
-        if self.router_store is not None:
-            ticked, batched, skipped = self.router_store.sweep(self, now)
-            self.routers_ticked += ticked
-            self.routers_batched += batched
-            self.routers_skipped += skipped
-            self.stats.router_sweep(ticked, skipped, batched)
-            events.clear()
-            return
-        if not self.router_skiplist:
-            for node in self._node_order:
-                assert node.router is not None
-                node.router.update(now)
-            self.routers_ticked += len(self._node_order)
-            self.stats.router_sweep(len(self._node_order), 0, 0)
-            events.clear()
-            return
-        ticked = 0
-        for node in self._node_order:
-            router = node.router
-            assert router is not None
-            if router.idle_skip_safe and node.node_id not in events:
-                # skip-list fast path: prove the tick would be a no-op.
-                # An empty buffer has nothing to expire or send; waking on
-                # queued transfers is defensive (in-flight traffic keeps
-                # both endpoints hot).  A loaded router with no contacts
-                # only needs its tick when a TTL comes due.
-                if not len(node.buffer):
-                    # every connection holding a queued transfer is
-                    # registered in the active set (or announced itself via
-                    # activity_sink this phase), so when both are empty the
-                    # per-connection scan is provably False — O(1) instead
-                    # of O(neighbours) in the idle-world common case
-                    conns = node.connections
-                    if (not conns
-                            or self._no_queued_transfers()
-                            or not any(
-                                c.has_queued for c in conns.values())):
-                        continue
-                elif not node.connections and node.buffer.next_expiry() > now:
-                    continue
-            router.update(now)
-            ticked += 1
+        ticked, batched, skipped = self.router_store.sweep(self, now)
         self.routers_ticked += ticked
-        self.routers_skipped += len(self._node_order) - ticked
-        self.stats.router_sweep(ticked, len(self._node_order) - ticked, 0)
-        events.clear()
+        self.routers_batched += batched
+        self.routers_skipped += skipped
+        self.stats.router_sweep(ticked, skipped, batched)
+        self._router_events.clear()
 
     # ------------------------------------------------------------ checkpoints
     def save_checkpoint(self, path: str, *, config=None, metadata=None):

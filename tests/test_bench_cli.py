@@ -22,7 +22,7 @@ def test_payload_shape_and_checksums(smoke_payload):
     assert names == {"encounter_pipeline", "buffer_churn",
                      "collector_ingest", "scenario_eer",
                      "community_detection", "world_tick_10k",
-                     "router_sweep", "world_tick_100k", "transfer_churn"}
+                     "world_tick_100k", "transfer_churn"}
     for name, entry in payload["benchmarks"].items():
         assert entry["checksums_match"], (
             f"{name}: vectorized path diverged from the reference")
@@ -45,9 +45,9 @@ def test_payload_shape_and_checksums(smoke_payload):
     assert world["baseline"]["checksums"] == world["current"]["checksums"]
     assert world["current"]["checksums"]["contacts"] > 0
     assert world["current"]["phase_seconds"]["connectivity.detect"] > 0
-    # the flattened-tick pair gates whole-tick throughput on the same runs,
-    # and its scale section must hold a completed run whose checksums match
-    # the serial reference bit for bit
+    # the whole-tick pair (production vs reference world) gates on the same
+    # runs, and its scale section must hold a completed run whose checksums
+    # match the reference world bit for bit
     flat = payload["benchmarks"]["world_tick_100k"]
     assert flat["throughput_key"] == "ticks_per_s"
     assert flat["baseline"]["checksums"] == flat["current"]["checksums"]

@@ -286,6 +286,21 @@ def test_version_and_magic_mismatch_raise_checkpoint_error(world_blob):
                                              b"{not json"))
 
 
+def test_version_1_container_is_rejected_before_its_config(world_blob):
+    # a version-1 snapshot pickles a world with the retired tick-mode
+    # attributes and embeds a config with the retired tick-mode fields; the
+    # version check must reject it up front instead of reporting an invalid
+    # scenario config (or restoring stale attributes)
+    manifest = json.loads(zipfile.ZipFile(io.BytesIO(world_blob))
+                          .read("MANIFEST.json"))
+    config = dict(manifest["config"], flat_tick=True, router_skiplist=True,
+                  router_soa=True, transfer_engine=True, batch_movement=True)
+    v1 = _rewrite_manifest(world_blob, format_version=1, config=config)
+    with pytest.raises(CheckpointError,
+                       match=r"^unsupported checkpoint format version 1 "):
+        load_checkpoint_bytes(v1)
+
+
 def test_missing_entries_and_garbage_raise_checkpoint_error(world_blob,
                                                             tmp_path):
     source = zipfile.ZipFile(io.BytesIO(world_blob))

@@ -5,7 +5,7 @@ with a full serialize → tear down → deserialize → resume cycle at each
 checkpoint time and requires the canonical report bytes (metrics, counters,
 per-protocol extras — everything but wall-clock timings) to match exactly.
 Covered here: the four headline protocols, every admissible tick boundary of
-a short run, the historical flat_tick=False tick, columnar and disabled
+a short run, the reference tick (repro.testing.reference), columnar and disabled
 collectors, the sharded detector on the shared-memory process pool, file
 trace replay, and online community detection (CR with the Newman tracker).
 """
@@ -42,10 +42,8 @@ def test_resume_equality_at_every_admissible_boundary():
 
 
 def test_resume_equality_historical_flat_tick_off():
-    assert_resume_equality(
-        bench("epidemic", flat_tick=False, router_skiplist=False,
-              router_soa=False, transfer_engine=False),
-        checkpoint_times=[180.0])
+    assert_resume_equality(bench("epidemic"), checkpoint_times=[180.0],
+                           reference=True)
 
 
 @pytest.mark.parametrize("record_mode", ["columnar", "off"])

@@ -110,19 +110,10 @@ def test_traffic_model_validation():
     assert config.traffic_rate == 2.0
 
 
-def test_transfer_engine_requires_flat_tick():
-    with pytest.raises(ValueError):
-        ScenarioConfig(flat_tick=False, router_skiplist=False,
-                       router_soa=False, transfer_engine=True)
-    config = ScenarioConfig(flat_tick=False, router_skiplist=False,
-                            router_soa=False, transfer_engine=False)
-    assert config.transfer_engine is False
-
-
 def test_new_defaults_keep_scenario_identity_stable():
-    """The new traffic/transfer fields default to values that drop out of the
-    identity payload, so pre-PR10 store keys keep resolving."""
+    """The traffic fields default to values that drop out of the identity
+    payload, so store keys written before they existed keep resolving."""
     payload = ScenarioConfig(name="x").identity_payload()
     for field in ("traffic_model", "traffic_rate", "traffic_burst_size",
-                  "traffic_burst_spacing", "transfer_engine"):
+                  "traffic_burst_spacing"):
         assert field not in payload

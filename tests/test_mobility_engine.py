@@ -155,7 +155,9 @@ def test_mid_run_registration_grows_the_engine():
 
 
 def test_world_batch_movement_toggle_is_invisible_in_results():
-    # covered end-to-end in test_world_sharded; here: the engine objects
+    # the production world batches movement, the reference tick runs the
+    # per-follower loop; covered end-to-end in test_world_sharded, here:
+    # the engine objects
     from repro.experiments.builder import build_scenario
     from repro.experiments.catalog import make_scenario
 
@@ -165,7 +167,7 @@ def test_world_batch_movement_toggle_is_invisible_in_results():
     batch.run()
     assert batch.world.movement.batch_enabled
     assert batch.world.movement.fast_moves > 0
-    loop = build_scenario(config.with_overrides(batch_movement=False))
+    loop = build_scenario(config, reference=True)
     loop.run()
     assert not loop.world.movement.batch_enabled
     assert loop.world.movement.fast_moves == 0

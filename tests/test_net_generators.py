@@ -173,7 +173,6 @@ def test_catalog_traffic_scenario_saturates_links():
                                           map_width=1200.0, map_height=900.0))
     assert config.traffic_model == "poisson"
     assert config.traffic_rate == 2.0
-    assert config.transfer_engine
     # 1 MiB payloads over a 62.5 kB/s radio: any completed transfer took
     # ~17 consecutive ticks of link time, i.e. links really saturate
     assert config.message_size / config.transmit_speed > 10.0

@@ -1,17 +1,17 @@
 """The struct-of-arrays router sweep: bit-exactness, counters, fallbacks.
 
-``router_soa=True`` (the default) replaces the per-router skip-scan with one
-vectorized evaluation of the same wake predicate plus a batch resolution of
-provably no-op updates (``Router.supports_batch_update``).  The contract is
-the one every tick-structure change in this repo has carried: **same
-decisions, same bytes, just faster**.  Pinned here:
+The production routers phase is one vectorized evaluation of the idle
+router wake predicate plus a batch resolution of provably no-op updates
+(``Router.supports_batch_update``); the reference tick
+(:mod:`repro.testing.reference`) calls ``Router.update`` on every router.
+The contract: **same decisions, same bytes, just faster**.  Pinned here:
 
-* full-scenario canonical reports are byte-identical SoA-on vs SoA-off for
-  all four batch-capable protocols (the PR8 acceptance criterion) and for
-  the non-batchable fallbacks (prophet, spray-and-focus);
-* hypothesis-generated contact/traffic scripts agree outcome-for-outcome,
-  and the counter split obeys ``soa.ticked + soa.batched == skiplist.ticked``
-  with identical ``skipped`` — the masks *are* the serial predicate;
+* full-scenario canonical reports are byte-identical to the reference for
+  all four batch-capable protocols and for the non-batchable fallbacks
+  (prophet, spray-and-focus);
+* hypothesis-generated contact/traffic scripts agree outcome-for-outcome
+  with the reference, and the sweep's ticked/batched/skipped split always
+  accounts for every router the reference ticks;
 * the batched/ticked/skipped counters sum to ``nodes × updates``, surface on
   :class:`SimulationReport` and stay out of the canonical serialisation;
 * the store itself: registration order, growth, dirty-buffer mirrors,
@@ -39,6 +39,7 @@ from repro.testing import (
     inject_message,
     make_contact_plan,
     make_trace,
+    run_report,
 )
 from repro.traces.replay import build_trace_world
 
@@ -47,20 +48,22 @@ BATCHABLE = ["direct", "epidemic", "first-contact", "spray-and-wait"]
 
 
 # --------------------------------------------------- full-scenario pins
-def scenario_payload(protocol, *, router_soa, **overrides):
+def scenario_payload(protocol, *, reference, **overrides):
     config = make_scenario("bench", {
         "mobility": "random_waypoint", "protocol": protocol,
-        "num_nodes": 40, "sim_time": 300.0, "router_soa": router_soa,
+        "num_nodes": 40, "sim_time": 300.0,
         "name": f"soa-pin-{protocol}", **overrides})
-    return json.dumps(run_scenario(config).as_dict(), sort_keys=True)
+    report = run_report(config, reference=reference)
+    return json.dumps(report.as_dict(), sort_keys=True)
 
 
 @pytest.mark.parametrize("protocol", BATCHABLE)
 def test_soa_report_byte_identical_to_skip_scan(protocol):
-    """Acceptance pin: SoA on == SoA off, byte for byte, per batchable
-    protocol (the canonical payload excludes the mode-dependent counters)."""
-    assert scenario_payload(protocol, router_soa=True) \
-        == scenario_payload(protocol, router_soa=False)
+    """Acceptance pin: the SoA sweep == tick-every-router, byte for byte,
+    per batchable protocol (the canonical payload excludes the routers
+    counters, which differ by construction)."""
+    assert scenario_payload(protocol, reference=False) \
+        == scenario_payload(protocol, reference=True)
 
 
 @pytest.mark.parametrize("protocol", ["prophet", "spray-and-focus"])
@@ -68,8 +71,8 @@ def test_soa_report_byte_identical_for_fallback_routers(protocol):
     """Non-batchable routers run the exact per-router loop under SoA:
     prophet opts out of skipping entirely (idle_skip_safe=False) and
     spray-and-focus must not inherit spray-and-wait's batch capability."""
-    assert scenario_payload(protocol, router_soa=True) \
-        == scenario_payload(protocol, router_soa=False)
+    assert scenario_payload(protocol, reference=False) \
+        == scenario_payload(protocol, reference=True)
 
 
 # ------------------------------------------------- hypothesis parity
@@ -92,12 +95,12 @@ def contact_script(draw):
     return num_nodes, contacts, messages
 
 
-def run_script(protocol, num_nodes, contacts, messages, *, router_soa):
+def run_script(protocol, num_nodes, contacts, messages, *, reference):
     plan = make_contact_plan(
         [(float(s), float(s + d), a, b) for s, d, a, b in contacts if a != b])
     simulator, world = build_trace_world(plan, protocol=protocol,
                                          num_nodes=num_nodes,
-                                         router_soa=router_soa)
+                                         reference=reference)
     for index, (source, destination, ttl, copies) in enumerate(messages):
         if source == destination:
             continue
@@ -129,15 +132,17 @@ def outcome_fingerprint(world):
 def test_hypothesis_outcome_parity(protocol, script):
     num_nodes, contacts, messages = script
     soa = run_script(protocol, num_nodes, contacts, messages,
-                     router_soa=True)
+                     reference=False)
     ref = run_script(protocol, num_nodes, contacts, messages,
-                     router_soa=False)
+                     reference=True)
     assert outcome_fingerprint(soa) == outcome_fingerprint(ref)
-    # the masks ARE the serial predicate: the SoA awake set equals the
-    # skip-scan's ticked set (batched rows are the no-op part of it), and
-    # the asleep set is untouched
-    assert soa.routers_ticked + soa.routers_batched == ref.routers_ticked
-    assert soa.routers_skipped == ref.routers_skipped
+    # every router the reference ticks is accounted for exactly once by the
+    # sweep: executed, resolved as a batched no-op, or provably asleep
+    assert ref.routers_ticked == num_nodes * ref.updates
+    assert ref.routers_skipped == ref.routers_batched == 0
+    assert (soa.routers_ticked + soa.routers_batched
+            + soa.routers_skipped) == ref.routers_ticked
+    assert soa.routers_ticked <= ref.routers_ticked
 
 
 # ------------------------------------------------- counter semantics
@@ -289,7 +294,7 @@ def test_checkpoint_restores_store_and_buffer_mirrors():
     world.stop()
     restored = load_checkpoint_bytes(blob).world
     store = restored.router_store
-    assert store is not None and len(store) == 3
+    assert len(store) == 3
     for node in restored.nodes:
         assert node.buffer._mirror_store is store
         assert store._row[node.node_id] == node.buffer._mirror_row

@@ -1,15 +1,17 @@
-"""The columnar transfers phase (TransferEngine) against the reference loop.
+"""The columnar transfers phase (TransferEngine) against the reference tick.
 
-Three layers of evidence, mirroring the PR5-PR8 discipline:
+Three layers of evidence:
 
 * hypothesis parity — random link/enqueue/teardown scripts driven through a
-  pair of worlds that differ only in ``transfer_engine``, asserting
-  identical completion order, byte accounting (including aborted-transfer
-  ``bytes_left``) and final queue state,
-* full-scenario pins — byte-identical canonical reports engine-on vs
-  engine-off for every routing family the suite exercises,
-* resume equality — a checkpoint taken *mid-transfer* with the engine on
-  restores invisibly (the engine's columns are part of the snapshot).
+  production world and a reference world (:mod:`repro.testing.reference`,
+  whose transfers phase advances every live link through
+  ``Connection.advance``), asserting identical completion order, byte
+  accounting (including aborted-transfer ``bytes_left``) and final queue
+  state,
+* full-scenario pins — byte-identical canonical reports production vs
+  reference for every routing family the suite exercises,
+* resume equality — a checkpoint taken *mid-transfer* restores invisibly
+  (the engine's columns are part of the snapshot).
 """
 
 import pytest
@@ -18,30 +20,29 @@ from hypothesis import given, settings, strategies as st
 from repro.experiments.scenario import ScenarioConfig
 from repro.net.connection import TransferState
 from repro.net.engine import TransferEngine
-from repro.sim.engine import Simulator
 from repro.testing import (assert_resume_equality, canonical_report_bytes,
-                           inject_message, make_trace)
+                           inject_message, make_trace, run_report)
 from repro.traces.contact_trace import ContactTrace
 from repro.traces.replay import build_trace_world
-from repro.world.world import World
 
 
 # ------------------------------------------------------------------ helpers
-def empty_world(num_nodes=4, *, transfer_engine=True, transmit_speed=1000.0,
+def empty_world(num_nodes=4, *, reference=False, transmit_speed=1000.0,
                 protocol="epidemic", seed=9):
     """A trace-replay world with no prescribed contacts: the test drives
     link events and phases by hand."""
     simulator, world = build_trace_world(
         ContactTrace([]), protocol=protocol, num_nodes=num_nodes, seed=seed,
-        transmit_speed=transmit_speed, transfer_engine=transfer_engine,
+        transmit_speed=transmit_speed, reference=reference,
         buffer_capacity=16 * 1024 * 1024)
     return simulator, world
 
 
 def head_bytes(world, connection):
-    """Authoritative remaining bytes of the head transfer, either mode."""
+    """Authoritative remaining bytes of the head transfer, either world
+    (the reference never attaches engine rows)."""
     engine = world.transfer_engine
-    if engine is not None and connection.has_queued:
+    if connection.has_queued:
         try:
             return engine.head_bytes_left(connection)
         except KeyError:
@@ -96,9 +97,9 @@ def test_random_scripts_reference_vs_engine(speed, steps):
     """Random enqueue/teardown/dt scripts: both modes must complete the
     same transfers in the same order with the same byte accounting."""
 
-    def run(transfer_engine):
+    def run(reference):
         simulator, world = empty_world(transmit_speed=speed,
-                                       transfer_engine=transfer_engine)
+                                       reference=reference)
         live = set()
         now = 0.0
         counter = 0
@@ -119,8 +120,8 @@ def test_random_scripts_reference_vs_engine(speed, steps):
             world._update_routers(now)
         return world
 
-    engine_world = run(True)
-    reference_world = run(False)
+    engine_world = run(False)
+    reference_world = run(True)
 
     assert relayed_tuples(engine_world) == relayed_tuples(reference_world)
     assert aborted_tuples(engine_world) == aborted_tuples(reference_world)
@@ -140,24 +141,17 @@ def test_random_scripts_reference_vs_engine(speed, steps):
     announced = {c.established_seq for c in engine_world._newly_active}
     assert rows <= queued
     assert queued - rows <= announced
-    # with the engine on the legacy active set must stay empty
-    assert not engine_world._active_transfers
 
 
 # ------------------------------------------------------ full-scenario pins
 @pytest.mark.parametrize("protocol",
                          ["direct", "epidemic", "spray-and-wait", "prophet"])
 def test_report_byte_identical_engine_on_vs_off(protocol):
-    from dataclasses import replace
-
-    from repro.experiments.runner import run_scenario
-
     config = ScenarioConfig.bench_scale(
         protocol=protocol, num_nodes=40, seed=7, sim_time=900.0,
         mobility="random_waypoint", name=f"engine-pin-{protocol}")
-    on = canonical_report_bytes(run_scenario(config))
-    off = canonical_report_bytes(
-        run_scenario(replace(config, transfer_engine=False)))
+    on = canonical_report_bytes(run_report(config))
+    off = canonical_report_bytes(run_report(config, reference=True))
     assert on == off
 
 
@@ -180,7 +174,6 @@ def test_resume_equality_through_mid_transfer_checkpoint():
     built = build_scenario(config)
     try:
         built.simulator.run(until=checkpoint_at)
-        assert built.world.transfer_engine is not None
         assert len(built.world.transfer_engine) > 0
     finally:
         built.world.stop()
@@ -215,15 +208,6 @@ def test_restored_engine_is_rewired_to_restored_connections():
 
 
 # ------------------------------------------------------------- engine units
-def test_engine_requires_flat_tick():
-    with pytest.raises(ValueError):
-        World(Simulator(seed=1), flat_tick=False, router_skiplist=False,
-              router_soa=False, transfer_engine=True)
-    with pytest.raises(ValueError):
-        ScenarioConfig(name="x", flat_tick=False, router_skiplist=False,
-                       router_soa=False, transfer_engine=True)
-
-
 def test_stale_announcement_is_ignored():
     """enqueue -> teardown before any sweep: the activity-sink announcement
     is stale and must not attach a row (nor resurrect the torn-down link)."""
@@ -268,9 +252,9 @@ def test_multi_completion_single_tick_matches_reference():
     """A fast link draining several queued transfers in one tick must
     complete them all, in order, through the exact replay."""
 
-    def run(transfer_engine):
+    def run(reference):
         simulator, world = empty_world(transmit_speed=1_000_000.0,
-                                       transfer_engine=transfer_engine)
+                                       reference=reference)
         world._link_up((0, 1), 0.0)
         for index in range(5):
             inject_message(world, 0, 1, size=10_000,
@@ -279,7 +263,7 @@ def test_multi_completion_single_tick_matches_reference():
         world._advance_transfers(1.0, 1.0)
         return world
 
-    on, off = run(True), run(False)
+    on, off = run(False), run(True)
     assert relayed_tuples(on) == relayed_tuples(off)
     assert on.stats.transfers_completed == 5
     assert len(on.transfer_engine) == 0
@@ -290,9 +274,9 @@ def test_exact_budget_boundary_leaves_next_head_pending():
     zero leftover budget and the next head stays PENDING until the *next*
     sweep — the reference loop's timing, bit for bit."""
 
-    def run(transfer_engine):
+    def run(reference):
         simulator, world = empty_world(transmit_speed=1_000.0,
-                                       transfer_engine=transfer_engine)
+                                       reference=reference)
         world._link_up((0, 1), 0.0)
         inject_message(world, 0, 1, size=1_000, message_id="MA")
         inject_message(world, 0, 1, size=500, message_id="MB")

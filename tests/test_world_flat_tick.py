@@ -1,13 +1,13 @@
-"""The flattened tick: idle-router skip-list, pooled links, flat_tick pin.
+"""The production world tick against the reference tick.
 
-PR6 restructures the world tick — routers with provably nothing to do are
-skipped (the idle router contract, DESIGN.md), link events are applied with
-batched contact stats over pooled ``Connection`` objects, and the transfer
-phase walks only connections with queued traffic.  ``flat_tick=False`` pins
-the historical structure as the benchmark reference.  Every one of those
-changes is required to be invisible in simulation outcomes; these tests pin
+The production tick skips routers with provably nothing to do (the idle
+router contract, DESIGN.md), applies link events with batched contact stats
+over pooled ``Connection`` objects, and walks only connections with queued
+traffic.  The reference tick (:mod:`repro.testing.reference`) does none of
+that.  Every one of those shortcuts is required to be invisible in
+simulation outcomes; these tests pin
 
-* the skip-list's wake conditions on hand-built traces — a loaded router
+* the routers sweep's wake conditions on hand-built traces — a loaded router
   with no contacts must still wake exactly when a TTL comes due, and an
   empty-buffer router must stay hot while a transfer is in flight toward it
   (and go back to sleep after its peer aborts),
@@ -15,12 +15,13 @@ changes is required to be invisible in simulation outcomes; these tests pin
   asleep with a due TTL at the snapshot tick wakes on the first resumed
   tick, and an in-flight transfer picked up from a snapshot completes
   exactly as it would have uninterrupted,
-* end-to-end byte-identity of full scenario reports across
-  ``router_skiplist``, ``flat_tick`` and the process-pool sharded detector,
+* end-to-end byte-identity of full scenario reports between the production
+  world (including the process-pool sharded detector) and the reference,
 * the decoded link keys being plain Python ints (``np.int64`` leakage
   regression),
 * batch contact-stat recording matching the per-event calls, and
-* connection-pool recycling across diff applications.
+* connection-pool recycling across diff applications (and its absence in
+  the reference).
 """
 
 import json
@@ -30,15 +31,14 @@ import pytest
 
 from repro.checkpoint import load_checkpoint_bytes, save_checkpoint_bytes
 from repro.experiments.catalog import make_scenario
-from repro.experiments.runner import run_scenario
 from repro.experiments.scenario import ScenarioConfig
 from repro.metrics.collector import StatsCollector
 from repro.net.message import Message
 from repro.routing.epidemic import EpidemicRouter
-from repro.sim.engine import Simulator
+from repro.testing import run_report
 from repro.traces.contact_trace import ContactEvent, ContactTrace
 from repro.traces.replay import build_trace_world
-from repro.world.world import World, _decode_codes
+from repro.world.world import _decode_codes
 
 
 def make_trace(intervals):
@@ -128,8 +128,7 @@ def test_idle_loaded_router_wakes_exactly_at_ttl_expiry():
 
 def test_ttl_expiry_outcomes_match_always_tick_reference():
     skiplist, _ = run_ttl_expiry_world()
-    reference, _ = run_ttl_expiry_world(router_skiplist=False,
-                                        router_soa=False)
+    reference, _ = run_ttl_expiry_world(reference=True)
     assert reference.routers_skipped == 0
     assert_same_outcomes(skiplist, reference)
 
@@ -173,8 +172,7 @@ def test_receiver_stays_hot_mid_transfer_and_sleeps_after_abort():
 
 def test_mid_transfer_abort_outcomes_match_always_tick_reference():
     skiplist, _ = run_mid_transfer_abort_world()
-    reference, _ = run_mid_transfer_abort_world(router_skiplist=False,
-                                                router_soa=False)
+    reference, _ = run_mid_transfer_abort_world(reference=True)
     assert reference.routers_skipped == 0
     assert_same_outcomes(skiplist, reference)
     # identical delivery time, not just identical counts
@@ -182,14 +180,34 @@ def test_mid_transfer_abort_outcomes_match_always_tick_reference():
     assert latency(skiplist) == latency(reference)
 
 
+def run_busy_trace_world(**world_kwargs):
+    """Overlapping, recurring contacts among five nodes under epidemic load:
+    links churn every few ticks, so pooled connections are recycled onto
+    new pairs while transfers are queued, completed and aborted."""
+    intervals = [(1.0, 6.0, 0, 1), (2.0, 4.0, 1, 2), (3.0, 9.0, 2, 3),
+                 (5.0, 7.0, 0, 4), (7.0, 12.0, 1, 3), (8.0, 10.0, 0, 2),
+                 (11.0, 15.0, 3, 4), (12.0, 13.0, 0, 1), (14.0, 20.0, 1, 4)]
+    simulator, world = build_trace_world(
+        make_trace(intervals), protocol="epidemic", num_nodes=5,
+        transmit_speed=2_000.0, **world_kwargs)
+    for index, (source, destination) in enumerate(
+            [(0, 3), (4, 2), (2, 0), (3, 1)]):
+        message = Message(f"m{index}", source, destination, 3_000 + index,
+                          0.0, ttl=16.0)
+        world.create_message(source, message)
+    simulator.run(until=24.0)
+    return world
+
+
 def test_historical_tick_matches_flat_tick_on_traces():
-    flat, _ = run_mid_transfer_abort_world(router_skiplist=False,
-                                           router_soa=False)
-    historical, _ = run_mid_transfer_abort_world(router_skiplist=False,
-                                                 flat_tick=False,
-                                                 router_soa=False,
-                                                 transfer_engine=False)
+    flat = run_busy_trace_world()
+    historical = run_busy_trace_world(reference=True)
+    assert flat.stats.aborted > 0 and flat.stats.delivered > 0
     assert_same_outcomes(flat, historical)
+    relays = lambda w: [  # noqa: E731 - local shorthand
+        (r.message_id, r.from_node, r.to_node, r.time)
+        for r in w.stats.relayed_records]
+    assert relays(flat) == relays(historical)
 
 
 # ------------------------------------------- skip-list state under restore
@@ -250,39 +268,40 @@ def test_mid_transfer_restore_completes_like_an_uninterrupted_run():
 
 
 # ------------------------------------------------------- full-scenario pins
-def full_run_payload(**overrides):
+def full_run_payload(*, reference=False, **overrides):
     config = make_scenario("bench", {
         "mobility": "random_waypoint", "protocol": "epidemic",
         "num_nodes": 50, "sim_time": 500.0, "name": "flat-tick-pin",
         **overrides})
-    return json.dumps(run_scenario(config).as_dict(), sort_keys=True)
+    report = run_report(config, reference=reference)
+    return json.dumps(report.as_dict(), sort_keys=True)
 
 
 def test_skiplist_report_byte_identical_to_always_tick():
-    assert full_run_payload() == full_run_payload(router_skiplist=False,
-                                                  router_soa=False)
+    assert full_run_payload() == full_run_payload(reference=True)
 
 
 def test_skiplist_report_byte_identical_for_unsafe_router():
-    # prophet opts out of skipping (idle_skip_safe=False): the skip-list run
-    # must still dispatch every router every tick and reproduce the report
+    # prophet opts out of skipping (idle_skip_safe=False): the routers
+    # sweep must still dispatch every router every tick and reproduce the
+    # report
     assert full_run_payload(protocol="prophet") \
-        == full_run_payload(protocol="prophet", router_skiplist=False,
-                            router_soa=False)
+        == full_run_payload(protocol="prophet", reference=True)
 
 
 def test_flat_tick_report_byte_identical_to_historical_reference():
-    """Acceptance pin: the flattened tick == the pre-flattening structure."""
-    historical = full_run_payload(router_skiplist=False, flat_tick=False,
-                                  router_soa=False, transfer_engine=False)
-    assert full_run_payload() == historical
+    """The production tick == the reference tick on the bus map, where
+    contacts recur along fixed lines and spray-and-wait's per-contact gates
+    exercise the gated tier of the routers sweep."""
+    overrides = dict(mobility="bus", protocol="spray-and-wait",
+                     sim_time=600.0, record_mode="columnar")
+    assert full_run_payload(**overrides) \
+        == full_run_payload(reference=True, **overrides)
 
 
 def test_process_pool_report_byte_identical_to_serial_reference():
     """Acceptance pin: process-pool sharded world == serial reference."""
-    serial = full_run_payload(detector="kdtree", batch_movement=False,
-                              router_skiplist=False, flat_tick=False,
-                              router_soa=False, transfer_engine=False)
+    serial = full_run_payload(detector="kdtree", reference=True)
     process = full_run_payload(detector="sharded", world_workers=2,
                                world_workers_mode="process")
     assert serial == process
@@ -301,9 +320,6 @@ def test_decoded_link_keys_are_plain_python_ints():
     # plain sequences and other integer dtypes normalise the same way
     assert _decode_codes([(5 << 32) | 6]) == [(5, 6)]
     assert _decode_codes(np.empty(0, dtype=np.int64)) == []
-    lo, hi = World._decode(np.int64((7 << 32) | 8))
-    assert (lo, hi) == (7, 8)
-    assert type(lo) is int and type(hi) is int
 
 
 def test_world_connection_keys_are_plain_ints_end_to_end():
@@ -367,9 +383,7 @@ def test_released_connections_are_recycled_on_the_next_diff():
 
 def test_historical_tick_allocates_fresh_connections():
     simulator, world = build_trace_world(make_trace([]), num_nodes=3,
-                                         router_skiplist=False,
-                                         flat_tick=False, router_soa=False,
-                                         transfer_engine=False)
+                                         reference=True)
     world._link_up((0, 1), 0.0)
     first = world._connections[(0, 1)]
     world._link_down((0, 1), 1.0)
@@ -379,28 +393,15 @@ def test_historical_tick_allocates_fresh_connections():
 
 
 # ------------------------------------------------------------- config guards
-def test_router_skiplist_requires_flat_tick():
-    with pytest.raises(ValueError):
-        World(Simulator(seed=1), router_skiplist=True, flat_tick=False)
-    with pytest.raises(ValueError):
-        ScenarioConfig(name="x", flat_tick=False, router_soa=False)
-    # the historical reference pairing is valid
-    config = ScenarioConfig(name="x", flat_tick=False, router_skiplist=False,
-                            router_soa=False, transfer_engine=False)
-    assert not config.flat_tick
-
-
-def test_router_soa_requires_skiplist():
-    # the SoA sweep is a vectorized evaluation of the skip predicate: it
-    # cannot back the tick-every-router reference loop
-    with pytest.raises(ValueError):
-        World(Simulator(seed=1), router_skiplist=False, flat_tick=True,
-              router_soa=True)
-    with pytest.raises(ValueError):
-        ScenarioConfig(name="x", router_skiplist=False, router_soa=True)
-    # the PR6 benchmark baseline pairing is valid: skip-scan without SoA
-    config = ScenarioConfig(name="x", router_soa=False)
-    assert config.router_skiplist and not config.router_soa
+def test_retired_tick_mode_fields_are_rejected():
+    # one production tick: the old mode switches are unknown fields, on the
+    # constructor and on the --set override path alike
+    for field in ("batch_movement", "router_skiplist", "flat_tick",
+                  "router_soa", "transfer_engine"):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            ScenarioConfig(name="x", **{field: False})
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            make_scenario("bench", {field: False})
 
 
 def test_world_workers_mode_validation():

@@ -10,9 +10,9 @@ from-scratch detection would.  These tests pin that
 * on adversarial geometries — nodes exactly on strip boundaries and exactly
   at halo edges,
 * with the worker pool on and off, and
-* end to end: a full catalog scenario run with sharded connectivity + batch
-  movement serialises byte-identically to the serial single-threaded
-  reference (the PR's acceptance pin).
+* end to end: a full catalog scenario run with sharded connectivity on the
+  production world serialises byte-identically to the single-threaded k-d
+  tree on the reference tick (per-follower movement included).
 """
 
 import json
@@ -24,8 +24,8 @@ from hypothesis import strategies as st
 
 from repro.experiments.builder import build_detector, build_scenario
 from repro.experiments.catalog import make_scenario
-from repro.experiments.runner import run_scenario
 from repro.experiments.scenario import ScenarioConfig
+from repro.testing import run_report
 from repro.world.connectivity import (
     BruteForceConnectivity,
     GridConnectivity,
@@ -215,11 +215,10 @@ def test_catalog_exposes_non_default_detectors():
     # CLI-style --set override path
     config = make_scenario("bench", {"detector": "sharded",
                                      "world_workers": 2,
-                                     "rebuild_margin": 0.4,
-                                     "batch_movement": False})
+                                     "rebuild_margin": 0.4})
     assert config.detector == "sharded"
     assert config.world_workers == 2
-    assert config.batch_movement is False
+    assert config.rebuild_margin == 0.4
 
 
 def test_world_stop_closes_sharded_pool():
@@ -236,23 +235,23 @@ def test_world_stop_closes_sharded_pool():
 
 
 # ------------------------------------------------------- full-scenario pinning
-def full_run_payload(**overrides):
+def full_run_payload(*, reference=False, **overrides):
     config = make_scenario("bench", {
         "mobility": "random_waypoint", "protocol": "epidemic",
         "num_nodes": 50, "sim_time": 500.0, "name": "sharded-pin",
         **overrides})
-    return json.dumps(run_scenario(config).as_dict(), sort_keys=True)
+    report = run_report(config, reference=reference)
+    return json.dumps(report.as_dict(), sort_keys=True)
 
 
 def test_sharded_scenario_report_byte_identical_to_serial_reference():
-    """Acceptance pin: sharded + batch movement == serial single-threaded."""
-    serial = full_run_payload(detector="kdtree", batch_movement=False)
-    sharded = full_run_payload(detector="sharded", batch_movement=True,
-                               world_workers=2)
+    """Acceptance pin: sharded production world == serial reference."""
+    serial = full_run_payload(detector="kdtree", reference=True)
+    sharded = full_run_payload(detector="sharded", world_workers=2)
     assert serial == sharded
 
 
 def test_grid_scenario_report_byte_identical_to_serial_reference():
-    serial = full_run_payload(detector="kdtree", batch_movement=False)
-    grid = full_run_payload(detector="grid", batch_movement=True)
+    serial = full_run_payload(detector="kdtree", reference=True)
+    grid = full_run_payload(detector="grid")
     assert serial == grid
