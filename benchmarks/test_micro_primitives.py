@@ -25,7 +25,7 @@ from repro.mobility.path import Path
 from repro.mobility.random_waypoint import RandomWaypointMovement
 from repro.routing.direct import DirectDeliveryRouter
 from repro.sim.engine import Simulator
-from repro.world.connectivity import GridConnectivity, KDTreeConnectivity
+from repro.world.connectivity import KDTreeConnectivity
 from repro.world.sharded import ShardedConnectivity
 from repro.world.interface import Interface
 from repro.world.node import DTNNode
@@ -106,15 +106,6 @@ def test_bench_connectivity_kdtree(benchmark):
     positions = rng.uniform(0, 4500, size=(N, 2))
     ranges = np.full(N, 10.0)
     detector = KDTreeConnectivity()
-    pairs = benchmark(detector.find_pairs, positions, ranges)
-    assert isinstance(pairs, set)
-
-
-def test_bench_connectivity_grid(benchmark):
-    rng = np.random.default_rng(0)
-    positions = rng.uniform(0, 4500, size=(N, 2))
-    ranges = np.full(N, 10.0)
-    detector = GridConnectivity()
     pairs = benchmark(detector.find_pairs, positions, ranges)
     assert isinstance(pairs, set)
 

@@ -33,14 +33,8 @@ from repro.testing import canonical_report_bytes  # noqa: E402
 
 
 def build_config(args):
-    overrides = {
-        "sim_time": args.sim_time,
-        "seed": args.seed,
-    }
-    if args.process_pool:
-        overrides.update(world_workers_mode="process",
-                         world_workers=args.workers)
-    return make_scenario(args.scenario, overrides)
+    return make_scenario(args.scenario, {"sim_time": args.sim_time,
+                                         "seed": args.seed})
 
 
 def resume_report(args) -> int:
@@ -65,10 +59,6 @@ def main(argv=None) -> int:
     parser.add_argument("--sim-time", type=float, default=15.0)
     parser.add_argument("--checkpoint-at", type=float, default=8.0)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--process-pool", action="store_true",
-                        help="run the sharded detector on the shared-memory "
-                             "process pool")
-    parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--output", default="checkpoint_smoke.json")
     parser.add_argument("--resume-report", metavar="SNAPSHOT",
                         help=argparse.SUPPRESS)

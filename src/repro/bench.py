@@ -2,11 +2,11 @@
 
 Every PR that touches a hot path needs a number to beat.  This module runs a
 small set of *paired* benchmarks — each workload executes twice, once through
-the pure-Python reference implementations (the pre-vectorization baseline
-kept in-tree precisely for this purpose) and once through the production
-vectorized path — and writes one machine-readable ``BENCH_*.json`` holding
-both timings, the speedup, and checksums proving the two paths computed the
-same answers:
+the pure-Python reference implementations of :mod:`repro.testing.reference`
+(the pre-vectorization baseline, imported only when a baseline runs) and
+once through the production vectorized path — and writes one
+machine-readable ``BENCH_*.json`` holding both timings, the speedup, and
+checksums proving the two paths computed the same answers:
 
 ``encounter_pipeline``
     The headline: a 1000-node EER knowledge layer fed a synthetic encounter
@@ -21,14 +21,13 @@ same answers:
     Message adds under eviction pressure plus per-tick expiry sweeps.
     Baseline: the sort-per-add / scan-per-tick reference buffer.  Current:
     the heap-indexed buffer.
-``collector_ingest``
-    A million-ish event stream into the stats collector, lists vs columnar
-    record mode (both must yield identical metrics).
 ``scenario_eer``
-    An end-to-end catalog scenario run, reference vs vectorized router
-    internals: wall-clock ms/tick, encounters processed per wall-second, and
-    the full delivery-metric checksum set, which must be identical — the
-    vectorized hot path must not change a single routing decision.
+    An end-to-end catalog scenario run on the reference world of
+    :mod:`repro.testing.reference` (naive tick, dict-of-deques contact
+    histories, per-peer estimator loops) vs the production world:
+    wall-clock ms/tick, encounters processed per wall-second, and the full
+    delivery-metric checksum set, which must be identical — the vectorized
+    hot path must not change a single routing decision.
 ``community_detection``
     The community pipeline's aggregation step: per-node contact histories
     from a planted-community contact stream are reduced to one aggregate
@@ -44,8 +43,8 @@ same answers:
     scale) run through the staged tick pipeline.  Baseline: the reference
     tick of :mod:`repro.testing.reference` (per-follower movement, fresh
     connections, a scan over every live link, every router ticked) on the
-    single-threaded ``KDTreeConnectivity``.  Current: the production world
-    on ``ShardedConnectivity``.  The throughput key is detection throughput
+    single-threaded ``KDTreeConnectivity``.  Current: the production world,
+    whose builder picks ``ShardedConnectivity`` at this size.  The throughput key is detection throughput
     (ticks per second of pure detector time, from the
     ``connectivity.detect`` sub-meter); the per-phase wall-time breakdown
     and ``router_ticks_per_s`` (the routers sweep against tick-every-router)
@@ -78,24 +77,23 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.contacts.history import ContactHistory, ContactHistoryReference
+from repro.contacts.history import ContactHistory
 from repro.contacts.md_matrix import build_delay_matrix
 from repro.contacts.memd import MemdCache, minimum_expected_meeting_delay
 from repro.contacts.mi_matrix import MeetingIntervalMatrix
 from repro.core.expectation import expected_encounter_value
 from repro.experiments.builder import build_scenario
 from repro.experiments.catalog import make_scenario
-from repro.metrics.collector import StatsCollector
-from repro.net.buffer import DropPolicy, MessageBuffer, ReferenceMessageBuffer
+from repro.net.buffer import DropPolicy, MessageBuffer
 from repro.net.message import Message
 from repro.version import __version__
 
-#: benchmark scales: (encounter stream, buffer ops, collector events,
-#: scenario sim_time) — "smoke" exists so tests and pre-merge hooks finish in
+#: benchmark scales: (encounter stream, buffer ops, scenario sim_time,
+#: world sizes) — "smoke" exists so tests and pre-merge hooks finish in
 #: seconds; "quick" is the CI default; "full" is for real trajectory points
 SCALES: Dict[str, Dict[str, float]] = {
     "smoke": dict(nodes=120, encounters=150, memd_every=8, memd_batch=2,
-                  buffer_ops=2_000, collector_events=20_000,
+                  buffer_ops=2_000,
                   scenario_time=200.0, scenario_repeats=1,
                   detect_nodes=60, detect_contacts=4_000, detect_rounds=3,
                   world_nodes=1_500, world_ticks=15, world_repeats=1,
@@ -103,7 +101,7 @@ SCALES: Dict[str, Dict[str, float]] = {
                   traffic_nodes=1_500, traffic_ticks=60, traffic_repeats=1,
                   traffic_rate=20.0),
     "quick": dict(nodes=1000, encounters=600, memd_every=8, memd_batch=4,
-                  buffer_ops=20_000, collector_events=200_000,
+                  buffer_ops=20_000,
                   scenario_time=600.0, scenario_repeats=3,
                   detect_nodes=200, detect_contacts=30_000, detect_rounds=5,
                   world_nodes=10_000, world_ticks=40, world_repeats=3,
@@ -111,7 +109,7 @@ SCALES: Dict[str, Dict[str, float]] = {
                   traffic_nodes=10_000, traffic_ticks=60, traffic_repeats=3,
                   traffic_rate=50.0),
     "full": dict(nodes=1000, encounters=2_400, memd_every=8, memd_batch=4,
-                 buffer_ops=100_000, collector_events=1_000_000,
+                 buffer_ops=100_000,
                  scenario_time=2_000.0, scenario_repeats=3,
                  detect_nodes=300, detect_contacts=100_000, detect_rounds=8,
                  world_nodes=10_000, world_ticks=120, world_repeats=3,
@@ -172,8 +170,11 @@ def bench_encounter_pipeline(scale: Dict[str, float], seed: int,
     peers, times, dests = _encounter_stream(num_nodes, encounters, seed)
     owner = 0
     mi = _seed_mi_matrix(num_nodes, owner, seed)
-    history = (ContactHistoryReference if reference else ContactHistory)(
-        owner, 20)
+    if reference:
+        from repro.testing.reference import ContactHistoryReference
+        history = ContactHistoryReference(owner, 20)
+    else:
+        history = ContactHistory(owner, 20)
     cache = MemdCache(refresh=0.0)
     horizon = 0.28 * 1200.0  # alpha * TTL, the paper's operating point
     eev_checksum = 0.0
@@ -222,7 +223,10 @@ def bench_buffer_churn(scale: Dict[str, float], seed: int,
     rng = np.random.default_rng(seed)
     sizes = rng.integers(10_000, 40_000, size=ops)
     ttls = rng.integers(200, 2_000, size=ops).astype(float)
-    buffer_cls = ReferenceMessageBuffer if reference else MessageBuffer
+    buffer_cls = MessageBuffer
+    if reference:
+        from repro.testing.reference import ReferenceMessageBuffer
+        buffer_cls = ReferenceMessageBuffer
     buffer = buffer_cls(capacity=1024 * 1024,
                         drop_policy=DropPolicy.OLDEST_RECEIVED)
     evicted_total = 0
@@ -248,50 +252,10 @@ def bench_buffer_churn(scale: Dict[str, float], seed: int,
     }
 
 
-# ------------------------------------------------------------------ collector
-def bench_collector_ingest(scale: Dict[str, float], seed: int,
-                           mode: str) -> Dict[str, object]:
-    """A relay/delivery event stream into one collector mode."""
-    events = int(scale["collector_events"])
-    rng = np.random.default_rng(seed)
-    froms = rng.integers(0, 1000, size=events)
-    tos = rng.integers(0, 1000, size=events)
-    collector = StatsCollector(mode=mode)
-    messages = [Message(f"m{i}", int(froms[i]), int(tos[i]), 25_000,
-                        float(i % 997)) for i in range(min(events, 997))]
-    start = time.perf_counter()
-    for i in range(events):
-        message = messages[i % len(messages)]
-        if i % 101 == 0:
-            collector.message_created(message)
-        collector.message_relayed(message, int(froms[i]), int(tos[i]),
-                                  float(i), 1, False)
-        if i % 97 == 0:
-            collector.message_delivered(message, float(i + 10))
-        if i % 89 == 0:
-            collector.message_dropped(message, int(froms[i]), float(i), "buffer")
-    seconds = time.perf_counter() - start
-    return {
-        "seconds": round(seconds, 4),
-        "events_per_s": round(events / seconds, 2),
-        "record_storage_mb": round(collector.record_storage_bytes() / 2**20, 2),
-        "checksums": {
-            "created": collector.created,
-            "relayed": collector.relayed,
-            "delivered": collector.delivered,
-            "dropped": collector.dropped,
-            "delivery_ratio": collector.delivery_ratio,
-            "average_latency": collector.average_latency,
-            "overhead_ratio": collector.overhead_ratio,
-            "average_hop_count": collector.average_hop_count,
-        },
-    }
-
-
 # ------------------------------------------------------------------- scenario
 def bench_scenario(scale: Dict[str, float], seed: int,
                    reference: bool) -> Dict[str, object]:
-    """One end-to-end catalog scenario run, reference vs vectorized.
+    """One end-to-end catalog scenario run, reference vs production world.
 
     The run repeats ``scenario_repeats`` times (fresh world each time,
     identical results by construction) and reports the fastest wall time —
@@ -302,12 +266,10 @@ def bench_scenario(scale: Dict[str, float], seed: int,
         "protocol": "eer",
         "seed": seed,
     }
-    if reference:
-        overrides["router.reference_impl"] = True
     config = make_scenario("bench", overrides)
     seconds = float("inf")
     for _ in range(int(scale.get("scenario_repeats", 1))):
-        built = build_scenario(config)
+        built = build_scenario(config, reference=reference)
         start = time.perf_counter()
         built.run()
         seconds = min(seconds, time.perf_counter() - start)
@@ -392,8 +354,6 @@ def bench_world_tick(scale: Dict[str, float], seed: int,
         "sim_time": float(scale["world_ticks"]),
         "seed": seed,
     }
-    if reference:
-        overrides["detector"] = "kdtree"
     config = make_scenario("rwp-10k", overrides)
     seconds, best_phases, built = _best_of_runs(
         config, int(scale.get("world_repeats", 1)), reference)
@@ -443,8 +403,6 @@ def bench_world_tick_100k_run(scale: Dict[str, float],
             "sim_time": sim_time,
             "seed": seed,
         }
-        if reference:
-            overrides["detector"] = "kdtree"
         config = make_scenario("rwp-100k", overrides)
         seconds, phases, built = _best_of_runs(config, 1, reference)
         world = built.world
@@ -498,8 +456,9 @@ def bench_transfer_churn(scale: Dict[str, float], seed: int,
     """The ``rwp-10k-traffic`` scenario on one world.
 
     Reference: the reference tick, whose transfers phase scans every live
-    link through ``Connection.advance`` (same sharded detector, so the
-    detection cost is shared).  Current: the production world's columnar
+    link through ``Connection.advance`` (its k-d tree detection cost stays
+    outside the transfers phase the pair is gated on).  Current: the
+    production world's columnar
     :class:`~repro.net.engine.TransferEngine` sweep.  Same seed, and the
     checksums chain a CRC-32 over every relayed, delivered and aborted
     record — field-exact completion times and byte counts — so the pair
@@ -714,13 +673,6 @@ def run_benchmarks(scale_name: str = "quick", seed: int = 1) -> Dict[str, object
         bench_buffer_churn(scale, seed, reference=False),
         "ops_per_s",
         {"ops": int(scale["buffer_ops"])})
-
-    benchmarks["collector_ingest"] = _paired(
-        "collector_ingest",
-        bench_collector_ingest(scale, seed, mode="lists"),
-        bench_collector_ingest(scale, seed, mode="columnar"),
-        "events_per_s",
-        {"events": int(scale["collector_events"])})
 
     benchmarks["scenario_eer"] = _paired(
         "scenario_eer",

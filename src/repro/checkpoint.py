@@ -58,7 +58,10 @@ MAGIC = "repro-checkpoint"
 #: bump on any incompatible layout change; readers reject other versions.
 #: 2: the world lost its tick-mode flags (and their attributes), and the
 #: embedded scenario config its five tick-mode fields
-FORMAT_VERSION = 2
+#: 3: the stats collector lost its lists record store, the sharded detector
+#: its process-pool mode, and the embedded scenario config its detector,
+#: worker and record-mode fields
+FORMAT_VERSION = 3
 #: arrays with at least this many elements move to their own NPY entry
 ARRAY_EXTERNALIZE_THRESHOLD = 32
 

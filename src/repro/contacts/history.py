@@ -7,30 +7,26 @@ Theorems 1, 2 and 4 consume: the recorded set
 :math:`R_{ij} = \\{\\Delta t^{ij}_1, ..., \\Delta t^{ij}_{r_{ij}}\\}` and
 :math:`t^{ij}_0`.
 
-Two implementations share one interface:
+:class:`ContactHistory` is the production store.  All windows live in a
+single preallocated ``(peers, window)`` NumPy matrix (grown geometrically as
+new peers appear) alongside last-contact / contact-count vectors, so the
+EER/CR estimators (Theorems 1, 2 and 4) can reduce over *every* peer in a
+handful of vectorized operations instead of one Python loop iteration per
+peer.  Rows are kept in chronological order (append shifts left once the
+window is full), which lets the batch kernels in
+:mod:`repro.core.expectation` reproduce the reference loops' left-to-right
+summation order bit for bit.  Its naive specification, the original
+dict-of-deques store, is
+:class:`repro.testing.reference.ContactHistoryReference`.
 
-* :class:`ContactHistory` — the production store.  All windows live in a
-  single preallocated ``(peers, window)`` NumPy matrix (grown geometrically
-  as new peers appear) alongside last-contact / contact-count vectors, so the
-  EER/CR estimators (Theorems 1, 2 and 4) can reduce over *every* peer in a
-  handful of vectorized operations instead of one Python loop iteration per
-  peer.  Rows are kept in chronological order (append shifts left once the
-  window is full), which lets the batch kernels in
-  :mod:`repro.core.expectation` reproduce the reference implementations'
-  left-to-right summation order bit for bit.
-* :class:`ContactHistoryReference` — the original dict-of-deques
-  implementation, kept as the semantic oracle for the property-based parity
-  tests and as the pure-Python baseline mode of ``python -m repro bench``.
-
-Both expose a monotonically increasing :attr:`~ContactHistory.version` that
-changes whenever recorded state changes; the MEMD delay-vector cache
+A monotonically increasing :attr:`~ContactHistory.version` changes whenever
+recorded state changes; the MEMD delay-vector cache
 (:class:`repro.contacts.memd.MemdCache`) keys on it.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -228,115 +224,4 @@ class ContactHistory:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ContactHistory(owner={self.owner_id}, peers={self._size}, "
-                f"intervals={self.total_intervals()})")
-
-
-class ContactHistoryReference:
-    """The original dict-of-deques contact history.
-
-    Semantically identical to :class:`ContactHistory`; kept as the oracle for
-    the property-based parity tests and as the pure-Python baseline the
-    benchmark harness measures the vectorized store against.  See the module
-    docstring.
-    """
-
-    def __init__(self, owner_id: int, window_size: int = 20) -> None:
-        if window_size < 1:
-            raise ValueError("window_size must be at least 1")
-        self.owner_id = int(owner_id)
-        self.window_size = int(window_size)
-        self.version = 0
-        self._intervals: Dict[int, Deque[float]] = {}
-        self._last_contact: Dict[int, float] = {}
-        self._contact_counts: Dict[int, int] = {}
-
-    # ---------------------------------------------------------------- record
-    def record_contact(self, peer_id: int, now: float) -> Optional[float]:
-        """Record a contact with *peer_id* starting at time *now*."""
-        peer_id = int(peer_id)
-        if peer_id == self.owner_id:
-            raise ValueError("a node cannot record a contact with itself")
-        if now < 0:
-            raise ValueError("contact time must be non-negative")
-        last = self._last_contact.get(peer_id)
-        interval: Optional[float] = None
-        if last is not None:
-            if now < last:
-                raise ValueError(
-                    f"contact at t={now} precedes the last recorded contact at t={last}")
-            interval = now - last
-            window = self._intervals.setdefault(
-                peer_id, deque(maxlen=self.window_size))
-            window.append(interval)
-        self._last_contact[peer_id] = float(now)
-        self._contact_counts[peer_id] = self._contact_counts.get(peer_id, 0) + 1
-        self.version += 1
-        return interval
-
-    # ----------------------------------------------------------------- query
-    def peers(self) -> List[int]:
-        """Peers this node has met at least once."""
-        return list(self._last_contact)
-
-    def has_met(self, peer_id: int) -> bool:
-        """Whether the node has ever met *peer_id*."""
-        return int(peer_id) in self._last_contact
-
-    def contact_count(self, peer_id: int) -> int:
-        """Number of contacts recorded with *peer_id*."""
-        return self._contact_counts.get(int(peer_id), 0)
-
-    def intervals(self, peer_id: int) -> List[float]:
-        """The recorded meeting intervals with *peer_id* (may be empty)."""
-        window = self._intervals.get(int(peer_id))
-        return list(window) if window is not None else []
-
-    def last_contact(self, peer_id: int) -> Optional[float]:
-        """Start time of the most recent contact with *peer_id*, or ``None``."""
-        return self._last_contact.get(int(peer_id))
-
-    def elapsed_since(self, peer_id: int, now: float) -> Optional[float]:
-        """Elapsed time since the last contact with *peer_id*, or ``None``."""
-        last = self._last_contact.get(int(peer_id))
-        if last is None:
-            return None
-        return max(0.0, now - last)
-
-    def mean_interval(self, peer_id: int) -> Optional[float]:
-        """Average recorded meeting interval with *peer_id*."""
-        window = self._intervals.get(int(peer_id))
-        if not window:
-            return None
-        return sum(window) / len(window)
-
-    def total_intervals(self) -> int:
-        """Total number of recorded intervals across all peers."""
-        return sum(len(w) for w in self._intervals.values())
-
-    def snapshot(self) -> Dict[int, List[float]]:
-        """A copy of all windows (peer -> interval list), for inspection."""
-        return {peer: list(window) for peer, window in self._intervals.items()}
-
-    def contact_count_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(peer_ids, contact_counts)`` arrays (built on demand here).
-
-        Interface parity with :meth:`ContactHistory.contact_count_arrays` so
-        the graph builders accept either implementation; the reference store
-        materializes fresh arrays from its dicts.
-        """
-        peers = np.fromiter(self._last_contact, dtype=np.int64,
-                            count=len(self._last_contact))
-        counts = np.fromiter((self._contact_counts[p] for p in peers),
-                             dtype=np.int64, count=len(peers))
-        return peers, counts
-
-    # NOTE: deliberately no interval_arrays() here — the estimator dispatch
-    # in repro.core.expectation keys on that attribute to decide between
-    # the batch kernels and the pure-Python reference loops, and this class
-    # exists precisely to exercise (and benchmark against) the loops.  The
-    # graph builders fall back to the scalar API for histories without it.
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"ContactHistoryReference(owner={self.owner_id}, "
-                f"peers={len(self._last_contact)}, "
                 f"intervals={self.total_intervals()})")

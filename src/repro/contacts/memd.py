@@ -7,13 +7,13 @@ hundred nodes), so a dense O(n²) Dijkstra that relaxes a whole row per
 iteration with NumPy is both the simplest and the fastest option here —
 profiling showed it beats :func:`scipy.sparse.csgraph.dijkstra` for these
 sizes because the conversion/validation overhead of the sparse path dominates.
-A heap-based reference implementation is kept for cross-checking in tests.
+A heap-based reference implementation cross-checks it in the tests
+(:func:`repro.testing.reference.dijkstra_delays_reference`).
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -85,33 +85,6 @@ def dijkstra_delays(md: np.ndarray, source: int,
         if improved.any():
             dist[improved] = out[improved]
             work[improved] = out[improved]
-    dist[source] = 0.0
-    return dist
-
-
-def dijkstra_delays_reference(md: np.ndarray, source: int) -> np.ndarray:
-    """Heap-based Dijkstra used to cross-check :func:`dijkstra_delays` in tests."""
-    md = _validate(md, source)
-    n = md.shape[0]
-    dist = np.full(n, np.inf)
-    dist[source] = 0.0
-    heap: List[Tuple[float, int]] = [(0.0, source)]
-    visited = np.zeros(n, dtype=bool)
-    while heap:
-        d, u = heapq.heappop(heap)
-        if visited[u]:
-            continue
-        visited[u] = True
-        for v in range(n):
-            if v == u or visited[v]:
-                continue
-            w = md[u, v]
-            if not np.isfinite(w):
-                continue
-            nd = d + w
-            if nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, int(v)))
     dist[source] = 0.0
     return dist
 

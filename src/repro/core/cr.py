@@ -113,13 +113,12 @@ class CommunityRouter(ContactAwareRouter):
     def __init__(self, alpha: float = 0.28, window_size: int = 20,
                  overdue_policy: OverduePolicy = OverduePolicy.REFRESH,
                  memd_refresh: float = 5.0, forward_margin: float = 0.35,
-                 reference_impl: bool = False,
                  community_mode: str = "oracle",
                  detection_staleness: float = 300.0,
                  detection_min_weight: float = 1.0,
                  detection_k: int = 3,
                  max_communities: int = 0) -> None:
-        super().__init__(window_size=window_size, reference_impl=reference_impl)
+        super().__init__(window_size=window_size)
         if not 0.0 <= alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {alpha}")
         if not 0.0 <= forward_margin < 1.0:

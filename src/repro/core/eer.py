@@ -57,10 +57,6 @@ class EERRouter(ContactAwareRouter):
         versions (see :class:`~repro.contacts.memd.MemdCache`), so it is only
         recomputed when a recorded contact or an exchanged row actually
         changed the routing state.
-    reference_impl:
-        Run the contact bookkeeping and estimators through the pure-Python
-        reference implementations (see
-        :class:`~repro.routing.active.ContactAwareRouter`).
     forward_margin:
         Relative improvement of the encounter's MEMD over ours required before
         the single replica is handed over (``theirs < (1 - margin) * mine``).
@@ -76,9 +72,9 @@ class EERRouter(ContactAwareRouter):
 
     def __init__(self, alpha: float = 0.28, window_size: int = 20,
                  overdue_policy: OverduePolicy = OverduePolicy.REFRESH,
-                 memd_refresh: float = 5.0, forward_margin: float = 0.35,
-                 reference_impl: bool = False) -> None:
-        super().__init__(window_size=window_size, reference_impl=reference_impl)
+                 memd_refresh: float = 5.0,
+                 forward_margin: float = 0.35) -> None:
+        super().__init__(window_size=window_size)
         if not 0.0 <= alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {alpha}")
         if not 0.0 <= forward_margin < 1.0:

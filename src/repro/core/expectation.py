@@ -26,7 +26,7 @@ vectorized :class:`~repro.contacts.history.ContactHistory`, the estimators
 reduce over the whole ``(peers, window)`` interval matrix in a few NumPy
 operations (:func:`batch_encounter_probabilities`,
 :func:`batch_expected_delays`).  Any other history object (in particular
-:class:`~repro.contacts.history.ContactHistoryReference`) falls back to the
+:class:`~repro.testing.reference.ContactHistoryReference`) falls back to the
 original per-peer Python loops.  The batch kernels are *bit-exact* against
 the loops: counts are integers, quotients are single IEEE divisions, and
 every order-sensitive float sum is performed left to right via ``cumsum``

@@ -23,12 +23,7 @@ from repro.traces.contact_trace import ContactTrace
 from repro.traces.generators import generate_trace
 from repro.traces.io import load_trace
 from repro.traces.replay import TraceReplayWorld
-from repro.world.connectivity import (
-    BruteForceConnectivity,
-    ConnectivityDetector,
-    GridConnectivity,
-    KDTreeConnectivity,
-)
+from repro.world.connectivity import ConnectivityDetector, KDTreeConnectivity
 from repro.world.interface import Interface
 from repro.world.node import DTNNode
 from repro.world.sharded import ShardedConnectivity
@@ -195,29 +190,27 @@ def _trace_movements(config: ScenarioConfig):
     return trace, movements, communities
 
 
-def build_detector(config: ScenarioConfig) -> ConnectivityDetector:
-    """Construct the configured connectivity detector.
+#: worlds of at least this many nodes detect links with the sharded
+#: detector, smaller ones with the k-d tree.  Detect time on a 2-core
+#: machine, k-d tree vs sharded: 2.9 vs 2.4 ms at 80 random-waypoint nodes
+#: (30 ticks), 789 vs 299 ms at 10 000, but 0.9 s against 2.3-3.1 s on the
+#: paper-scale 40-bus EER run.  The threshold keeps the bus-map figure
+#: worlds on the k-d tree and the 10k/100k catalog worlds on sharded.
+SHARDED_MIN_NODES = 1_000
 
-    ``config.rebuild_margin`` (when set) overrides the kdtree/sharded
-    rebuild slack; ``config.world_workers`` sizes the sharded detector's
-    worker pool.  The grid and brute-force detectors take no parameters.
+
+def build_detector(config: ScenarioConfig) -> ConnectivityDetector:
+    """The connectivity detector for *config*'s world size.
+
+    :class:`~repro.world.connectivity.KDTreeConnectivity` below
+    :data:`SHARDED_MIN_NODES` nodes, the thread-pool
+    :class:`~repro.world.sharded.ShardedConnectivity` (one worker per usable
+    CPU) at or above it.  Every detector finds the same pairs, so the choice
+    changes the cost of a run, never its outcome.
     """
-    name = config.detector
-    if name == "kdtree":
-        if config.rebuild_margin is None:
-            return KDTreeConnectivity()
-        return KDTreeConnectivity(rebuild_margin=config.rebuild_margin)
-    if name == "grid":
-        return GridConnectivity()
-    if name == "brute":
-        return BruteForceConnectivity()
-    assert name == "sharded", name  # ScenarioConfig validated the choice
-    if config.rebuild_margin is None:
-        return ShardedConnectivity(workers=config.world_workers,
-                                   workers_mode=config.world_workers_mode)
-    return ShardedConnectivity(rebuild_margin=config.rebuild_margin,
-                               workers=config.world_workers,
-                               workers_mode=config.world_workers_mode)
+    if config.num_nodes < SHARDED_MIN_NODES:
+        return KDTreeConnectivity()
+    return ShardedConnectivity()
 
 
 def build_scenario(config: ScenarioConfig, *,
@@ -230,15 +223,14 @@ def build_scenario(config: ScenarioConfig, *,
     the configured contact trace.  Everything downstream (routers, traffic,
     statistics, runners, backends) is identical for both.
 
-    ``reference=True`` builds the same scenario on the naive reference tick
-    of :mod:`repro.testing.reference` (an executable specification for
-    tests and benchmark baselines, imported only when requested).  It is
-    not part of the scenario's identity: both worlds produce byte-identical
-    reports.
+    ``reference=True`` builds the same scenario on the naive reference
+    world of :mod:`repro.testing.reference` (an executable specification
+    of the tick and the knowledge layer, for tests and benchmark baselines,
+    imported only when requested).  It is not part of the scenario's
+    identity: both worlds produce byte-identical reports.
     """
     simulator = Simulator(seed=config.seed, end_time=config.sim_time)
-    stats = StatsCollector(keep_records=config.keep_records,
-                           mode=config.record_mode)
+    stats = StatsCollector(keep_records=config.keep_records)
 
     roadmap: Optional[RoadMap] = None
     routes: Optional[List[BusRoute]] = None
@@ -270,8 +262,10 @@ def build_scenario(config: ScenarioConfig, *,
             simulator, trace, update_interval=config.update_interval,
             stats=stats)
     else:
-        world = world_class(simulator, update_interval=config.update_interval,
-                            stats=stats, detector=build_detector(config))
+        # the reference world keeps the world's default k-d tree detector
+        world = world_class(
+            simulator, update_interval=config.update_interval, stats=stats,
+            detector=None if reference else build_detector(config))
 
     interface = Interface(transmit_range=config.transmit_range,
                           transmit_speed=config.transmit_speed)

@@ -221,9 +221,7 @@ def _register_builtins() -> None:
             name="rwp-10k", mobility=MobilityKind.RANDOM_WAYPOINT,
             sim_time=600.0,
             min_speed=0.5, max_speed=1.5, stop_wait=(0.0, 120.0),
-            message_interval=(2.0, 4.0),
-            detector="sharded",
-            record_mode="columnar"),
+            message_interval=(2.0, 4.0)),
         summary="10 000 pedestrians on the bench map: sharded strip "
                 "connectivity + batch movement (the scale tentpole)",
         provenance="ROADMAP sharded-worlds item; repro.world.sharded")
@@ -244,9 +242,7 @@ def _register_builtins() -> None:
             traffic_model="poisson", traffic_rate=2.0,
             message_size=1024 * 1024, message_ttl=900.0,
             transmit_speed=62_500.0,
-            buffer_capacity=32 * 1024 * 1024,
-            detector="sharded",
-            record_mode="columnar"),
+            buffer_capacity=32 * 1024 * 1024),
         summary="10 000 pedestrians under Poisson traffic load that "
                 "saturates links (1 MiB messages, slow radio): the columnar "
                 "transfers-phase benchmark workload",
@@ -263,21 +259,10 @@ def _register_builtins() -> None:
             # the population grows 10x
             map_width=12_000.0, map_height=9_000.0, transmit_range=20.0,
             min_speed=0.5, max_speed=1.5, stop_wait=(0.0, 120.0),
-            message_interval=(2.0, 4.0),
-            detector="sharded",
-            record_mode="columnar"),
+            message_interval=(2.0, 4.0)),
         summary="100 000 pedestrians at city scale: idle-router skip-list + "
-                "batched link events + sharded connectivity (optionally the "
-                "shared-memory process pool via world_workers_mode)",
+                "batched link events + sharded connectivity",
         provenance="ISSUE 6 scale tentpole; repro.world.sharded")
-    register_scenario(
-        "bench-grid",
-        lambda: ScenarioConfig.bench_scale().with_overrides(
-            name="bench-grid", mobility=MobilityKind.RANDOM_WAYPOINT,
-            detector="grid"),
-        summary="bench random waypoint on the grid detector (non-default "
-                "detector coverage)",
-        provenance="repro.world.connectivity.GridConnectivity")
     register_scenario(
         "hcmm",
         lambda: ScenarioConfig.bench_scale(protocol="cr").with_overrides(

@@ -100,20 +100,6 @@ class ScenarioConfig:
     transmit_speed: float = 2_000_000 / 8
     buffer_capacity: float = 1024 * 1024
 
-    # world tick (geometric mobility kinds only)
-    #: connectivity detector: "kdtree", "grid", "brute" or "sharded"
-    detector: str = "kdtree"
-    #: rebuild slack as a fraction of the maximum radio range, for the
-    #: kdtree/sharded detectors (None = the implementation's default)
-    rebuild_margin: Optional[float] = None
-    #: worker threads for sharded world phases (None = autodetect)
-    world_workers: Optional[int] = None
-    #: sharded-detector execution mode: "thread" fans rebuild strips over a
-    #: thread pool, "process" over a persistent process pool with the
-    #: position snapshot in shared memory (bit-identical; see
-    #: repro.world.sharded)
-    world_workers_mode: str = "thread"
-
     # traffic
     message_interval: Tuple[float, float] = (25.0, 35.0)
     message_size: int = 25 * 1024
@@ -137,11 +123,9 @@ class ScenarioConfig:
 
     # bookkeeping
     contact_window: int = 20
+    #: keep per-event records (in the collector's columnar store); False
+    #: keeps the aggregates only
     keep_records: bool = True
-    #: per-event record keeping: None derives "lists"/"off" from
-    #: keep_records; "columnar" stores event fields in NumPy column stores
-    #: (identical metrics, far fewer allocations on million-event sweeps)
-    record_mode: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.num_nodes < 2:
@@ -160,30 +144,6 @@ class ScenarioConfig:
             raise ValueError("rehome_interval must be positive (or None)")
         if isinstance(self.mobility, str):
             self.mobility = MobilityKind(self.mobility)
-        if self.detector not in ("kdtree", "grid", "brute", "sharded"):
-            raise ValueError(
-                f"detector must be 'kdtree', 'grid', 'brute' or 'sharded', "
-                f"got {self.detector!r}")
-        if self.rebuild_margin is not None and self.rebuild_margin < 0:
-            raise ValueError("rebuild_margin must be non-negative (or None)")
-        if self.detector == "sharded" and self.rebuild_margin == 0:
-            # zero slack would invalidate the sharded detector's candidate
-            # cache on any movement; fail at config time rather than letting
-            # ShardedConnectivity raise from a different layer at build time
-            raise ValueError(
-                "rebuild_margin must be positive (or None) with "
-                "detector='sharded'; 0 is only meaningful for the kdtree "
-                "detector (rebuild every tick)")
-        if self.world_workers is not None and self.world_workers < 1:
-            raise ValueError("world_workers must be >= 1 (or None)")
-        if self.world_workers_mode not in ("thread", "process"):
-            raise ValueError(
-                f"world_workers_mode must be 'thread' or 'process', "
-                f"got {self.world_workers_mode!r}")
-        if self.world_workers_mode == "process" and self.detector != "sharded":
-            raise ValueError(
-                "world_workers_mode='process' requires detector='sharded' "
-                "(the other detectors have no worker pool)")
         if self.traffic_model not in ("uniform", "poisson", "bursty"):
             raise ValueError(
                 f"traffic_model must be 'uniform', 'poisson' or 'bursty', "
@@ -201,11 +161,6 @@ class ScenarioConfig:
             raise ValueError("traffic_burst_size must be >= 1")
         if self.traffic_burst_spacing < 0:
             raise ValueError("traffic_burst_spacing must be non-negative")
-        if self.record_mode is not None and self.record_mode not in (
-                "off", "lists", "columnar"):
-            raise ValueError(
-                f"record_mode must be 'off', 'lists' or 'columnar', "
-                f"got {self.record_mode!r}")
         if self.mobility is MobilityKind.TRACE:
             if (self.trace_path is None) == (self.trace_generator is None):
                 raise ValueError(

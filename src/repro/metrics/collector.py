@@ -1,30 +1,22 @@
 """Event-driven statistics collector.
 
 The world, connections and routers report to a single :class:`StatsCollector`
-instance per simulation run.  It keeps both raw event records (see
-:mod:`repro.metrics.events`) and the running aggregates needed by the paper's
-three metrics.
+instance per simulation run.  It keeps the running aggregates needed by the
+paper's three metrics and, unless ``keep_records=False``, raw event records
+(see :mod:`repro.metrics.events`).
 
-Record keeping has three modes (:class:`RecordMode`):
-
-* ``lists`` — the historical default: one frozen dataclass per event,
-  appended to per-type Python lists.
-* ``columnar`` — per-event *fields* appended to growable NumPy column stores
-  (:mod:`repro.metrics.columns`).  The ``*_records`` properties materialize
-  dataclass lists on demand, so the API is unchanged, but million-event
-  sweeps stop allocating an object per relay and the analysis layer can read
-  whole columns without touching records.
-* ``off`` — aggregates only (the old ``keep_records=False``).
-
-All three modes produce identical aggregates and derived metrics; the
-collector-mode parity tests pin that.
+Records are stored column-wise: per-event *fields* are appended to growable
+NumPy column stores (:mod:`repro.metrics.columns`).  The ``*_records``
+properties materialize dataclass lists on demand, so million-event sweeps
+never allocate an object per relay, and the analysis layer can read whole
+columns without touching records.  Aggregates and derived metrics never
+depend on whether records are kept.
 """
 
 from __future__ import annotations
 
-import enum
 from collections import defaultdict
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -38,23 +30,6 @@ from repro.metrics.events import (
     TransferAborted,
 )
 from repro.net.message import Message
-
-
-class RecordMode(enum.Enum):
-    """How (and whether) per-event records are kept."""
-
-    OFF = "off"
-    LISTS = "lists"
-    COLUMNAR = "columnar"
-
-
-def _resolve_mode(keep_records: bool, columnar: bool,
-                  mode: Union[RecordMode, str, None]) -> RecordMode:
-    if mode is not None:
-        return RecordMode(mode)
-    if not keep_records:
-        return RecordMode.OFF
-    return RecordMode.COLUMNAR if columnar else RecordMode.LISTS
 
 
 #: column layouts per event type, in dataclass-field order
@@ -90,22 +65,13 @@ class StatsCollector:
     ----------
     keep_records:
         ``False`` disables per-event records entirely (aggregates are always
-        kept); shorthand for ``mode="off"``.
-    columnar:
-        Use the columnar store instead of per-event dataclass lists;
-        shorthand for ``mode="columnar"``.
-    mode:
-        Explicit :class:`RecordMode` (or its string value); overrides the two
-        boolean shorthands.
+        kept).
     """
 
-    def __init__(self, keep_records: bool = True, columnar: bool = False,
-                 mode: Union[RecordMode, str, None] = None) -> None:
-        self.record_mode = _resolve_mode(keep_records, columnar, mode)
-
-        self._lists: Dict[str, list] = {name: [] for name in _TABLE_SPECS}
+    def __init__(self, keep_records: bool = True) -> None:
+        #: event type -> column store; empty when records are off
         self._tables: Dict[str, ColumnTable] = {}
-        if self.record_mode is RecordMode.COLUMNAR:
+        if keep_records:
             self._tables = {name: ColumnTable(fields, record_type)
                             for name, (fields, record_type) in
                             _TABLE_SPECS.items()}
@@ -157,20 +123,18 @@ class StatsCollector:
 
     @property
     def keep_records(self) -> bool:
-        """Whether any per-event records are kept (derived from the mode).
+        """Whether per-event records are kept.
 
         Read-only: record keeping was historically toggled by assigning this
-        flag, which would now silently do nothing — pick the mode at
-        construction time instead (``StatsCollector(mode=...)``).
+        flag, which would now silently do nothing — choose at construction
+        time instead (``StatsCollector(keep_records=...)``).
         """
-        return self.record_mode is not RecordMode.OFF
+        return bool(self._tables)
 
     # ------------------------------------------------------------ record views
     def _records(self, name: str) -> list:
         table = self._tables.get(name)
-        if table is not None:
-            return table.materialize()
-        return self._lists[name]
+        return [] if table is None else table.materialize()
 
     @property
     def created_records(self) -> List[MessageCreated]:
@@ -203,7 +167,7 @@ class StatsCollector:
         return self._records("contacts")
 
     def record_columns(self, name: str) -> Dict[str, np.ndarray]:
-        """Raw column arrays for one event type (columnar mode only).
+        """Raw column arrays for one event type (records must be kept).
 
         *name* is one of ``created``, ``relayed``, ``delivered``,
         ``dropped``, ``aborted``, ``contacts``.
@@ -211,63 +175,46 @@ class StatsCollector:
         table = self._tables.get(name)
         if table is None:
             raise RuntimeError(
-                "record_columns requires RecordMode.COLUMNAR "
-                f"(collector is in mode {self.record_mode.value!r})")
+                "record_columns requires keep_records=True")
         return table.columns()
 
     def record_storage_bytes(self) -> int:
-        """Approximate bytes retained by the per-event record storage.
+        """Approximate bytes retained by the per-event column stores.
 
-        Counts container overhead plus per-record objects (lists mode) or
-        column buffers (columnar mode); string payloads are excluded in both
-        modes since message-id objects are shared with the live messages.
-        The benchmark harness reports this as the columnar mode's footprint
-        advantage.
+        Counts the column buffers; string payloads are excluded since
+        message-id objects are shared with the live messages.  0 when
+        records are off.
         """
         import sys as _sys
 
         total = 0
-        if self.record_mode is RecordMode.COLUMNAR:
-            for table in self._tables.values():
-                for (name, dtype), column in zip(table.fields, table._columns):
-                    if isinstance(column, list):
-                        total += _sys.getsizeof(column)
-                    else:
-                        total += column._data.nbytes
-            return total
-        if self.record_mode is RecordMode.LISTS:
-            for records in self._lists.values():
-                total += _sys.getsizeof(records)
-                if records:
-                    sample = records[:256]
-                    per_record = sum(_sys.getsizeof(r) for r in sample) / len(sample)
-                    total += int(per_record * len(records))
-            return total
-        return 0
+        for table in self._tables.values():
+            for column in table._columns:
+                if isinstance(column, list):
+                    total += _sys.getsizeof(column)
+                else:
+                    total += column._data.nbytes
+        return total
 
     def delivered_latencies(self) -> np.ndarray:
         """End-to-end latencies of first deliveries, as one array.
 
-        Reads the columnar store directly when available (no record
-        materialization); empty when records are off.
+        Reads the column store directly (no record materialization); empty
+        when records are off.
         """
         table = self._tables.get("delivered")
-        if table is not None:
-            return table.column("delivered_at") - table.column("created_at")
-        return np.asarray([rec.latency for rec in self._lists["delivered"]],
-                          dtype=float)
+        if table is None:
+            return np.empty(0, dtype=float)
+        return table.column("delivered_at") - table.column("created_at")
 
     # ----------------------------------------------------------- message life
     def message_created(self, message: Message) -> None:
         """Record a bundle entering the network."""
         self.created += 1
         self._creation_time[message.message_id] = message.creation_time
-        if self.record_mode is RecordMode.LISTS:
-            self._lists["created"].append(MessageCreated(
-                message.message_id, message.source, message.destination,
-                message.size, message.creation_time, message.copies))
-        elif self.record_mode is RecordMode.COLUMNAR:
-            self._tables["created"].append(
+        table = self._tables.get("created")
+        if table is not None:
+            table.append(
                 message.message_id, message.source, message.destination,
                 message.size, message.creation_time, message.copies)
 
@@ -289,12 +236,9 @@ class StatsCollector:
                         time: float, copies: int, final_delivery: bool) -> None:
         """Record a completed replica transfer (the goodput denominator)."""
         self.relayed += 1
-        if self.record_mode is RecordMode.LISTS:
-            self._lists["relayed"].append(MessageRelayed(
-                message.message_id, from_node, to_node, time, copies,
-                final_delivery))
-        elif self.record_mode is RecordMode.COLUMNAR:
-            self._tables["relayed"].append(
+        table = self._tables.get("relayed")
+        if table is not None:
+            table.append(
                 message.message_id, from_node, to_node, time, copies,
                 final_delivery)
 
@@ -313,12 +257,9 @@ class StatsCollector:
         latency = time - created_at
         self.latency_sum += latency
         self.hop_count_sum += message.hop_count
-        if self.record_mode is RecordMode.LISTS:
-            self._lists["delivered"].append(MessageDelivered(
-                message.message_id, message.source, message.destination,
-                created_at, time, message.hop_count))
-        elif self.record_mode is RecordMode.COLUMNAR:
-            self._tables["delivered"].append(
+        table = self._tables.get("delivered")
+        if table is not None:
+            table.append(
                 message.message_id, message.source, message.destination,
                 created_at, time, message.hop_count)
         return True
@@ -330,21 +271,17 @@ class StatsCollector:
         if reason == "expired":
             self.expired += 1
         self._per_node_drops[node] += 1
-        if self.record_mode is RecordMode.LISTS:
-            self._lists["dropped"].append(MessageDropped(
-                message.message_id, node, time, reason))
-        elif self.record_mode is RecordMode.COLUMNAR:
-            self._tables["dropped"].append(message.message_id, node, time, reason)
+        table = self._tables.get("dropped")
+        if table is not None:
+            table.append(message.message_id, node, time, reason)
 
     def transfer_aborted(self, message: Message, from_node: int, to_node: int,
                          time: float, bytes_left: float) -> None:
         """Record a transfer interrupted by a link tear-down."""
         self.aborted += 1
-        if self.record_mode is RecordMode.LISTS:
-            self._lists["aborted"].append(TransferAborted(
-                message.message_id, from_node, to_node, time, bytes_left))
-        elif self.record_mode is RecordMode.COLUMNAR:
-            self._tables["aborted"].append(
+        table = self._tables.get("aborted")
+        if table is not None:
+            table.append(
                 message.message_id, from_node, to_node, time, bytes_left)
 
     # --------------------------------------------------------------- contacts
@@ -360,11 +297,9 @@ class StatsCollector:
         start = self._open_contacts.pop(key, None)
         if start is None:
             return
-        if self.record_mode is RecordMode.LISTS:
-            self._lists["contacts"].append(
-                ContactRecord(key[0], key[1], start, time))
-        elif self.record_mode is RecordMode.COLUMNAR:
-            self._tables["contacts"].append(key[0], key[1], start, time)
+        table = self._tables.get("contacts")
+        if table is not None:
+            table.append(key[0], key[1], start, time)
 
     def contact_up_batch(self, keys: List[tuple], time: float) -> None:
         """Record one tick's batch of link-ups (already canonical pairs).
@@ -383,12 +318,13 @@ class StatsCollector:
         """Record one tick's batch of link-downs (already canonical pairs).
 
         Equivalent to calling :meth:`contact_down` per pair in order —
-        unmatched pairs are skipped the same way — but in columnar mode the
-        surviving records land in the column store via one vectorized
-        ``extend`` per column instead of a per-event append.
+        unmatched pairs are skipped the same way — but the surviving records
+        land in the column store via one vectorized ``extend`` per column
+        instead of a per-event append.
         """
         open_contacts = self._open_contacts
-        if self.record_mode is RecordMode.OFF:
+        table = self._tables.get("contacts")
+        if table is None:
             for key in keys:
                 open_contacts.pop(key, None)
             return
@@ -399,16 +335,9 @@ class StatsCollector:
             if start is not None:
                 closed.append(key)
                 starts.append(start)
-        if not closed:
-            return
-        if self.record_mode is RecordMode.LISTS:
-            records = self._lists["contacts"]
-            for key, start in zip(closed, starts):
-                records.append(ContactRecord(key[0], key[1], start, time))
-        else:
-            self._tables["contacts"].extend(
-                [key[0] for key in closed], [key[1] for key in closed],
-                starts, [time] * len(closed))
+        if closed:
+            table.extend([key[0] for key in closed], [key[1] for key in closed],
+                         starts, [time] * len(closed))
 
     # ---------------------------------------------------------------- control
     def control_exchange(self, rows: int, size_bytes: int = 0) -> None:

@@ -1,7 +1,7 @@
-"""Growable column stores for the columnar metrics mode.
+"""Growable column stores behind the metrics collector's event records.
 
-Million-event sweeps should not allocate one frozen dataclass per relay: in
-columnar mode the :class:`~repro.metrics.collector.StatsCollector` appends
+Million-event sweeps should not allocate one frozen dataclass per relay: the
+:class:`~repro.metrics.collector.StatsCollector` appends
 each event's fields to a :class:`ColumnTable` — numeric fields land in
 preallocated, geometrically grown NumPy arrays; string fields (message ids)
 in plain Python lists.  The record dataclasses are materialized on demand

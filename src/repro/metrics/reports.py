@@ -51,7 +51,9 @@ class SimulationReport:
     bytes_delivered: int = 0
 
     # online community-detection compute overhead (zero outside CR's
-    # detected modes); seconds are wall-clock and therefore machine-specific
+    # detected modes); seconds are wall-clock and therefore machine-specific,
+    # so — like the phase timings — they are excluded from the canonical
+    # serialisation
     community_detections: int = 0
     community_detection_seconds: float = 0.0
     community_reassignments: int = 0
@@ -81,13 +83,16 @@ class SimulationReport:
     def as_dict(self, include_timings: bool = False) -> Dict[str, object]:
         """Return a plain-dict representation (JSON-friendly).
 
-        ``include_timings`` keeps the wall-clock ``tick_phase_seconds`` /
-        ``tick_phase_samples`` breakdown in the payload; the default drops it
-        so serialised reports compare byte-for-byte across machines and
-        phase implementations.
+        ``include_timings`` keeps the wall-clock fields
+        (``tick_phase_seconds`` / ``tick_phase_samples``,
+        ``community_detection_seconds``) and the routers-phase split in the
+        payload; the default drops them, so the payload is the canonical
+        outcome: it compares byte-for-byte across machines, runs and the
+        production and reference worlds.
         """
         payload = asdict(self)
         if not include_timings:
+            payload.pop("community_detection_seconds")
             payload.pop("tick_phase_seconds")
             payload.pop("tick_phase_samples")
             payload.pop("routers_ticked")

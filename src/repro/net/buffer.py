@@ -5,23 +5,19 @@ buffer pressure is real (at most 40 messages fit).  The default drop policy is
 the ONE simulator's: drop the oldest-received message to make room, never the
 incoming one if it cannot fit at all.
 
-Two implementations share one interface:
+:class:`MessageBuffer` keeps eviction candidates in a maintained
+lazy-deletion min-heap ordered by the drop-policy key, and expiry times in a
+second min-heap, so :meth:`~MessageBuffer.add` pops victims in O(log n) each
+instead of re-sorting the whole buffer, and
+:meth:`~MessageBuffer.drop_expired` is O(1) when nothing expired instead of
+scanning every stored replica on every router tick.  A per-destination index
+makes ``messages_for_destination`` (the ``send_deliverable`` fast path)
+O(matches).
 
-* :class:`MessageBuffer` — the production store.  Eviction candidates live in
-  a maintained lazy-deletion min-heap ordered by the drop-policy key, and
-  expiry times live in a second min-heap, so :meth:`~MessageBuffer.add` pops
-  victims in O(log n) each instead of re-sorting the whole buffer, and
-  :meth:`~MessageBuffer.drop_expired` is O(1) when nothing expired instead of
-  scanning every stored replica on every router tick.  A per-destination
-  index makes ``messages_for_destination`` (the ``send_deliverable`` fast
-  path) O(matches).
-* :class:`ReferenceMessageBuffer` — the original sort-per-add implementation,
-  kept as the oracle for the randomized parity tests and as the baseline the
-  benchmark harness measures the indexed buffer against.
-
-Eviction order is identical between the two: the heap carries an insertion
-sequence number as tie-breaker, which reproduces the stable sort of the
-reference exactly.
+Its naive specification is the original sort-per-add buffer,
+:class:`repro.testing.reference.ReferenceMessageBuffer`.  Eviction order is
+identical between the two: the heap carries an insertion sequence number as
+tie-breaker, which reproduces the stable sort of the reference exactly.
 """
 
 from __future__ import annotations
@@ -333,144 +329,6 @@ class MessageBuffer:
         self._evict_heap.clear()
         self._expiry_heap.clear()
         self._by_destination.clear()
-        if self._mirror_store is not None:
-            self._mirror_store.mark_dirty(self._mirror_row)
-
-
-class ReferenceMessageBuffer:
-    """The original sort-per-add message buffer.
-
-    Behaviourally identical to :class:`MessageBuffer` (same evictions, same
-    errors, same ordering); kept as the oracle for the randomized parity
-    tests and as the pure-Python baseline of ``python -m repro bench``.
-    """
-
-    # same SoA mirror seam as MessageBuffer, so either implementation can
-    # back a node without the store caring which one it is
-    _mirror_store = None
-    _mirror_row = -1
-
-    def __init__(self, capacity: float = float("inf"),
-                 drop_policy: DropPolicy = DropPolicy.OLDEST_RECEIVED,
-                 protected: Optional[Callable[[Message], bool]] = None) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.capacity = capacity
-        self.drop_policy = drop_policy
-        self.protected = protected
-        self._messages: Dict[str, Message] = {}
-        self._occupancy = 0
-
-    # ------------------------------------------------------------- inspection
-    def __len__(self) -> int:
-        return len(self._messages)
-
-    def __contains__(self, message_id: str) -> bool:
-        return message_id in self._messages
-
-    def __iter__(self) -> Iterator[Message]:
-        return iter(list(self._messages.values()))
-
-    @property
-    def occupancy(self) -> int:
-        """Bytes currently stored."""
-        return self._occupancy
-
-    @property
-    def free_space(self) -> float:
-        """Bytes still available."""
-        return self.capacity - self._occupancy
-
-    @property
-    def occupancy_ratio(self) -> float:
-        """Fraction of the capacity in use (0 for unbounded empty buffers)."""
-        if self.capacity == float("inf"):
-            return 0.0
-        return self._occupancy / self.capacity
-
-    def get(self, message_id: str) -> Optional[Message]:
-        """Return the stored replica with *message_id*, or ``None``."""
-        return self._messages.get(message_id)
-
-    def messages(self) -> List[Message]:
-        """Snapshot list of stored replicas in insertion order."""
-        return list(self._messages.values())
-
-    def message_ids(self) -> List[str]:
-        """Snapshot list of stored message identifiers."""
-        return list(self._messages.keys())
-
-    def messages_for_destination(self, destination: int) -> List[Message]:
-        """Stored replicas destined to *destination* (linear scan)."""
-        destination = int(destination)
-        return [m for m in self._messages.values()
-                if m.destination == destination]
-
-    # --------------------------------------------------------------- mutation
-    def _eviction_order(self) -> List[Message]:
-        msgs = [m for m in self._messages.values()
-                if self.protected is None or not self.protected(m)]
-        if self.drop_policy is DropPolicy.OLDEST_RECEIVED:
-            return sorted(msgs, key=lambda m: m.received_time)
-        if self.drop_policy is DropPolicy.OLDEST_CREATED:
-            return sorted(msgs, key=lambda m: m.creation_time)
-        if self.drop_policy is DropPolicy.SHORTEST_TTL:
-            return sorted(msgs, key=lambda m: m.expiry_time)
-        if self.drop_policy is DropPolicy.LARGEST:
-            return sorted(msgs, key=lambda m: -m.size)
-        return []
-
-    def add(self, message: Message) -> List[Message]:
-        """Store *message*, evicting per the drop policy if needed."""
-        if message.message_id in self._messages:
-            raise ValueError(f"message {message.message_id!r} is already buffered")
-        if message.size > self.capacity:
-            raise BufferFullError(
-                f"message of {message.size} B exceeds buffer capacity {self.capacity} B")
-        evicted: List[Message] = []
-        if message.size > self.free_space:
-            if self.drop_policy is DropPolicy.NO_DROP:
-                raise BufferFullError("buffer full and drop policy is NO_DROP")
-            for victim in self._eviction_order():
-                if message.size <= self.free_space:
-                    break
-                self.remove(victim.message_id)
-                evicted.append(victim)
-            if message.size > self.free_space:
-                raise BufferFullError(
-                    "buffer cannot make enough room for incoming message")
-        self._messages[message.message_id] = message
-        self._occupancy += message.size
-        if self._mirror_store is not None:
-            self._mirror_store.mark_dirty(self._mirror_row)
-        return evicted
-
-    def remove(self, message_id: str) -> Optional[Message]:
-        """Remove and return the replica with *message_id* (or ``None``)."""
-        message = self._messages.pop(message_id, None)
-        if message is not None:
-            self._occupancy -= message.size
-            if self._mirror_store is not None:
-                self._mirror_store.mark_dirty(self._mirror_row)
-        return message
-
-    def drop_expired(self, now: float) -> List[Message]:
-        """Remove and return every replica whose TTL elapsed by *now*."""
-        expired = [m for m in self._messages.values() if m.is_expired(now)]
-        for message in expired:
-            self.remove(message.message_id)
-        return expired
-
-    def next_expiry(self) -> float:
-        """Earliest TTL deadline of any stored replica (linear scan)."""
-        if not self._messages:
-            return float("inf")
-        return min(m.expiry_time for m in self._messages.values())
-
-    def clear(self) -> None:
-        """Drop everything."""
-        self._messages.clear()
-        self._occupancy = 0
         if self._mirror_store is not None:
             self._mirror_store.mark_dirty(self._mirror_row)
 

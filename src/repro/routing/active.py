@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional, TYPE_CHECKING
 
-from repro.contacts.history import ContactHistory, ContactHistoryReference
+from repro.contacts.history import ContactHistory
 from repro.net.connection import Connection
 from repro.routing.base import Router
 
@@ -27,29 +27,20 @@ class ContactAwareRouter(Router):
     window_size:
         Number of meeting intervals kept per peer (the sliding window size of
         Section III-A.1).
-    reference_impl:
-        Use the pure-Python :class:`~repro.contacts.history.ContactHistoryReference`
-        (and thereby the per-peer estimator loops) instead of the vectorized
-        store.  Semantics are bit-identical; the flag exists so the benchmark
-        harness can measure the vectorized hot path against its reference and
-        prove the metric checksums unchanged.
     """
 
     name = "contact-aware"
 
-    def __init__(self, window_size: int = 20,
-                 reference_impl: bool = False) -> None:
+    def __init__(self, window_size: int = 20) -> None:
         super().__init__()
         if window_size < 1:
             raise ValueError("window_size must be at least 1")
         self.window_size = int(window_size)
-        self.reference_impl = bool(reference_impl)
         self.history: Optional[ContactHistory] = None
 
     def on_attach(self) -> None:
         super().on_attach()
-        factory = ContactHistoryReference if self.reference_impl else ContactHistory
-        self.history = factory(self.node_id, self.window_size)
+        self.history = ContactHistory(self.node_id, self.window_size)
 
     # ----------------------------------------------------------------- contacts
     def on_contact_up(self, connection: Connection, peer: "DTNNode") -> None:

@@ -73,7 +73,8 @@ def _utc_now() -> str:
 
 
 def canonical_report_json(report: SimulationReport) -> str:
-    """The canonical JSON form of a report (sorted keys, timings excluded).
+    """The canonical JSON form of a report (sorted keys, wall-clock fields
+    excluded, so a stored row is byte-reproducible).
 
     This is the stored byte form; it round-trips exactly through
     :meth:`SimulationReport.from_dict`.

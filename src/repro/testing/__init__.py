@@ -85,19 +85,15 @@ def run_report(config, *, reference: bool = False):
 def canonical_report_bytes(report) -> bytes:
     """The canonical byte form of a :class:`SimulationReport`.
 
-    Timings are excluded (they measure the machine, not the simulation);
-    everything else — metrics, counters, per-protocol extras — is serialized
-    with sorted keys, so two runs are behaviourally identical iff their
-    canonical bytes are equal.  This is the payload the golden-digest
-    lockfile pins, and the one compared between production and reference
-    worlds, serial and process-pool backends, and resumed and straight runs.
+    The canonical :meth:`~repro.metrics.reports.SimulationReport.as_dict`
+    payload (wall-clock fields excluded: they measure the machine, not the
+    simulation) serialized with sorted keys, so two runs are behaviourally
+    identical iff their canonical bytes are equal.  These are the bytes the
+    results store persists and the golden-digest lockfile pins, and the
+    ones compared between production and reference worlds, serial and
+    process-pool backends, and resumed and straight runs.
     """
-    payload = report.as_dict(include_timings=False)
-    # community_detection_seconds is wall-clock time spent in the detector —
-    # a measurement of the machine, like the tick-phase timings, and the one
-    # metric that differs between two behaviourally identical runs
-    payload.pop("community_detection_seconds", None)
-    return json.dumps(payload, sort_keys=True).encode("utf-8")
+    return json.dumps(report.as_dict(), sort_keys=True).encode()
 
 
 def admissible_checkpoint_times(config, *, stride: int = 1) -> List[float]:

@@ -1,4 +1,4 @@
-"""The reference world tick: the naive executable specification.
+"""The reference world: the naive executable specification.
 
 The production :class:`~repro.world.world.World` tick is built from
 machinery whose only job is speed — pooled connections, batched contact
@@ -12,9 +12,17 @@ obvious way:
   (``MovementEngine(batch=False)``),
 * ``connectivity`` — every link event is applied on its own: a fresh
   :class:`~repro.net.connection.Connection` per establishment and one
-  ``contact_up`` / ``contact_down`` record per event,
+  ``contact_up`` / ``contact_down`` record per event, with links found by
+  the single-threaded :class:`~repro.world.connectivity.KDTreeConnectivity`
+  whatever the world size,
 * ``transfers`` — every live link is scanned and advanced,
 * ``routers`` — every router is ticked, every update.
+
+The knowledge layer runs the obvious way too: every contact-aware router
+(EER, CR, EBR, PRoPHET, MaxProp, Spray-and-Focus) records its contacts in a
+:class:`ContactHistoryReference` — the original dict-of-deques store, which
+has no array views, so the Theorem 1/2/4 estimators take their per-peer
+Python loops instead of the batch kernels.
 
 :class:`ReferenceTick` is one mixin applied to both world flavours
 (:class:`ReferenceWorld`, :class:`ReferenceTraceReplayWorld`).  Select it
@@ -23,23 +31,41 @@ with ``build_scenario(config, reference=True)`` or
 when asked, so it never enters the production import graph.  A reference
 run and a production run of the same configuration must produce
 byte-identical canonical reports (``tests/test_reference_tick.py``), and
-the reference is the baseline of the world-tick pairs in ``repro bench``.
+the reference is the baseline of the world-tick and ``scenario_eer`` pairs
+in ``repro bench``.
 
 The production world's columnar stores are still constructed and
 ``add_node`` still registers every node in them, but the reference tick
 never reads them: nothing here depends on their bookkeeping being right.
+
+The module also holds the naive twins of single production components,
+each the oracle of its parity tests: :class:`BruteForceConnectivity` (the
+O(n²) detector), :class:`ReferenceMessageBuffer` (the sort-per-add buffer)
+and :func:`dijkstra_delays_reference` (the heap-based MEMD Dijkstra).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+import heapq
+from collections import deque
+from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
+import numpy as np
+
+from repro.contacts.memd import _validate
 from repro.mobility.engine import MovementEngine
+from repro.net.buffer import BufferFullError, DropPolicy
 from repro.net.connection import Connection
+from repro.net.message import Message
+from repro.routing.active import ContactAwareRouter
 from repro.traces.replay import TraceReplayWorld
+from repro.world.connectivity import ConnectivityDetector, _empty_pairs
+from repro.world.node import DTNNode
 from repro.world.world import World
 
-__all__ = ["ReferenceTick", "ReferenceWorld", "ReferenceTraceReplayWorld"]
+__all__ = ["ReferenceTick", "ReferenceWorld", "ReferenceTraceReplayWorld",
+           "BruteForceConnectivity", "ContactHistoryReference",
+           "ReferenceMessageBuffer", "dijkstra_delays_reference"]
 
 
 class ReferenceTick:
@@ -52,6 +78,15 @@ class ReferenceTick:
         super().__init__(*args, **kwargs)  # type: ignore[call-arg]
         # no node is registered yet, so swapping the engine is safe
         self.movement = MovementEngine(self._positions, batch=False)
+
+    def add_node(self, node: DTNNode) -> DTNNode:
+        super().add_node(node)  # type: ignore[misc]
+        router = node.router
+        if isinstance(router, ContactAwareRouter):
+            # attached but not yet run: the history is still empty
+            router.history = ContactHistoryReference(router.node_id,
+                                                     router.window_size)
+        return node
 
     def _apply_link_changes(self, down_keys: List[Tuple[int, int]],
                             up_keys: List[Tuple[int, int]],
@@ -114,3 +149,298 @@ class ReferenceWorld(ReferenceTick, World):
 
 class ReferenceTraceReplayWorld(ReferenceTick, TraceReplayWorld):
     """A :class:`~repro.traces.replay.TraceReplayWorld` on the reference tick."""
+
+
+# ------------------------------------------------------ component twins
+class BruteForceConnectivity(ConnectivityDetector):
+    """Reference O(n²) detector: every pair checked (vectorised with NumPy)."""
+
+    def update(self, positions: np.ndarray, ranges: np.ndarray) -> np.ndarray:
+        n = len(positions)
+        if n < 2:
+            return _empty_pairs()
+        ii, jj = np.triu_indices(n, k=1)
+        delta = positions[ii] - positions[jj]
+        limit = np.minimum(ranges[ii], ranges[jj])
+        mask = (delta * delta).sum(axis=1) <= limit * limit
+        # triu_indices is already in (i, j) lexicographic order with i < j
+        return np.column_stack((ii[mask], jj[mask])).astype(np.int64)
+
+
+class ContactHistoryReference:
+    """The original dict-of-deques contact history.
+
+    Semantically identical to :class:`~repro.contacts.history.ContactHistory`;
+    the history of every contact-aware router in the reference world, the
+    oracle of the property-based parity tests and the pure-Python baseline
+    of the ``encounter_pipeline`` pair in ``repro bench``.
+    """
+
+    def __init__(self, owner_id: int, window_size: int = 20) -> None:
+        if window_size < 1:
+            raise ValueError("window_size must be at least 1")
+        self.owner_id = int(owner_id)
+        self.window_size = int(window_size)
+        self.version = 0
+        self._intervals: Dict[int, Deque[float]] = {}
+        self._last_contact: Dict[int, float] = {}
+        self._contact_counts: Dict[int, int] = {}
+
+    # ---------------------------------------------------------------- record
+    def record_contact(self, peer_id: int, now: float) -> Optional[float]:
+        """Record a contact with *peer_id* starting at time *now*."""
+        peer_id = int(peer_id)
+        if peer_id == self.owner_id:
+            raise ValueError("a node cannot record a contact with itself")
+        if now < 0:
+            raise ValueError("contact time must be non-negative")
+        last = self._last_contact.get(peer_id)
+        interval: Optional[float] = None
+        if last is not None:
+            if now < last:
+                raise ValueError(
+                    f"contact at t={now} precedes the last recorded contact at t={last}")
+            interval = now - last
+            window = self._intervals.setdefault(
+                peer_id, deque(maxlen=self.window_size))
+            window.append(interval)
+        self._last_contact[peer_id] = float(now)
+        self._contact_counts[peer_id] = self._contact_counts.get(peer_id, 0) + 1
+        self.version += 1
+        return interval
+
+    # ----------------------------------------------------------------- query
+    def peers(self) -> List[int]:
+        """Peers this node has met at least once."""
+        return list(self._last_contact)
+
+    def has_met(self, peer_id: int) -> bool:
+        """Whether the node has ever met *peer_id*."""
+        return int(peer_id) in self._last_contact
+
+    def contact_count(self, peer_id: int) -> int:
+        """Number of contacts recorded with *peer_id*."""
+        return self._contact_counts.get(int(peer_id), 0)
+
+    def intervals(self, peer_id: int) -> List[float]:
+        """The recorded meeting intervals with *peer_id* (may be empty)."""
+        window = self._intervals.get(int(peer_id))
+        return list(window) if window is not None else []
+
+    def last_contact(self, peer_id: int) -> Optional[float]:
+        """Start time of the most recent contact with *peer_id*, or ``None``."""
+        return self._last_contact.get(int(peer_id))
+
+    def elapsed_since(self, peer_id: int, now: float) -> Optional[float]:
+        """Elapsed time since the last contact with *peer_id*, or ``None``."""
+        last = self._last_contact.get(int(peer_id))
+        if last is None:
+            return None
+        return max(0.0, now - last)
+
+    def mean_interval(self, peer_id: int) -> Optional[float]:
+        """Average recorded meeting interval with *peer_id*."""
+        window = self._intervals.get(int(peer_id))
+        if not window:
+            return None
+        return sum(window) / len(window)
+
+    def total_intervals(self) -> int:
+        """Total number of recorded intervals across all peers."""
+        return sum(len(w) for w in self._intervals.values())
+
+    def snapshot(self) -> Dict[int, List[float]]:
+        """A copy of all windows (peer -> interval list), for inspection."""
+        return {peer: list(window) for peer, window in self._intervals.items()}
+
+    def contact_count_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(peer_ids, contact_counts)`` arrays (built on demand here).
+
+        Interface parity with
+        :meth:`~repro.contacts.history.ContactHistory.contact_count_arrays` so
+        the graph builders accept either implementation; the reference store
+        materializes fresh arrays from its dicts.
+        """
+        peers = np.fromiter(self._last_contact, dtype=np.int64,
+                            count=len(self._last_contact))
+        counts = np.fromiter((self._contact_counts[p] for p in peers),
+                             dtype=np.int64, count=len(peers))
+        return peers, counts
+
+    # NOTE: deliberately no interval_arrays() here — the estimator dispatch
+    # in repro.core.expectation keys on that attribute to decide between
+    # the batch kernels and the pure-Python reference loops, and this class
+    # exists precisely to exercise (and benchmark against) the loops.  The
+    # graph builders fall back to the scalar API for histories without it.
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (f"ContactHistoryReference(owner={self.owner_id}, "
+                f"peers={len(self._last_contact)}, "
+                f"intervals={self.total_intervals()})")
+
+
+class ReferenceMessageBuffer:
+    """The original sort-per-add message buffer.
+
+    Behaviourally identical to :class:`~repro.net.buffer.MessageBuffer`
+    (same evictions, same errors, same ordering); the oracle of the
+    randomized parity tests and the baseline of the ``buffer_churn`` pair in
+    ``repro bench``.
+    """
+
+    # same SoA mirror seam as MessageBuffer, so either implementation can
+    # back a node without the store caring which one it is
+    _mirror_store = None
+    _mirror_row = -1
+
+    def __init__(self, capacity: float = float("inf"),
+                 drop_policy: DropPolicy = DropPolicy.OLDEST_RECEIVED,
+                 protected: Optional[Callable[[Message], bool]] = None) -> None:
+        if capacity <= 0:
+            raise ValueError(f"capacity must be positive, got {capacity}")
+        self.capacity = capacity
+        self.drop_policy = drop_policy
+        self.protected = protected
+        self._messages: Dict[str, Message] = {}
+        self._occupancy = 0
+
+    # ------------------------------------------------------------- inspection
+    def __len__(self) -> int:
+        return len(self._messages)
+
+    def __contains__(self, message_id: str) -> bool:
+        return message_id in self._messages
+
+    def __iter__(self) -> Iterator[Message]:
+        return iter(list(self._messages.values()))
+
+    @property
+    def occupancy(self) -> int:
+        """Bytes currently stored."""
+        return self._occupancy
+
+    @property
+    def free_space(self) -> float:
+        """Bytes still available."""
+        return self.capacity - self._occupancy
+
+    @property
+    def occupancy_ratio(self) -> float:
+        """Fraction of the capacity in use (0 for unbounded empty buffers)."""
+        if self.capacity == float("inf"):
+            return 0.0
+        return self._occupancy / self.capacity
+
+    def get(self, message_id: str) -> Optional[Message]:
+        """Return the stored replica with *message_id*, or ``None``."""
+        return self._messages.get(message_id)
+
+    def messages(self) -> List[Message]:
+        """Snapshot list of stored replicas in insertion order."""
+        return list(self._messages.values())
+
+    def message_ids(self) -> List[str]:
+        """Snapshot list of stored message identifiers."""
+        return list(self._messages.keys())
+
+    def messages_for_destination(self, destination: int) -> List[Message]:
+        """Stored replicas destined to *destination* (linear scan)."""
+        destination = int(destination)
+        return [m for m in self._messages.values()
+                if m.destination == destination]
+
+    # --------------------------------------------------------------- mutation
+    def _eviction_order(self) -> List[Message]:
+        msgs = [m for m in self._messages.values()
+                if self.protected is None or not self.protected(m)]
+        if self.drop_policy is DropPolicy.OLDEST_RECEIVED:
+            return sorted(msgs, key=lambda m: m.received_time)
+        if self.drop_policy is DropPolicy.OLDEST_CREATED:
+            return sorted(msgs, key=lambda m: m.creation_time)
+        if self.drop_policy is DropPolicy.SHORTEST_TTL:
+            return sorted(msgs, key=lambda m: m.expiry_time)
+        if self.drop_policy is DropPolicy.LARGEST:
+            return sorted(msgs, key=lambda m: -m.size)
+        return []
+
+    def add(self, message: Message) -> List[Message]:
+        """Store *message*, evicting per the drop policy if needed."""
+        if message.message_id in self._messages:
+            raise ValueError(f"message {message.message_id!r} is already buffered")
+        if message.size > self.capacity:
+            raise BufferFullError(
+                f"message of {message.size} B exceeds buffer capacity {self.capacity} B")
+        evicted: List[Message] = []
+        if message.size > self.free_space:
+            if self.drop_policy is DropPolicy.NO_DROP:
+                raise BufferFullError("buffer full and drop policy is NO_DROP")
+            for victim in self._eviction_order():
+                if message.size <= self.free_space:
+                    break
+                self.remove(victim.message_id)
+                evicted.append(victim)
+            if message.size > self.free_space:
+                raise BufferFullError(
+                    "buffer cannot make enough room for incoming message")
+        self._messages[message.message_id] = message
+        self._occupancy += message.size
+        if self._mirror_store is not None:
+            self._mirror_store.mark_dirty(self._mirror_row)
+        return evicted
+
+    def remove(self, message_id: str) -> Optional[Message]:
+        """Remove and return the replica with *message_id* (or ``None``)."""
+        message = self._messages.pop(message_id, None)
+        if message is not None:
+            self._occupancy -= message.size
+            if self._mirror_store is not None:
+                self._mirror_store.mark_dirty(self._mirror_row)
+        return message
+
+    def drop_expired(self, now: float) -> List[Message]:
+        """Remove and return every replica whose TTL elapsed by *now*."""
+        expired = [m for m in self._messages.values() if m.is_expired(now)]
+        for message in expired:
+            self.remove(message.message_id)
+        return expired
+
+    def next_expiry(self) -> float:
+        """Earliest TTL deadline of any stored replica (linear scan)."""
+        if not self._messages:
+            return float("inf")
+        return min(m.expiry_time for m in self._messages.values())
+
+    def clear(self) -> None:
+        """Drop everything."""
+        self._messages.clear()
+        self._occupancy = 0
+        if self._mirror_store is not None:
+            self._mirror_store.mark_dirty(self._mirror_row)
+
+
+def dijkstra_delays_reference(md: np.ndarray, source: int) -> np.ndarray:
+    """Heap-based Dijkstra that cross-checks
+    :func:`~repro.contacts.memd.dijkstra_delays` in the tests."""
+    md = _validate(md, source)
+    n = md.shape[0]
+    dist = np.full(n, np.inf)
+    dist[source] = 0.0
+    heap: List[Tuple[float, int]] = [(0.0, source)]
+    visited = np.zeros(n, dtype=bool)
+    while heap:
+        d, u = heapq.heappop(heap)
+        if visited[u]:
+            continue
+        visited[u] = True
+        for v in range(n):
+            if v == u or visited[v]:
+                continue
+            w = md[u, v]
+            if not np.isfinite(w):
+                continue
+            nd = d + w
+            if nd < dist[v]:
+                dist[v] = nd
+                heapq.heappush(heap, (nd, int(v)))
+    dist[source] = 0.0
+    return dist

@@ -123,7 +123,7 @@ def build_trace_world(trace: ContactTrace, protocol: str = "epidemic",
     router_params:
         Extra keyword arguments for the router factory.
     reference:
-        Build the naive reference tick of :mod:`repro.testing.reference`
+        Build the naive reference world of :mod:`repro.testing.reference`
         instead of the production world (an executable specification for
         tests and benchmark baselines; imported only when requested).
 

@@ -2,12 +2,7 @@
 
 from repro.world.interface import Interface
 from repro.world.node import DTNNode
-from repro.world.connectivity import (
-    ConnectivityDetector,
-    GridConnectivity,
-    KDTreeConnectivity,
-    BruteForceConnectivity,
-)
+from repro.world.connectivity import ConnectivityDetector, KDTreeConnectivity
 from repro.world.pipeline import TickPhase, TickPipeline
 from repro.world.positions import PositionStore
 from repro.world.sharded import ShardedConnectivity
@@ -17,9 +12,7 @@ __all__ = [
     "Interface",
     "DTNNode",
     "ConnectivityDetector",
-    "GridConnectivity",
     "KDTreeConnectivity",
-    "BruteForceConnectivity",
     "ShardedConnectivity",
     "TickPhase",
     "TickPipeline",

@@ -2,26 +2,24 @@
 
 Given the node positions at one instant, a detector returns the node pairs
 that can communicate (distance at most the minimum of the two radio ranges).
-Four interchangeable implementations are provided:
+Two interchangeable implementations are provided, and the scenario builder
+picks one by world size (:func:`repro.experiments.builder.build_detector`):
 
 * :class:`KDTreeConnectivity` — :class:`scipy.spatial.cKDTree` pair query
-  (default; fastest for the node counts of the paper's scenarios),
-* :class:`GridConnectivity` — spatial hashing into square cells with
-  array-based bucket pairing,
-* :class:`BruteForceConnectivity` — O(n²) reference used to cross-check the
-  others in tests,
+  (the cheaper one for the node counts of the paper's scenarios),
 * :class:`~repro.world.sharded.ShardedConnectivity` (own module) — strip
   sharding with a cached cross-tick candidate superset, for 10k-node worlds.
+
+Their naive specification, an O(n²) all-pairs check, lives outside the
+production code (:class:`repro.testing.reference.BruteForceConnectivity`).
 
 Detectors are *stateful*: the world calls :meth:`ConnectivityDetector.update`
 once per tick with the current positions, and an implementation may carry
 acceleration structures from one tick to the next — the k-d tree skips
 rebuilds while nodes have drifted less than a slack margin since the last
-build, and the grid reuses its bucket index (and the candidate pairs derived
-from it) while no node changes cell.  State never
-affects the *result*, only the work done to compute it: every ``update`` is
-equivalent to a from-scratch detection, and detectors resynchronise
-automatically when the node count (or the cell size) changes between calls.
+build.  State never affects the *result*, only the work done to compute it:
+every ``update`` is equivalent to a from-scratch detection, and detectors
+resynchronise automatically when the node count changes between calls.
 
 ``update`` returns an ``(m, 2)`` int64 array of index pairs with ``i < j``
 per row, sorted lexicographically, which is what the world's sorted-array
@@ -33,7 +31,7 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import List, Set, Tuple
+from typing import Set, Tuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -106,21 +104,6 @@ class ConnectivityDetector(abc.ABC):
         return {(int(i), int(j)) for i, j in pairs}
 
 
-class BruteForceConnectivity(ConnectivityDetector):
-    """Reference O(n²) implementation (vectorised with NumPy)."""
-
-    def update(self, positions: np.ndarray, ranges: np.ndarray) -> np.ndarray:
-        n = len(positions)
-        if n < 2:
-            return _empty_pairs()
-        ii, jj = np.triu_indices(n, k=1)
-        delta = positions[ii] - positions[jj]
-        limit = np.minimum(ranges[ii], ranges[jj])
-        mask = (delta * delta).sum(axis=1) <= limit * limit
-        # triu_indices is already in (i, j) lexicographic order with i < j
-        return np.column_stack((ii[mask], jj[mask])).astype(np.int64)
-
-
 class KDTreeConnectivity(ConnectivityDetector):
     """k-d tree pair query with lazy rebuilds.
 
@@ -178,128 +161,4 @@ class KDTreeConnectivity(ConnectivityDetector):
         if len(candidates) == 0:
             return _empty_pairs()
         valid = _filter_by_range(candidates.astype(np.int64), positions, ranges)
-        return _canonicalise(valid)
-
-
-class GridConnectivity(ConnectivityDetector):
-    """Spatial-hash grid with cell size equal to the maximum radio range.
-
-    Cells are packed into scalar bucket keys and the per-node bucket index
-    (a stable argsort of the keys plus per-bucket start/end offsets) is kept
-    across ticks: while no node changes cell the index is reused as-is, and
-    candidate generation never touches Python loops over buckets —
-    within-bucket pairs come from stride-``d`` comparisons of the sorted key
-    array, cross-bucket pairs from one ``searchsorted`` + ragged-range
-    expansion per forward neighbour offset (array-based bucket pairing; the
-    historical nested per-bucket loops are gone).  A full index rebuild —
-    one ``argsort`` — happens when any node moved cell, or when the node
-    count or the cell size changes.
-    """
-
-    #: forward neighbour cells only, to avoid double counting
-    _FORWARD_OFFSETS = ((0, 1), (1, -1), (1, 0), (1, 1))
-
-    def __init__(self) -> None:
-        self._cell_size: float = 0.0
-        self._cells: np.ndarray = None  # (n, 2) int cell coordinates
-        self._pairs: np.ndarray = _empty_pairs()  # candidates of the index
-        self._keys: np.ndarray = None  # (n,) packed collision-free keys
-        self._order: np.ndarray = None  # argsort of the keys
-        self._sorted_keys: np.ndarray = None
-        self._unique_keys: np.ndarray = None
-        self._starts: np.ndarray = None  # bucket slices into _order
-        self._ends: np.ndarray = None
-        self._stride = 0  # key packing stride (see _rebuild_index)
-
-    def reset(self) -> None:
-        self._cell_size = 0.0
-        self._cells = None
-        self._pairs = _empty_pairs()
-        self._keys = None
-        self._order = None
-        self._sorted_keys = None
-        self._unique_keys = None
-        self._starts = None
-        self._ends = None
-        self._stride = 0
-
-    def _rebuild_index(self, cells: np.ndarray) -> None:
-        """Pack cells into scalar keys and (arg)sort nodes by bucket.
-
-        The packing ``key = (cx - min_cx) * stride + (cy - min_cy)`` uses
-        ``stride = height + 2`` so a neighbour offset of ``dy = ±1`` can
-        never alias a *different* real bucket: shifted keys either hit the
-        true neighbour or fall on a key no bucket occupies.
-        """
-        min_cx = int(cells[:, 0].min())
-        min_cy = int(cells[:, 1].min())
-        height = int(cells[:, 1].max()) - min_cy + 1
-        self._stride = height + 2
-        self._keys = ((cells[:, 0] - min_cx) * self._stride
-                      + (cells[:, 1] - min_cy))
-        self._order = np.argsort(self._keys, kind="stable")
-        self._sorted_keys = self._keys[self._order]
-        self._unique_keys, self._starts = np.unique(self._sorted_keys,
-                                                    return_index=True)
-        self._ends = np.append(self._starts[1:], len(self._sorted_keys))
-
-    def _candidate_pairs(self) -> np.ndarray:
-        """All index pairs sharing a bucket or in forward-adjacent buckets."""
-        order = self._order
-        sorted_keys = self._sorted_keys
-        counts = self._ends - self._starts
-        lefts: List[np.ndarray] = []
-        rights: List[np.ndarray] = []
-        # within-bucket pairs: nodes d apart in the sorted order share a
-        # bucket iff their keys match — one stride-d comparison per distance
-        for distance in range(1, int(counts.max())):
-            same = sorted_keys[:-distance] == sorted_keys[distance:]
-            if same.any():
-                lefts.append(order[:-distance][same])
-                rights.append(order[distance:][same])
-        # cross-bucket pairs, one shifted-key lookup per forward offset
-        n = len(self._keys)
-        all_nodes = np.arange(n, dtype=np.int64)
-        for dx, dy in self._FORWARD_OFFSETS:
-            target = self._keys + (dx * self._stride + dy)
-            bucket = np.searchsorted(self._unique_keys, target)
-            bucket[bucket == len(self._unique_keys)] = len(self._unique_keys) - 1
-            hit = self._unique_keys[bucket] == target
-            start = np.where(hit, self._starts[bucket], 0)
-            count = np.where(hit, self._ends[bucket] - self._starts[bucket], 0)
-            total = int(count.sum())
-            if not total:
-                continue
-            lefts.append(np.repeat(all_nodes, count))
-            # ragged ranges [start_i, start_i + count_i) laid end to end
-            base = np.cumsum(count) - count
-            span = np.arange(total, dtype=np.int64) - np.repeat(base, count)
-            rights.append(order[span + np.repeat(start, count)])
-        if not lefts:
-            return _empty_pairs()
-        return np.column_stack((np.concatenate(lefts), np.concatenate(rights)))
-
-    def update(self, positions: np.ndarray, ranges: np.ndarray) -> np.ndarray:
-        n = len(positions)
-        if n < 2:
-            self.reset()
-            return _empty_pairs()
-        cell = float(ranges.max())
-        if cell <= 0:
-            self.reset()
-            return _empty_pairs()
-        cells = np.floor(positions / cell).astype(np.int64)
-        if (self._cells is None or len(self._cells) != n
-                or self._cell_size != cell
-                or not np.array_equal(cells, self._cells)):
-            self._rebuild_index(cells)
-            self._cells = cells
-            self._cell_size = cell
-            # candidates are a pure function of the bucket index: compute
-            # them once per index build, so reused-index ticks are just the
-            # exact range filter below
-            self._pairs = self._candidate_pairs()
-        if not len(self._pairs):
-            return _empty_pairs()
-        valid = _filter_by_range(self._pairs, positions, ranges)
         return _canonicalise(valid)

@@ -13,11 +13,9 @@ and *shards* across workers:
    the next strip within ``candidate_radius`` of the shared boundary) and
    collects every pair within ``candidate_radius`` that has at least one
    endpoint inside the strip proper.  Strip tasks fan out over a thread pool
-   (``cKDTree`` construction and pair queries release the GIL; the
-   shard/merge contract below is deliberately process-friendly so a
-   shared-memory process pool can replace the threads without touching the
-   callers).  The merged, deduplicated candidate set is packed into sorted
-   ``(lo << 32) | hi`` codes **once**, so it is stored pre-canonicalised.
+   (``cKDTree`` construction and pair queries release the GIL).  The merged,
+   deduplicated candidate set is packed into sorted ``(lo << 32) | hi``
+   codes **once**, so it is stored pre-canonicalised.
 
 2. **Tick (hot, vectorized, allocation-light).**  While no node has drifted
    more than ``slack`` from the snapshot, the candidate set is guaranteed to
@@ -52,11 +50,9 @@ full-scenario report-equality test.
 
 from __future__ import annotations
 
-import itertools
 import os
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from multiprocessing import shared_memory
-from typing import Dict, List, Optional
+from concurrent.futures import ThreadPoolExecutor
+from typing import List, Optional
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -75,12 +71,7 @@ def default_worker_count() -> int:
 
 def _strip_pair_codes(snapshot: np.ndarray, members: np.ndarray,
                       halo: np.ndarray, radius: float) -> np.ndarray:
-    """Candidate pair codes owned by one strip (mode-agnostic kernel).
-
-    Shared verbatim by the thread and process execution modes: identical
-    arithmetic over the identical snapshot rows yields identical codes, which
-    is what keeps the two modes bit-for-bit interchangeable.
-    """
+    """Candidate pair codes owned by one strip (runs on a worker)."""
     group = np.concatenate((members, halo))
     if len(group) < 2:
         return np.empty(0, dtype=np.int64)
@@ -97,44 +88,6 @@ def _strip_pair_codes(snapshot: np.ndarray, members: np.ndarray,
     lo = np.minimum(pairs[:, 0], pairs[:, 1])
     hi = np.maximum(pairs[:, 0], pairs[:, 1])
     return (lo << 32) | hi
-
-
-#: per-worker-process cache of the one attached snapshot segment (the parent
-#: recreates the segment — new name — only when the node count grows)
-_WORKER_SEGMENTS: Dict[str, shared_memory.SharedMemory] = {}
-
-
-def _attach_snapshot(name: str, n: int) -> np.ndarray:
-    """Map the parent's shared snapshot segment into this worker process."""
-    segment = _WORKER_SEGMENTS.get(name)
-    if segment is None:
-        # drop any stale attachment from a previous segment generation
-        for stale_name, stale in list(_WORKER_SEGMENTS.items()):
-            stale.close()
-            del _WORKER_SEGMENTS[stale_name]
-        # Python < 3.13 registers *attachments* with the resource tracker
-        # too (no ``track=False`` yet).  Under fork the worker shares the
-        # parent's tracker, so an unregister-after-attach would erase the
-        # parent's own registration; under spawn the worker's fresh tracker
-        # would try to unlink the parent-owned segment at worker exit.
-        # Suppressing registration during the attach sidesteps both: the
-        # parent remains the sole owner.
-        from multiprocessing import resource_tracker
-        original_register = resource_tracker.register
-        resource_tracker.register = lambda *args, **kwargs: None
-        try:
-            segment = shared_memory.SharedMemory(name=name)
-        finally:
-            resource_tracker.register = original_register
-        _WORKER_SEGMENTS[name] = segment
-    return np.ndarray((n, 2), dtype=np.float64, buffer=segment.buf)
-
-
-def _process_strip_task(name: str, n: int, members: np.ndarray,
-                        halo: np.ndarray, radius: float) -> np.ndarray:
-    """One strip task executed in a worker process (module-level: picklable)."""
-    snapshot = _attach_snapshot(name, n)
-    return _strip_pair_codes(snapshot, members, halo, radius)
 
 
 class ShardedConnectivity(ConnectivityDetector):
@@ -157,38 +110,21 @@ class ShardedConnectivity(ConnectivityDetector):
         Target strip tasks per worker at rebuild (>= 1).  More shards mean
         better load balance but more per-strip fixed cost; the strip count
         is always capped so strips stay at least ``candidate_radius`` wide.
-    workers_mode:
-        ``"thread"`` (default) fans strip tasks over a thread pool — cheap,
-        and effective because ``cKDTree`` releases the GIL.  ``"process"``
-        runs them in a persistent process pool with the snapshot in a
-        ``multiprocessing.shared_memory`` segment: workers attach once per
-        segment generation and read positions zero-copy, so only the strip
-        index arrays and result codes cross the pipe.  Both modes drive the
-        identical strip kernel over the identical snapshot and are therefore
-        bit-identical; the process pool is for many-core machines where the
-        NumPy/Python portions of the strip tasks would otherwise serialise.
     """
 
     def __init__(self, rebuild_margin: float = 0.5,
                  workers: Optional[int] = None,
-                 shards_per_worker: int = 2,
-                 workers_mode: str = "thread") -> None:
+                 shards_per_worker: int = 2) -> None:
         if rebuild_margin <= 0:
             raise ValueError("rebuild_margin must be positive")
         if workers is not None and workers < 1:
             raise ValueError("workers must be >= 1 (or None for the default)")
         if shards_per_worker < 1:
             raise ValueError("shards_per_worker must be >= 1")
-        if workers_mode not in ("thread", "process"):
-            raise ValueError(
-                f"workers_mode must be 'thread' or 'process', "
-                f"got {workers_mode!r}")
         self.rebuild_margin = float(rebuild_margin)
         self.workers = int(workers) if workers is not None else default_worker_count()
         self.shards_per_worker = int(shards_per_worker)
-        self.workers_mode = workers_mode
-        self._pool: Optional[Executor] = None
-        self._segment: Optional[shared_memory.SharedMemory] = None
+        self._pool: Optional[ThreadPoolExecutor] = None
         self._snapshot: Optional[np.ndarray] = None
         self._ranges: Optional[np.ndarray] = None
         self._max_range = 0.0
@@ -210,65 +146,29 @@ class ShardedConnectivity(ConnectivityDetector):
         self._limit_sq = np.empty(0, dtype=float)
 
     def close(self) -> None:
-        """Release the worker pool and the shared snapshot segment (the
-        world calls this on teardown)."""
+        """Release the worker pool (the world calls this on teardown)."""
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        self._release_segment()
 
     def __getstate__(self) -> dict:
-        # checkpoint support: the worker pool and the shared-memory segment
-        # are process-local resources; both are created lazily, so dropping
-        # them is enough — the restored detector rebuilds them on first use.
-        # The snapshot and candidate arrays travel as-is, keeping the
-        # restored detector's rebuild schedule (and therefore its output)
-        # bit-identical to the uninterrupted one.
+        # checkpoint support: the worker pool is a process-local resource
+        # created lazily, so dropping it is enough — the restored detector
+        # rebuilds it on first use.  The snapshot and candidate arrays
+        # travel as-is, keeping the restored detector's rebuild schedule
+        # (and therefore its output) bit-identical to the uninterrupted one.
         state = self.__dict__.copy()
         state["_pool"] = None
-        state["_segment"] = None
         return state
 
-    def _executor(self) -> Executor:
+    def _executor(self) -> ThreadPoolExecutor:
         if self._pool is None:
-            if self.workers_mode == "process":
-                self._pool = ProcessPoolExecutor(max_workers=self.workers)
-            else:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.workers,
-                    thread_name_prefix="sharded-connectivity")
+            self._pool = ThreadPoolExecutor(
+                max_workers=self.workers,
+                thread_name_prefix="sharded-connectivity")
         return self._pool
 
-    # ------------------------------------------------------- shared snapshot
-    def _release_segment(self) -> None:
-        if self._segment is not None:
-            self._segment.close()
-            self._segment.unlink()
-            self._segment = None
-
-    def _publish_snapshot(self) -> shared_memory.SharedMemory:
-        """Copy the rebuild snapshot into shared memory for process workers.
-
-        The segment is recreated (fresh name) only when it is too small for
-        the current node count; workers key their attachment cache on the
-        name, so steady-state rebuilds reuse the mapping on both sides.
-        """
-        assert self._snapshot is not None
-        needed = self._snapshot.nbytes
-        if self._segment is None or self._segment.size < needed:
-            self._release_segment()
-            self._segment = shared_memory.SharedMemory(create=True, size=needed)
-        view = np.ndarray(self._snapshot.shape, dtype=np.float64,
-                          buffer=self._segment.buf)
-        view[:] = self._snapshot
-        return self._segment
-
     # --------------------------------------------------------------- rebuild
-    def _strip_codes(self, members: np.ndarray, halo: np.ndarray,
-                     radius: float) -> np.ndarray:
-        """Candidate pair codes owned by one strip (runs on a worker)."""
-        return _strip_pair_codes(self._snapshot, members, halo, radius)
-
     def _rebuild(self, positions: np.ndarray, ranges: np.ndarray) -> None:
         self._snapshot = np.array(positions, dtype=float)
         self._ranges = np.array(ranges, dtype=float)
@@ -294,7 +194,7 @@ class ShardedConnectivity(ConnectivityDetector):
             bounds = np.searchsorted(strip[order],
                                      np.arange(num_strips + 1))
 
-        def strip_slices(index: int):
+        def strip_task(index: int) -> np.ndarray:
             members = order[bounds[index]:bounds[index + 1]]
             if len(members) and index + 1 < num_strips:
                 following = order[bounds[index + 1]:]
@@ -308,26 +208,10 @@ class ShardedConnectivity(ConnectivityDetector):
                 halo = following[x[following] <= cutoff]
             else:
                 halo = np.empty(0, dtype=np.int64)
-            return members, halo
-
-        def strip_task(index: int) -> np.ndarray:
-            members, halo = strip_slices(index)
-            return self._strip_codes(members, halo, radius)
+            return _strip_pair_codes(self._snapshot, members, halo, radius)
 
         if num_strips == 1 or self.workers == 1:
             shards: List[np.ndarray] = [strip_task(i) for i in range(num_strips)]
-        elif self.workers_mode == "process":
-            # publish the snapshot once; only index arrays and result codes
-            # cross the pipe
-            segment = self._publish_snapshot()
-            slices = [strip_slices(i) for i in range(num_strips)]
-            shards = list(self._executor().map(
-                _process_strip_task,
-                itertools.repeat(segment.name),
-                itertools.repeat(len(self._snapshot)),
-                (members for members, _ in slices),
-                (halo for _, halo in slices),
-                itertools.repeat(radius)))
         else:
             shards = list(self._executor().map(strip_task, range(num_strips)))
 
@@ -375,5 +259,5 @@ class ShardedConnectivity(ConnectivityDetector):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ShardedConnectivity(margin={self.rebuild_margin}, "
-                f"workers={self.workers} [{self.workers_mode}], "
+                f"workers={self.workers}, "
                 f"rebuilds={self.rebuilds}, shards={self.last_shards})")

@@ -19,8 +19,7 @@ def test_payload_shape_and_checksums(smoke_payload):
     assert payload["schema"] == 1
     assert payload["scale"] == "smoke"
     names = set(payload["benchmarks"])
-    assert names == {"encounter_pipeline", "buffer_churn",
-                     "collector_ingest", "scenario_eer",
+    assert names == {"encounter_pipeline", "buffer_churn", "scenario_eer",
                      "community_detection", "world_tick_10k",
                      "world_tick_100k", "transfer_churn"}
     for name, entry in payload["benchmarks"].items():

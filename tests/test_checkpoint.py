@@ -301,6 +301,22 @@ def test_version_1_container_is_rejected_before_its_config(world_blob):
         load_checkpoint_bytes(v1)
 
 
+def test_version_2_container_is_rejected_before_its_config(world_blob):
+    # a version-2 snapshot pickles the collector's lists record store and
+    # the sharded detector's workers_mode, and embeds a config with the
+    # retired detector / worker / record-mode fields; the version check must
+    # reject it before the config is read
+    manifest = json.loads(zipfile.ZipFile(io.BytesIO(world_blob))
+                          .read("MANIFEST.json"))
+    config = dict(manifest["config"], detector="sharded", rebuild_margin=0.5,
+                  world_workers=2, world_workers_mode="process",
+                  record_mode="lists")
+    v2 = _rewrite_manifest(world_blob, format_version=2, config=config)
+    with pytest.raises(CheckpointError,
+                       match=r"^unsupported checkpoint format version 2 "):
+        load_checkpoint_bytes(v2)
+
+
 def test_missing_entries_and_garbage_raise_checkpoint_error(world_blob,
                                                             tmp_path):
     source = zipfile.ZipFile(io.BytesIO(world_blob))
@@ -330,9 +346,8 @@ def test_container_bytes_are_deterministic(world_blob):
 
 def test_config_payload_roundtrip():
     config = ScenarioConfig.bench_scale(
-        protocol="cr", num_nodes=12, seed=4, detector="sharded",
-        world_workers=2, world_workers_mode="process",
-        record_mode="columnar", router_params={"alpha": 0.3})
+        protocol="cr", num_nodes=12, seed=4, keep_records=False,
+        router_params={"alpha": 0.3})
     payload = json.loads(json.dumps(config_to_payload(config)))
     assert config_from_payload(payload) == config
     with pytest.raises(CheckpointError):

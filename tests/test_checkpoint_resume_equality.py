@@ -6,15 +6,17 @@ checkpoint time and requires the canonical report bytes (metrics, counters,
 per-protocol extras — everything but wall-clock timings) to match exactly.
 Covered here: the four headline protocols, every admissible tick boundary of
 a short run, the reference tick (repro.testing.reference), columnar and disabled
-collectors, the sharded detector on the shared-memory process pool, file
-trace replay, and online community detection (CR with the Newman tracker).
+collectors, the sharded detector of a 1 000-node world, file trace replay,
+and online community detection (CR with the Newman tracker).
 """
 
 import pytest
 
+from repro.experiments.builder import SHARDED_MIN_NODES, build_detector
 from repro.experiments.catalog import make_scenario
 from repro.experiments.scenario import ScenarioConfig
 from repro.testing import admissible_checkpoint_times, assert_resume_equality
+from repro.world.sharded import ShardedConnectivity
 
 
 def bench(protocol, **overrides):
@@ -48,19 +50,19 @@ def test_resume_equality_historical_flat_tick_off():
 
 @pytest.mark.parametrize("record_mode", ["columnar", "off"])
 def test_resume_equality_collector_modes(record_mode):
-    assert_resume_equality(bench("eer", record_mode=record_mode),
+    assert_resume_equality(bench("eer", keep_records=record_mode != "off"),
                            checkpoint_times=[180.0])
 
 
-def test_resume_equality_sharded_process_pool():
-    """A snapshot of a world whose detector fans over a process pool restores
-    in-process (the pool and shared-memory segment are dropped on save and
-    lazily recreated) without perturbing the rebuild schedule."""
+def test_resume_equality_sharded_detector():
+    """A snapshot of a world whose detector fans over a thread pool restores
+    in-process (the pool is dropped on save and lazily recreated) without
+    perturbing the rebuild schedule."""
     config = ScenarioConfig.bench_scale(
-        protocol="epidemic", num_nodes=40, seed=2, sim_time=200.0,
-        mobility="random_waypoint", detector="sharded",
-        world_workers=2, world_workers_mode="process")
-    assert_resume_equality(config, checkpoint_times=[90.0])
+        protocol="epidemic", num_nodes=SHARDED_MIN_NODES, seed=2,
+        sim_time=30.0, mobility="random_waypoint")
+    assert isinstance(build_detector(config), ShardedConnectivity)
+    assert_resume_equality(config, checkpoint_times=[15.0])
 
 
 def test_resume_equality_trace_replay():

@@ -10,7 +10,8 @@ from repro.community.graph import (
     contact_graph_from_history_vectorized,
     graph_from_edge_weights,
 )
-from repro.contacts.history import ContactHistory, ContactHistoryReference
+from repro.contacts.history import ContactHistory
+from repro.testing.reference import ContactHistoryReference
 
 
 def _assert_graphs_identical(reference, vectorized):
@@ -105,8 +106,8 @@ def test_property_parity(contacts, num_nodes, window, min_contacts):
 
 
 def test_vectorized_builder_accepts_reference_histories():
-    # the builders take either history implementation: a CR router built
-    # with reference_impl=True must feed the same pipeline
+    # the builders take either history implementation: a CR router in the
+    # reference world must feed the same pipeline
     stream = [(0, 1, 1.0), (0, 1, 2.0), (1, 2, 3.0), (0, 2, 1.5), (0, 1, 4.0)]
     production = _record_stream(stream, num_nodes=3)
     reference = []

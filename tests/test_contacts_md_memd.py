@@ -7,11 +7,11 @@ from repro.contacts.history import ContactHistory
 from repro.contacts.md_matrix import build_delay_matrix
 from repro.contacts.memd import (
     dijkstra_delays,
-    dijkstra_delays_reference,
     minimum_expected_meeting_delay,
 )
 from repro.contacts.mi_matrix import MeetingIntervalMatrix
 from repro.core.expectation import OverduePolicy
+from repro.testing.reference import dijkstra_delays_reference
 
 
 # --------------------------------------------------------------------- Dijkstra

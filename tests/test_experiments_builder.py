@@ -4,8 +4,11 @@ import pytest
 
 from repro.core.cr import CommunityRouter
 from repro.core.eer import EERRouter
+from repro.contacts.history import ContactHistory
 from repro.experiments.builder import build_scenario
 from repro.experiments.scenario import MobilityKind, ScenarioConfig
+from repro.world.connectivity import KDTreeConnectivity
+from repro.world.sharded import ShardedConnectivity
 
 
 def tiny_config(**overrides):
@@ -24,6 +27,28 @@ def test_bus_scenario_builds_routes_and_communities():
     assert all(built.world.community_of(n) is not None for n in built.world.node_ids())
     # routers are the requested protocol with the configured parameters
     assert all(isinstance(node.router, CommunityRouter) for node in built.world.nodes)
+
+
+@pytest.mark.parametrize("num_nodes, detector", [
+    (999, KDTreeConnectivity), (1_000, ShardedConnectivity)])
+def test_world_size_picks_the_detector(num_nodes, detector):
+    config = tiny_config(mobility=MobilityKind.RANDOM_WAYPOINT,
+                         num_nodes=num_nodes, sim_time=1.0)
+    built = build_scenario(config)
+    try:
+        assert type(built.world.detector) is detector
+        assert type(built.world.nodes[0].router.history) is ContactHistory
+    finally:
+        built.world.stop()
+    # the reference world keeps the k-d tree at every size, and its
+    # contact-aware routers record into the naive history
+    reference = build_scenario(config, reference=True)
+    try:
+        assert type(reference.world.detector) is KDTreeConnectivity
+        history = reference.world.nodes[0].router.history
+        assert type(history).__name__ == "ContactHistoryReference"
+    finally:
+        reference.world.stop()
 
 
 def test_router_params_are_forwarded():

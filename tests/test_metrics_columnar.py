@@ -1,17 +1,24 @@
-"""Collector record-mode parity: lists vs columnar vs off.
+"""Collector record keeping: the columnar store against records off.
 
-The three record modes must be observationally identical everywhere except
-storage: same aggregates, same derived metrics, and (for the two that keep
-records) the same materialized record lists — across both direct event feeds
-and a full catalog scenario run.
+Keeping records must be observationally invisible everywhere except
+storage: the same aggregates and derived metrics with records on and off —
+across both direct event feeds and a full catalog scenario run — and the
+column store must materialize exactly the records that were fed.
 """
 
-import numpy as np
 import pytest
 
 from repro.experiments.builder import build_scenario
 from repro.experiments.catalog import make_scenario
-from repro.metrics.collector import RecordMode, StatsCollector
+from repro.metrics.collector import StatsCollector
+from repro.metrics.events import (
+    ContactRecord,
+    MessageCreated,
+    MessageDelivered,
+    MessageDropped,
+    MessageRelayed,
+    TransferAborted,
+)
 from repro.metrics.reports import build_report
 from repro.net.message import Message
 
@@ -37,21 +44,20 @@ def feed(collector: StatsCollector) -> None:
 
 
 def test_mode_resolution():
-    assert StatsCollector().record_mode is RecordMode.LISTS
-    assert StatsCollector(keep_records=False).record_mode is RecordMode.OFF
-    assert StatsCollector(columnar=True).record_mode is RecordMode.COLUMNAR
-    assert StatsCollector(mode="columnar").record_mode is RecordMode.COLUMNAR
-    assert StatsCollector(keep_records=False, mode="lists").record_mode \
-        is RecordMode.LISTS
-    assert StatsCollector(mode="off").keep_records is False
+    assert StatsCollector().keep_records is True
+    assert StatsCollector(keep_records=False).keep_records is False
+    # one record store: the retired lists/columnar switches are gone
+    for keyword in ("columnar", "mode"):
+        with pytest.raises(TypeError):
+            StatsCollector(**{keyword: "columnar"})
 
 
 def test_event_feed_parity_across_modes():
-    collectors = {mode: StatsCollector(mode=mode)
-                  for mode in ("off", "lists", "columnar")}
+    collectors = {mode: StatsCollector(keep_records=mode != "off")
+                  for mode in ("off", "columnar")}
     for collector in collectors.values():
         feed(collector)
-    lists_mode = collectors["lists"]
+    columnar = collectors["columnar"]
     for name, collector in collectors.items():
         assert collector.created == 2
         assert collector.delivered == 1
@@ -61,68 +67,69 @@ def test_event_feed_parity_across_modes():
         assert collector.aborted == 1
         assert collector.contacts == 1
         for metric in METRICS:
-            assert getattr(collector, metric) == getattr(lists_mode, metric), \
+            assert getattr(collector, metric) == getattr(columnar, metric), \
                 (name, metric)
-    # identical materialized records between lists and columnar
-    columnar = collectors["columnar"]
-    assert columnar.created_records == lists_mode.created_records
-    assert columnar.relayed_records == lists_mode.relayed_records
-    assert columnar.delivered_records == lists_mode.delivered_records
-    assert columnar.dropped_records == lists_mode.dropped_records
-    assert columnar.aborted_records == lists_mode.aborted_records
-    assert columnar.contact_records == lists_mode.contact_records
+    # the column store materializes exactly the fed records
+    assert columnar.created_records == [
+        MessageCreated("A", 0, 1, 100, 0.0, 4),
+        MessageCreated("B", 2, 3, 100, 10.0, 4)]
+    assert columnar.relayed_records == [
+        MessageRelayed("A", 0, 2, 5.0, 2, False),
+        MessageRelayed("A", 2, 1, 42.0, 1, True)]
+    assert columnar.delivered_records == [
+        MessageDelivered("A", 0, 1, 0.0, 42.0, 1)]
+    assert columnar.dropped_records == [
+        MessageDropped("B", 2, 60.0, "buffer"),
+        MessageDropped("B", 3, 70.0, "expired")]
+    assert columnar.aborted_records == [TransferAborted("B", 2, 3, 80.0, 55.0)]
+    assert columnar.contact_records == [ContactRecord(0, 2, 1.0, 9.0)]
     # off keeps no records but all aggregates
     off = collectors["off"]
     assert off.created_records == [] and off.delivered_records == []
-    # latency arrays agree
-    assert np.array_equal(columnar.delivered_latencies(),
-                          lists_mode.delivered_latencies())
+    assert columnar.delivered_latencies().tolist() == [42.0]
+    assert off.delivered_latencies().size == 0
 
 
 def test_record_columns_access():
-    collector = StatsCollector(mode="columnar")
+    collector = StatsCollector()
     feed(collector)
     columns = collector.record_columns("delivered")
     assert columns["delivered_at"].tolist() == [42.0]
     assert columns["hop_count"].tolist() == [1]
     with pytest.raises(RuntimeError):
-        StatsCollector(mode="lists").record_columns("delivered")
+        StatsCollector(keep_records=False).record_columns("delivered")
 
 
 def test_record_storage_reporting():
-    lists_mode = StatsCollector(mode="lists")
-    columnar = StatsCollector(mode="columnar")
-    off = StatsCollector(mode="off")
-    for collector in (lists_mode, columnar, off):
+    columnar = StatsCollector()
+    off = StatsCollector(keep_records=False)
+    for collector in (columnar, off):
         feed(collector)
-    assert lists_mode.record_storage_bytes() > 0
     assert columnar.record_storage_bytes() > 0
     assert off.record_storage_bytes() == 0
 
 
 @pytest.mark.parametrize("scenario", ["bench"])
 def test_scenario_metrics_identical_across_record_modes(scenario):
-    """Delivery ratio / latency / overhead / hops identical for off, lists
-    and columnar across a catalog scenario run."""
+    """Delivery ratio / latency / overhead / hops identical with records
+    kept and off across a catalog scenario run."""
     reports = {}
-    for mode in ("off", "lists", "columnar"):
+    for mode in ("off", "columnar"):
         config = make_scenario(scenario, {"sim_time": 400.0, "seed": 3,
                                           "protocol": "epidemic",
-                                          "record_mode": mode})
+                                          "keep_records": mode != "off"})
         built = build_scenario(config)
         built.run()
         reports[mode] = build_report(
             built.stats, protocol=config.protocol, num_nodes=config.num_nodes,
             sim_time=config.sim_time, seed=config.seed)
-        assert built.stats.record_mode.value == mode
-    base = reports["lists"]
+        assert built.stats.keep_records is (mode != "off")
+    base = reports["columnar"]
     assert base.delivered > 0  # the run must actually exercise the collector
-    for mode in ("off", "columnar"):
-        report = reports[mode]
-        for metric in METRICS + ("created", "delivered", "relayed", "dropped",
-                                 "contacts", "control_rows_exchanged"):
-            assert report.metric(metric) == base.metric(metric), (mode, metric)
-    # percentiles come from records: identical between lists and columnar,
-    # absent (empty) when records are off
-    assert reports["columnar"].latency_percentiles == base.latency_percentiles
-    assert reports["off"].latency_percentiles == {}
+    report = reports["off"]
+    for metric in METRICS + ("created", "delivered", "relayed", "dropped",
+                             "contacts", "control_rows_exchanged"):
+        assert report.metric(metric) == base.metric(metric), metric
+    # percentiles come from records: absent (empty) when records are off
+    assert base.latency_percentiles
+    assert report.latency_percentiles == {}

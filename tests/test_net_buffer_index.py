@@ -3,20 +3,16 @@
 The heap-indexed :class:`~repro.net.buffer.MessageBuffer` must (a) never fall
 back to a full-buffer sort on the hot path — the regression the issue named
 was one full sort per eviction loop — and (b) behave identically to the
-in-tree :class:`~repro.net.buffer.ReferenceMessageBuffer` oracle under
+:class:`~repro.testing.reference.ReferenceMessageBuffer` oracle under
 randomized churn, for every drop policy.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.net.buffer import (
-    BufferFullError,
-    DropPolicy,
-    MessageBuffer,
-    ReferenceMessageBuffer,
-)
+from repro.net.buffer import BufferFullError, DropPolicy, MessageBuffer
 from repro.net.message import Message
+from repro.testing.reference import ReferenceMessageBuffer
 
 
 def msg(mid, size=100, created=0.0, ttl=1000.0, received=None, dest=1):

@@ -13,18 +13,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.core.expectation as expectation
-from repro.contacts.history import ContactHistory, ContactHistoryReference
+from repro.contacts.history import ContactHistory
 from repro.contacts.md_matrix import build_delay_matrix
-from repro.contacts.memd import (
-    MemdCache,
-    dijkstra_delays,
-    dijkstra_delays_reference,
-)
+from repro.contacts.memd import MemdCache, dijkstra_delays
 from repro.contacts.mi_matrix import MeetingIntervalMatrix
 from repro.core.expectation import (
     OverduePolicy,
     community_encounter_probability,
     expected_encounter_value,
+)
+from repro.testing.reference import (
+    ContactHistoryReference,
+    dijkstra_delays_reference,
 )
 
 policy_strategy = st.sampled_from(list(OverduePolicy))

@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.contacts.history import ContactHistory
-from repro.contacts.memd import dijkstra_delays, dijkstra_delays_reference
+from repro.contacts.memd import dijkstra_delays
 from repro.contacts.mi_matrix import MeetingIntervalMatrix
 from repro.core.expectation import (
     OverduePolicy,
@@ -24,6 +24,7 @@ from repro.core.replication import split_replicas
 from repro.mobility.path import Path
 from repro.net.buffer import BufferFullError, DropPolicy, MessageBuffer
 from repro.net.message import Message
+from repro.testing.reference import dijkstra_delays_reference
 
 
 intervals_strategy = st.lists(

@@ -7,7 +7,8 @@ shortcut must agree with.  Pinned here:
   scenario builder build and run scenarios without importing it;
 * selecting it is a build-time keyword, not part of a scenario's identity;
 * it reproduces the golden-digest lockfile, so the lockfile and the
-  reference agree on what the simulation does.
+  reference agree on what the simulation does, and its naive knowledge
+  layer routes the contact-aware protocols exactly like production.
 """
 
 import dataclasses
@@ -22,6 +23,7 @@ import pytest
 from repro.experiments.builder import build_scenario
 from repro.experiments.catalog import make_scenario
 from repro.experiments.scenario import ScenarioConfig
+from repro.testing import canonical_report_bytes, run_report
 from repro.testing.golden import GOLDEN_PATH, cell_digests, golden_cells
 from repro.world.world import World
 
@@ -87,3 +89,16 @@ def test_reference_reproduces_the_golden_digests():
                if cell.protocol == "epidemic" and cell.seed == 1
                and cell_digests(cell, reference=True) != LOCKFILE[cell.key]]
     assert not drifted, f"reference diverged from the lockfile: {drifted}"
+
+
+@pytest.mark.parametrize("protocol", ["eer", "cr", "maxprop", "ebr"])
+def test_reference_knowledge_layer_matches_production(protocol):
+    """The contact-aware headline protocols on the reference world:
+    dict-of-deques histories and per-peer estimator loops must route
+    exactly like the production knowledge layer.  The horizon is long
+    enough for estimator inputs to steer forwarding (the lockfile's 200 s
+    cells are not)."""
+    config = make_scenario("bench", {"protocol": protocol,
+                                     "sim_time": 2_000.0})
+    assert canonical_report_bytes(run_report(config)) \
+        == canonical_report_bytes(run_report(config, reference=True))

@@ -14,11 +14,13 @@ The store's contract has three load-bearing pieces, each pinned here:
 """
 
 import json
+import sqlite3
 import threading
 
 import pytest
 
 from repro.checkpoint import save_checkpoint_bytes
+from repro.experiments.catalog import make_scenario
 from repro.experiments.runner import run_averaged, run_scenario
 from repro.experiments.scenario import ScenarioConfig
 from repro.experiments.sweep import sweep
@@ -42,7 +44,7 @@ def test_config_hash_stable_across_explicit_defaults():
     base = tiny_config()
     defaults = ScenarioConfig()
     explicit = base.with_overrides(min_speed=defaults.min_speed,
-                                   detector=defaults.detector)
+                                   keep_records=defaults.keep_records)
     assert base.config_hash() == explicit.config_hash()
 
 
@@ -108,6 +110,26 @@ def test_store_round_trip_and_provenance(tmp_path):
         assert row["repro_version"]
         assert row["created_utc"]
         assert store.keys() == [config.identity_key()]
+
+
+def test_detected_community_rows_are_byte_reproducible(tmp_path):
+    """CR's online detection records its wall-clock compute time on the
+    report; the stored row must not carry it, or two runs of the same cell
+    would store different bytes."""
+    config = make_scenario("community-detect",
+                           {"protocol": "cr-newman", "sim_time": 600.0})
+    stored = []
+    for run in range(2):
+        report = run_scenario(config)
+        assert report.community_detections > 0
+        path = tmp_path / f"run{run}.sqlite"
+        with open_store(str(path)) as store:
+            assert store.put(config, report)
+        with sqlite3.connect(str(path)) as connection:
+            (row,), = connection.execute("SELECT report_json FROM results")
+        stored.append(row)
+    assert stored[0] == stored[1]
+    assert "community_detection_seconds" not in json.loads(stored[0])
 
 
 def test_store_append_only_first_write_wins(tmp_path):

@@ -1,15 +1,13 @@
-"""Unit tests for connectivity detection (all three implementations)."""
+"""Unit tests for connectivity detection (the k-d tree and its brute-force
+specification; the sharded detector has its own module)."""
 
 import numpy as np
 import pytest
 
-from repro.world.connectivity import (
-    BruteForceConnectivity,
-    GridConnectivity,
-    KDTreeConnectivity,
-)
+from repro.testing.reference import BruteForceConnectivity
+from repro.world.connectivity import KDTreeConnectivity
 
-DETECTORS = [BruteForceConnectivity(), KDTreeConnectivity(), GridConnectivity()]
+DETECTORS = [BruteForceConnectivity(), KDTreeConnectivity()]
 
 
 @pytest.mark.parametrize("detector", DETECTORS, ids=lambda d: type(d).__name__)
@@ -41,7 +39,7 @@ def test_empty_and_single_node(detector):
     assert detector.find_pairs(np.array([[1.0, 1.0]]), np.array([10.0])) == set()
 
 
-@pytest.mark.parametrize("detector", [KDTreeConnectivity(), GridConnectivity()],
+@pytest.mark.parametrize("detector", [KDTreeConnectivity()],
                          ids=lambda d: type(d).__name__)
 def test_matches_brute_force_on_random_layouts(detector):
     rng = np.random.default_rng(12)
@@ -54,7 +52,7 @@ def test_matches_brute_force_on_random_layouts(detector):
             reference.find_pairs(positions, ranges)
 
 
-@pytest.mark.parametrize("detector", [KDTreeConnectivity(), GridConnectivity()],
+@pytest.mark.parametrize("detector", [KDTreeConnectivity()],
                          ids=lambda d: type(d).__name__)
 def test_matches_brute_force_with_heterogeneous_ranges(detector):
     rng = np.random.default_rng(3)

@@ -1,7 +1,7 @@
 """Stateful-detector and position-store coverage for the vectorized world core.
 
-The detectors carry acceleration structures across ticks (k-d tree snapshot,
-grid buckets); these tests drive one detector *instance* through many ticks
+The detectors carry acceleration structures across ticks (the k-d tree
+snapshot); these tests drive one detector *instance* through many ticks
 of moving nodes and cross-check every tick against a fresh brute-force
 detection, with non-uniform ranges and changing node counts.
 """
@@ -12,17 +12,14 @@ import pytest
 from repro.mobility.stationary import StationaryMovement
 from repro.routing.direct import DirectDeliveryRouter
 from repro.sim.engine import Simulator
-from repro.world.connectivity import (
-    BruteForceConnectivity,
-    GridConnectivity,
-    KDTreeConnectivity,
-)
+from repro.testing.reference import BruteForceConnectivity
+from repro.world.connectivity import KDTreeConnectivity
 from repro.world.interface import Interface
 from repro.world.node import DTNNode
 from repro.world.positions import PositionStore
 from repro.world.world import World
 
-STATEFUL = [KDTreeConnectivity, GridConnectivity, BruteForceConnectivity]
+STATEFUL = [KDTreeConnectivity, BruteForceConnectivity]
 
 
 def reference_pairs(positions, ranges):

@@ -16,7 +16,7 @@ simulation outcomes; these tests pin
   tick, and an in-flight transfer picked up from a snapshot completes
   exactly as it would have uninterrupted,
 * end-to-end byte-identity of full scenario reports between the production
-  world (including the process-pool sharded detector) and the reference,
+  world and the reference,
 * the decoded link keys being plain Python ints (``np.int64`` leakage
   regression),
 * batch contact-stat recording matching the per-event calls, and
@@ -30,6 +30,7 @@ import numpy as np
 import pytest
 
 from repro.checkpoint import load_checkpoint_bytes, save_checkpoint_bytes
+from repro.experiments.builder import build_scenario
 from repro.experiments.catalog import make_scenario
 from repro.experiments.scenario import ScenarioConfig
 from repro.metrics.collector import StatsCollector
@@ -294,17 +295,9 @@ def test_flat_tick_report_byte_identical_to_historical_reference():
     contacts recur along fixed lines and spray-and-wait's per-contact gates
     exercise the gated tier of the routers sweep."""
     overrides = dict(mobility="bus", protocol="spray-and-wait",
-                     sim_time=600.0, record_mode="columnar")
+                     sim_time=600.0)
     assert full_run_payload(**overrides) \
         == full_run_payload(reference=True, **overrides)
-
-
-def test_process_pool_report_byte_identical_to_serial_reference():
-    """Acceptance pin: process-pool sharded world == serial reference."""
-    serial = full_run_payload(detector="kdtree", reference=True)
-    process = full_run_payload(detector="sharded", world_workers=2,
-                               world_workers_mode="process")
-    assert serial == process
 
 
 # --------------------------------------------------------- decoded link keys
@@ -335,11 +328,11 @@ def test_world_connection_keys_are_plain_ints_end_to_end():
 
 
 # ------------------------------------------------------- batch contact stats
-@pytest.mark.parametrize("mode", ["off", "lists", "columnar"])
+@pytest.mark.parametrize("mode", ["off", "columnar"])
 def test_contact_batches_match_per_event_calls(mode):
     ups = [(0, 1), (0, 2), (1, 3)]
-    per_event = StatsCollector(mode=mode)
-    batched = StatsCollector(mode=mode)
+    per_event = StatsCollector(keep_records=mode != "off")
+    batched = StatsCollector(keep_records=mode != "off")
     for key in ups:
         per_event.contact_up(*key, 10.0)
     batched.contact_up_batch(ups, 10.0)
@@ -394,23 +387,21 @@ def test_historical_tick_allocates_fresh_connections():
 
 # ------------------------------------------------------------- config guards
 def test_retired_tick_mode_fields_are_rejected():
-    # one production tick: the old mode switches are unknown fields, on the
+    # one production path per layer: the old tick-mode switches and the
+    # detector / worker / record-store choices are unknown fields, on the
     # constructor and on the --set override path alike
-    for field in ("batch_movement", "router_skiplist", "flat_tick",
-                  "router_soa", "transfer_engine"):
+    retired = {"batch_movement": False, "router_skiplist": False,
+               "flat_tick": False, "router_soa": False,
+               "transfer_engine": False, "detector": "kdtree",
+               "rebuild_margin": 0.25, "world_workers": 1,
+               "world_workers_mode": "thread", "record_mode": "columnar"}
+    for field, value in retired.items():
         with pytest.raises(TypeError, match="unexpected keyword"):
-            ScenarioConfig(name="x", **{field: False})
+            ScenarioConfig(name="x", **{field: value})
         with pytest.raises(TypeError, match="unexpected keyword"):
-            make_scenario("bench", {field: False})
-
-
-def test_world_workers_mode_validation():
-    with pytest.raises(ValueError):
-        ScenarioConfig(name="x", world_workers_mode="fibers")
-    with pytest.raises(ValueError):
-        # the process pool only exists behind the sharded detector
-        ScenarioConfig(name="x", world_workers_mode="process",
-                       detector="kdtree")
-    config = ScenarioConfig(name="x", world_workers_mode="process",
-                            detector="sharded", world_workers=2)
-    assert config.world_workers_mode == "process"
+            make_scenario("bench", {field: value})
+    # nor does any router parameter select an implementation
+    config = make_scenario("bench", {"router.reference_impl": True,
+                                     "num_nodes": 4, "sim_time": 5.0})
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        build_scenario(config)

@@ -15,22 +15,22 @@ from-scratch detection would.  These tests pin that
   tree on the reference tick (per-follower movement included).
 """
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.builder import build_detector, build_scenario
-from repro.experiments.catalog import make_scenario
-from repro.experiments.scenario import ScenarioConfig
-from repro.testing import run_report
-from repro.world.connectivity import (
-    BruteForceConnectivity,
-    GridConnectivity,
-    KDTreeConnectivity,
+from repro.experiments.builder import (
+    SHARDED_MIN_NODES,
+    build_detector,
+    build_scenario,
 )
+from repro.experiments.catalog import make_scenario
+from repro.experiments.runner import finalize_report
+from repro.experiments.scenario import ScenarioConfig
+from repro.testing import canonical_report_bytes, run_report
+from repro.testing.reference import BruteForceConnectivity
+from repro.world.connectivity import KDTreeConnectivity
 from repro.world.sharded import ShardedConnectivity, default_worker_count
 
 
@@ -179,53 +179,38 @@ def test_find_pairs_legacy_api():
 
 # ----------------------------------------------------------- builder / config
 def test_build_detector_resolves_every_choice():
-    base = ScenarioConfig.bench_scale()
-    assert isinstance(build_detector(base), KDTreeConnectivity)
-    assert isinstance(
-        build_detector(base.with_overrides(detector="grid")), GridConnectivity)
-    assert isinstance(
-        build_detector(base.with_overrides(detector="brute")),
-        BruteForceConnectivity)
-    sharded = build_detector(base.with_overrides(
-        detector="sharded", world_workers=3, rebuild_margin=0.75))
-    assert isinstance(sharded, ShardedConnectivity)
-    assert sharded.workers == 3
-    assert sharded.rebuild_margin == 0.75
-    kdtree = build_detector(base.with_overrides(rebuild_margin=0.1))
-    assert kdtree.rebuild_margin == 0.1
-
-
-def test_scenario_config_validates_world_fields():
-    with pytest.raises(ValueError):
-        ScenarioConfig.bench_scale(detector="voronoi")
-    with pytest.raises(ValueError):
-        ScenarioConfig.bench_scale(rebuild_margin=-1.0)
-    with pytest.raises(ValueError):
-        ScenarioConfig.bench_scale(world_workers=0)
-    # zero slack is legal for kdtree (rebuild every tick) but rejected at
-    # config time for sharded, where it would defeat the candidate cache
-    assert ScenarioConfig.bench_scale(rebuild_margin=0.0).rebuild_margin == 0.0
-    with pytest.raises(ValueError):
-        ScenarioConfig.bench_scale(detector="sharded", rebuild_margin=0.0)
+    # the world size picks the detector: the k-d tree below the threshold,
+    # the thread-pool sharded detector (workers autodetected) at or above it
+    small = ScenarioConfig.bench_scale(num_nodes=SHARDED_MIN_NODES - 1)
+    assert type(build_detector(small)) is KDTreeConnectivity
+    sharded = build_detector(small.with_overrides(num_nodes=SHARDED_MIN_NODES))
+    assert type(sharded) is ShardedConnectivity
+    assert sharded.workers == default_worker_count()
+    sharded.close()
 
 
 def test_catalog_exposes_non_default_detectors():
-    assert make_scenario("rwp-10k").detector == "sharded"
-    assert make_scenario("bench-grid").detector == "grid"
-    # CLI-style --set override path
-    config = make_scenario("bench", {"detector": "sharded",
-                                     "world_workers": 2,
-                                     "rebuild_margin": 0.4})
-    assert config.detector == "sharded"
-    assert config.world_workers == 2
-    assert config.rebuild_margin == 0.4
+    # the catalogued 10k- and 100k-node worlds get the sharded detector
+    # from their size alone
+    for name in ("rwp-10k", "rwp-10k-traffic", "rwp-100k"):
+        detector = build_detector(make_scenario(name))
+        assert type(detector) is ShardedConnectivity
+        detector.close()
+    assert type(build_detector(make_scenario("bench"))) is KDTreeConnectivity
+
+
+def build_sharded(config):
+    """*config* on the production world, its detector swapped for a
+    two-worker sharded one (a world this small would get the k-d tree)."""
+    built = build_scenario(config)
+    built.world.detector = ShardedConnectivity(workers=2)
+    return built
 
 
 def test_world_stop_closes_sharded_pool():
     config = make_scenario("bench", {
-        "mobility": "random_waypoint", "num_nodes": 10, "sim_time": 30.0,
-        "detector": "sharded", "world_workers": 2})
-    built = build_scenario(config)
+        "mobility": "random_waypoint", "num_nodes": 10, "sim_time": 30.0})
+    built = build_sharded(config)
     built.run()
     detector = built.world.detector
     # force pool creation even if the tiny run stayed single-strip
@@ -235,23 +220,16 @@ def test_world_stop_closes_sharded_pool():
 
 
 # ------------------------------------------------------- full-scenario pinning
-def full_run_payload(*, reference=False, **overrides):
-    config = make_scenario("bench", {
-        "mobility": "random_waypoint", "protocol": "epidemic",
-        "num_nodes": 50, "sim_time": 500.0, "name": "sharded-pin",
-        **overrides})
-    report = run_report(config, reference=reference)
-    return json.dumps(report.as_dict(), sort_keys=True)
-
-
 def test_sharded_scenario_report_byte_identical_to_serial_reference():
     """Acceptance pin: sharded production world == serial reference."""
-    serial = full_run_payload(detector="kdtree", reference=True)
-    sharded = full_run_payload(detector="sharded", world_workers=2)
+    config = make_scenario("bench", {
+        "mobility": "random_waypoint", "protocol": "epidemic",
+        "num_nodes": 50, "sim_time": 500.0, "name": "sharded-pin"})
+    built = build_sharded(config)
+    try:
+        built.run()
+    finally:
+        built.world.stop()
+    sharded = canonical_report_bytes(finalize_report(built.stats, config))
+    serial = canonical_report_bytes(run_report(config, reference=True))
     assert serial == sharded
-
-
-def test_grid_scenario_report_byte_identical_to_serial_reference():
-    serial = full_run_payload(detector="kdtree", reference=True)
-    grid = full_run_payload(detector="grid")
-    assert serial == grid
