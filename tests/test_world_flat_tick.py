@@ -388,13 +388,11 @@ def test_historical_tick_allocates_fresh_connections():
 # ------------------------------------------------------------- config guards
 def test_retired_tick_mode_fields_are_rejected():
     # one production path per layer: the old tick-mode switches and the
-    # detector / worker / record-store choices are unknown fields, on the
-    # constructor and on the --set override path alike
+    # record-store choice are unknown fields, on the constructor and on the
+    # --set override path alike
     retired = {"batch_movement": False, "router_skiplist": False,
                "flat_tick": False, "router_soa": False,
-               "transfer_engine": False, "detector": "kdtree",
-               "rebuild_margin": 0.25, "world_workers": 1,
-               "world_workers_mode": "thread", "record_mode": "columnar"}
+               "transfer_engine": False, "record_mode": "columnar"}
     for field, value in retired.items():
         with pytest.raises(TypeError, match="unexpected keyword"):
             ScenarioConfig(name="x", **{field: value})
@@ -405,3 +403,16 @@ def test_retired_tick_mode_fields_are_rejected():
                                      "num_nodes": 4, "sim_time": 5.0})
     with pytest.raises(TypeError, match="unexpected keyword"):
         build_scenario(config)
+
+
+def test_world_workers_mode_validation():
+    # the sharded detector runs one thread pool, so there is no worker mode
+    # (nor worker count) to choose: both are unknown fields, on the
+    # constructor and on the --set override path alike
+    for field, value in (("world_workers_mode", "process"),
+                         ("world_workers_mode", "thread"),
+                         ("world_workers", 2)):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            ScenarioConfig(name="x", **{field: value})
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            make_scenario("bench", {field: value})

@@ -63,6 +63,26 @@ def test_constructor_validation():
     assert ShardedConnectivity(workers=3).workers == 3
 
 
+
+def test_scenario_config_validates_world_fields():
+    with pytest.raises(ValueError):
+        ScenarioConfig.bench_scale(num_nodes=1)
+    with pytest.raises(ValueError):
+        ScenarioConfig.bench_scale(update_interval=0.0)
+    # the detector and its slack follow from the world size, so neither is
+    # a scenario field any more
+    for field, value in (("detector", "sharded"), ("rebuild_margin", 0.5)):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            ScenarioConfig.bench_scale(**{field: value})
+    # the slack rules live on the detectors: zero slack is legal for the
+    # k-d tree (rebuild every tick) but rejected for sharded, where it
+    # would defeat the candidate cache
+    assert KDTreeConnectivity(rebuild_margin=0.0).rebuild_margin == 0.0
+    with pytest.raises(ValueError):
+        KDTreeConnectivity(rebuild_margin=-1.0)
+    with pytest.raises(ValueError):
+        ShardedConnectivity(rebuild_margin=0.0)
+
 def test_degenerate_inputs_reset():
     detector = ShardedConnectivity()
     empty = detector.update(np.empty((0, 2)), np.empty(0))
