@@ -6,7 +6,8 @@ Drives the resume-equality contract at the scale tentpole: run the
 a checkpoint at the cut point, resume that snapshot in a *fresh interpreter*
 (the cross-process restore users actually rely on), and require the resumed
 canonical report bytes to equal the straight run's.  Writes a JSON artifact
-with the snapshot size and the equality verdict; exits non-zero on mismatch.
+with the snapshot size, the save and restore times and the equality
+verdict; exits non-zero on mismatch.
 
 Usage (CI)::
 
@@ -14,7 +15,8 @@ Usage (CI)::
         --checkpoint-at 8 --output checkpoint_smoke.json
 
 The ``--resume-report`` mode is the internal child entry point: it loads the
-snapshot, runs it to the horizon and prints the canonical report bytes.
+snapshot, runs it to the horizon and prints one JSON object holding the
+restore time and the canonical report.
 """
 
 import argparse
@@ -41,7 +43,9 @@ def resume_report(args) -> int:
     """Child mode: restore the snapshot, finish the run, print the report."""
     from repro.checkpoint import load_checkpoint
 
+    started = time.perf_counter()
     restored = load_checkpoint(args.resume_report)
+    restore_seconds = time.perf_counter() - started
     world = restored.world
     try:
         world.simulator.run(until=restored.config.sim_time)
@@ -49,7 +53,8 @@ def resume_report(args) -> int:
             finalize_report(world.stats, restored.config))
     finally:
         world.stop()
-    sys.stdout.write(payload.decode("utf-8"))
+    sys.stdout.write(json.dumps({"restore_seconds": restore_seconds,
+                                 "report": payload.decode("utf-8")}))
     return 0
 
 
@@ -77,10 +82,11 @@ def main(argv=None) -> int:
           flush=True)
     snapshot_path = Path(args.output).resolve().parent / "smoke.ckpt"
     built = build_scenario(config)
-    started = time.perf_counter()
     try:
         built.simulator.run(until=args.checkpoint_at)
+        started = time.perf_counter()
         built.world.save_checkpoint(str(snapshot_path), config=config)
+        save_seconds = time.perf_counter() - started
     finally:
         built.world.stop()
     snapshot_bytes = snapshot_path.stat().st_size
@@ -97,7 +103,8 @@ def main(argv=None) -> int:
         print(child.stderr, file=sys.stderr)
         print("[smoke] FAIL: resume process crashed", file=sys.stderr)
         return 1
-    resumed = child.stdout.encode("utf-8")
+    child_result = json.loads(child.stdout)
+    resumed = child_result["report"].encode("utf-8")
 
     equal = resumed == straight
     artifact = {
@@ -108,6 +115,8 @@ def main(argv=None) -> int:
         "seed": config.seed,
         "snapshot_bytes": snapshot_bytes,
         "straight_run_seconds": round(straight_seconds, 3),
+        "save_seconds": round(save_seconds, 3),
+        "restore_seconds": round(child_result["restore_seconds"], 3),
         "fresh_process_resume_seconds": round(resume_seconds, 3),
         "resume_equal": equal,
     }

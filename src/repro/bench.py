@@ -307,6 +307,8 @@ def _best_of_runs(config, repeats: int, reference: bool):
     seconds = float("inf")
     best_phases: Dict[str, float] = {}
     for _ in range(repeats):
+        # let go of the previous world first, so the build can free it
+        built = None
         built = build_scenario(config, reference=reference)
         start = time.perf_counter()
         built.run()

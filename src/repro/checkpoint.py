@@ -43,6 +43,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.sim._collector import collector_paused
 from repro.version import __version__
 
 __all__ = [
@@ -213,10 +214,15 @@ def encode_state(root: Any) -> Tuple[bytes, List[np.ndarray]]:
 
 
 def decode_state(data: bytes, arrays: List[np.ndarray]) -> Any:
-    """Inverse of :func:`encode_state`; raises :exc:`CheckpointError`."""
+    """Inverse of :func:`encode_state`; raises :exc:`CheckpointError`.
+
+    Unpickling allocates only the restored world's long-lived graph, so it
+    runs with the cyclic garbage collector paused.
+    """
     try:
-        return _call_with_deep_stack(
-            lambda: _StateUnpickler(io.BytesIO(data), arrays).load())
+        with collector_paused():
+            return _call_with_deep_stack(
+                lambda: _StateUnpickler(io.BytesIO(data), arrays).load())
     except CheckpointError:
         raise
     except Exception as error:

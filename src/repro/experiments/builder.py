@@ -18,6 +18,7 @@ from repro.mobility.shortest_path import ShortestPathMapBasedMovement
 from repro.mobility.stationary import StationaryMovement
 from repro.net.generators import MessageEventGenerator, TrafficSpec
 from repro.routing.registry import create_router
+from repro.sim._collector import collector_paused
 from repro.sim.engine import Simulator
 from repro.traces.contact_trace import ContactTrace
 from repro.traces.generators import generate_trace
@@ -228,7 +229,15 @@ def build_scenario(config: ScenarioConfig, *,
     of the tick and the knowledge layer, for tests and benchmark baselines,
     imported only when requested).  It is not part of the scenario's
     identity: both worlds produce byte-identical reports.
+
+    Construction allocates only objects that live for the whole run, so it
+    runs with the cyclic garbage collector paused.
     """
+    with collector_paused():
+        return _assemble(config, reference)
+
+
+def _assemble(config: ScenarioConfig, reference: bool) -> BuiltScenario:
     simulator = Simulator(seed=config.seed, end_time=config.sim_time)
     stats = StatsCollector(keep_records=config.keep_records)
 
@@ -270,6 +279,7 @@ def build_scenario(config: ScenarioConfig, *,
     interface = Interface(transmit_range=config.transmit_range,
                           transmit_speed=config.transmit_speed)
     router_params = dict(config.router_params)
+    nodes: List[DTNNode] = []
     for node_id in range(config.num_nodes):
         movement = movements[node_id]
         node_rng = simulator.random.python(f"mobility-{node_id}")
@@ -283,7 +293,8 @@ def build_scenario(config: ScenarioConfig, *,
         )
         router = create_router(config.protocol, **router_params)
         router.attach(node, world)
-        world.add_node(node)
+        nodes.append(node)
+    world.add_nodes(nodes)
 
     spec = TrafficSpec(
         interval=config.message_interval,

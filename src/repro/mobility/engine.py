@@ -94,14 +94,24 @@ class MovementEngine:
     # ------------------------------------------------------------ registration
     def register(self, follower: PathFollower) -> int:
         """Add *follower* (its position row is the returned slot index)."""
-        slot = len(self._followers)
-        self._followers.append(follower)
-        batchable = (self.batch_enabled
-                     and follower.model.supports_batch_advance)
-        self._batchable.append(batchable)
-        if batchable:
-            follower.attach_engine(self, slot)
-        return slot
+        return self.register_many([follower])
+
+    def register_many(self, followers: List[PathFollower]) -> int:
+        """Add *followers* in order (slot = position row); returns the first.
+
+        The state arrays are sized to the new follower count once, at the
+        next :meth:`advance`.
+        """
+        start = len(self._followers)
+        self._followers.extend(followers)
+        enabled = self.batch_enabled
+        batchable = self._batchable
+        for slot, follower in enumerate(followers, start):
+            fast = enabled and follower.model.supports_batch_advance
+            batchable.append(fast)
+            if fast:
+                follower.attach_engine(self, slot)
+        return start
 
     @property
     def num_followers(self) -> int:

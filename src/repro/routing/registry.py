@@ -100,6 +100,20 @@ def available_routers() -> list:
     return sorted(set(_BUILTIN) | set(ROUTER_REGISTRY))
 
 
+#: built-in "module:ClassName" specs already imported -> their class
+_RESOLVED: Dict[str, type] = {}
+
+
+def _resolve(spec: str) -> type:
+    """Import the class named by a built-in *spec* once, then reuse it."""
+    cls = _RESOLVED.get(spec)
+    if cls is None:
+        module_name, _, class_name = spec.partition(":")
+        cls = getattr(importlib.import_module(module_name), class_name)
+        _RESOLVED[spec] = cls
+    return cls
+
+
 def create_router(name: str, **params) -> Router:
     """Instantiate the router registered under *name* with *params*.
 
@@ -114,9 +128,7 @@ def create_router(name: str, **params) -> Router:
     if spec is None:
         raise KeyError(
             f"unknown router {name!r}; known: {', '.join(available_routers())}")
-    module_name, _, class_name = spec.partition(":")
-    module = importlib.import_module(module_name)
-    cls = getattr(module, class_name)
+    cls = _resolve(spec)
     defaults = _BUILTIN_DEFAULTS.get(name)
     if defaults:
         params = {**defaults, **params}

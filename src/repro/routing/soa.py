@@ -69,6 +69,13 @@ __all__ = ["RouterStateStore"]
 _INITIAL_CAPACITY = 64
 
 
+def _router_flags(router) -> Tuple[bool, bool, bool]:
+    """The router-derived columns: skip safety, batchability, gating."""
+    return (bool(router.idle_skip_safe),
+            bool(getattr(router, "supports_batch_update", False)),
+            bool(getattr(router, "batch_update_gated", False)))
+
+
 class RouterStateStore:
     """Columnar per-router state driving the vectorized routers phase.
 
@@ -108,8 +115,9 @@ class RouterStateStore:
         return len(self._nodes)
 
     # ---------------------------------------------------------- registration
-    def _grow(self) -> None:
-        capacity = max(2 * len(self._count), _INITIAL_CAPACITY)
+    def _grow(self, rows: int) -> None:
+        """Make every column hold at least *rows* rows (at least doubling)."""
+        capacity = max(rows, 2 * len(self._count), _INITIAL_CAPACITY)
         for name in ("_count", "_occupancy", "_expiry", "_conns",
                      "_idle_safe", "_batchable", "_gated", "_fresh"):
             old = getattr(self, name)
@@ -122,41 +130,59 @@ class RouterStateStore:
             setattr(self, name, grown)
 
     def register(self, node: "DTNNode") -> int:
-        """Add *node* as the next row; bind its buffer's dirty-mark mirror."""
-        node_id = node.node_id
-        if node_id in self._row:
-            raise ValueError(f"node {node_id} is already registered")
-        row = len(self._nodes)
-        if row == len(self._count):
-            self._grow()
-        self._nodes.append(node)
-        self._row[node_id] = row
-        buffer = node.buffer
-        buffer._mirror_store = self
-        buffer._mirror_row = row
-        stored = len(buffer)
-        self._count[row] = stored
-        self._occupancy[row] = buffer.occupancy
-        self._expiry[row] = buffer.next_expiry() if stored else np.inf
-        self._conns[row] = len(node.connections)
-        self._refresh_router(row, node.router)
-        return row
+        """Add *node* as the next row; returns its row index."""
+        return self.register_many([node])
+
+    def register_many(self, nodes: List["DTNNode"]) -> int:
+        """Add *nodes* as the next rows, in order; returns the first row.
+
+        Binds each buffer's dirty-mark mirror and fills every column with
+        one slice assignment; the columns grow at most once.
+        """
+        row_of = self._row
+        start = len(self._nodes)
+        end = start + len(nodes)
+        ids = {node.node_id for node in nodes}
+        if len(ids) != len(nodes) or not ids.isdisjoint(row_of):
+            raise ValueError("a node is registered twice")
+        if end > len(self._count):
+            self._grow(end)
+        buffers = []
+        flags = []
+        for row, node in enumerate(nodes, start):
+            row_of[node.node_id] = row
+            buffer = node.buffer
+            buffer._mirror_store = self
+            buffer._mirror_row = row
+            stored = len(buffer)
+            buffers.append((stored, buffer.occupancy,
+                            buffer.next_expiry() if stored else np.inf,
+                            len(node.connections)))
+            flags.append(_router_flags(node.router))
+        self._nodes.extend(nodes)
+        if nodes:
+            rows = slice(start, end)
+            (self._count[rows], self._occupancy[rows], self._expiry[rows],
+             self._conns[rows]) = zip(*buffers)
+            (self._idle_safe[rows], self._batchable[rows],
+             self._gated[rows]) = zip(*flags)
+            self._fresh[rows] = True
+        return start
 
     def _refresh_router(self, row: int, router) -> None:
-        self._idle_safe[row] = bool(router.idle_skip_safe)
-        self._batchable[row] = bool(
-            getattr(router, "supports_batch_update", False))
-        self._gated[row] = bool(getattr(router, "batch_update_gated", False))
+        (self._idle_safe[row], self._batchable[row],
+         self._gated[row]) = _router_flags(router)
         self._fresh[row] = True
 
     def rebind(self, node: "DTNNode") -> None:
         """Refresh router-derived columns after a router (re)attach.
 
         No-op for unregistered nodes: the scenario builders attach routers
-        *before* ``World.add_node`` registers the row.
+        *before* ``World.add_nodes`` registers the row, and an unregistered
+        node that reuses a registered id must not touch that node's row.
         """
         row = self._row.get(node.node_id)
-        if row is not None:
+        if row is not None and self._nodes[row] is node:
             self._refresh_router(row, node.router)
 
     # -------------------------------------------------------------- sync seams

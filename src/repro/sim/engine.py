@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
+from repro.sim._collector import heap_frozen
 from repro.sim.events import CallbackEvent, Event, EventQueue
 from repro.sim.rng import RandomStreams
 
@@ -117,22 +118,25 @@ class Simulator:
             raise SimulationError(f"horizon {horizon} is before current time {self._now}")
         self._running = True
         self._stopped = False
-        try:
-            while self.queue and not self._stopped:
-                next_time = self.queue.peek_time()
-                if next_time is None or next_time > horizon:
-                    break
-                event = self.queue.pop()
-                self._now = event.time
-                event.fire(self)
-                self.fired_events += 1
-            self._now = max(self._now, min(horizon, self.end_time)
-                            if horizon != float("inf") else self._now)
-        finally:
-            self._running = False
-        for hook in self._finish_hooks:
-            hook(self)
-        self._finish_hooks.clear()
+        # everything alive now (the built world) outlives the run: keep the
+        # cyclic collector from re-scanning it on every collection
+        with heap_frozen():
+            try:
+                while self.queue and not self._stopped:
+                    next_time = self.queue.peek_time()
+                    if next_time is None or next_time > horizon:
+                        break
+                    event = self.queue.pop()
+                    self._now = event.time
+                    event.fire(self)
+                    self.fired_events += 1
+                self._now = max(self._now, min(horizon, self.end_time)
+                                if horizon != float("inf") else self._now)
+            finally:
+                self._running = False
+            for hook in self._finish_hooks:
+                hook(self)
+            self._finish_hooks.clear()
         return self._now
 
     def step(self) -> bool:

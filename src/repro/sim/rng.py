@@ -15,6 +15,20 @@ from typing import Dict
 import numpy as np
 
 
+#: FNV-1a offset basis of the stream-key hash
+_FNV_OFFSET = 1469598103934665603
+
+
+def _fnv1a(h: int, data: bytes) -> int:
+    """Continue the stream-key hash (FNV-1a, folded to 63 bits) from *h*."""
+    for byte in data:
+        h ^= byte
+        # literal constants: a global lookup per byte costs more than the
+        # hashing itself
+        h = (h * 1099511628211) & 0x7FFFFFFFFFFFFFFF
+    return h
+
+
 class RandomStreams:
     """A family of independent random generators derived from one seed.
 
@@ -30,6 +44,18 @@ class RandomStreams:
         self._seed = int(seed)
         self._numpy_streams: Dict[str, np.random.Generator] = {}
         self._python_streams: Dict[str, random.Random] = {}
+        self._prefix_hash = _fnv1a(_FNV_OFFSET, f"{self._seed}:".encode())
+
+    def __getstate__(self) -> dict:
+        # the prefix hash is derived from the seed: keep it out of
+        # checkpoints so the pickled layout is just the seed and the streams
+        state = self.__dict__.copy()
+        del state["_prefix_hash"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._prefix_hash = _fnv1a(_FNV_OFFSET, f"{self._seed}:".encode())
 
     @property
     def seed(self) -> int:
@@ -37,13 +63,10 @@ class RandomStreams:
         return self._seed
 
     def _derive(self, name: str) -> int:
-        # Stable 63-bit hash of (seed, name); Python's hash() is salted per
-        # process so it cannot be used here.
-        h = 1469598103934665603
-        for byte in f"{self._seed}:{name}".encode():
-            h ^= byte
-            h = (h * 1099511628211) & 0x7FFFFFFFFFFFFFFF
-        return h
+        # Stable 63-bit hash of f"{seed}:{name}"; Python's hash() is salted
+        # per process so it cannot be used here.  The seed prefix is hashed
+        # once per instance and the loop continues from it over the name.
+        return _fnv1a(self._prefix_hash, name.encode())
 
     def numpy(self, name: str) -> np.random.Generator:
         """Return the NumPy generator for stream *name* (created on demand)."""

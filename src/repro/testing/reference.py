@@ -35,7 +35,7 @@ the reference is the baseline of the world-tick and ``scenario_eer`` pairs
 in ``repro bench``.
 
 The production world's columnar stores are still constructed and
-``add_node`` still registers every node in them, but the reference tick
+``add_nodes`` still registers every node in them, but the reference tick
 never reads them: nothing here depends on their bookkeeping being right.
 
 The module also holds the naive twins of single production components,
@@ -48,7 +48,8 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple
+from typing import (Callable, Deque, Dict, Iterable, Iterator, List, Optional,
+                    Tuple)
 
 import numpy as np
 
@@ -79,14 +80,15 @@ class ReferenceTick:
         # no node is registered yet, so swapping the engine is safe
         self.movement = MovementEngine(self._positions, batch=False)
 
-    def add_node(self, node: DTNNode) -> DTNNode:
-        super().add_node(node)  # type: ignore[misc]
-        router = node.router
-        if isinstance(router, ContactAwareRouter):
-            # attached but not yet run: the history is still empty
-            router.history = ContactHistoryReference(router.node_id,
-                                                     router.window_size)
-        return node
+    def add_nodes(self, nodes: Iterable[DTNNode]) -> List[DTNNode]:
+        nodes = super().add_nodes(nodes)  # type: ignore[misc]
+        for node in nodes:
+            router = node.router
+            if isinstance(router, ContactAwareRouter):
+                # attached but not yet run: the history is still empty
+                router.history = ContactHistoryReference(router.node_id,
+                                                         router.window_size)
+        return nodes
 
     def _apply_link_changes(self, down_keys: List[Tuple[int, int]],
                             up_keys: List[Tuple[int, int]],

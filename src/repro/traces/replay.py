@@ -152,6 +152,7 @@ def build_trace_world(trace: ContactTrace, protocol: str = "epidemic",
             f"num_nodes={count} is too small for trace node id {highest}")
     interface = Interface(transmit_range=transmit_range, transmit_speed=transmit_speed)
     params = dict(router_params or {})
+    nodes = []
     for node_id in range(count):
         movement = StationaryMovement((float(node_id), 0.0))
         node = DTNNode(
@@ -164,5 +165,6 @@ def build_trace_world(trace: ContactTrace, protocol: str = "epidemic",
         )
         router = create_router(protocol, **params)
         router.attach(node, world)
-        world.add_node(node)
+        nodes.append(node)
+    world.add_nodes(nodes)
     return simulator, world

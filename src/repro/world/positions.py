@@ -9,10 +9,11 @@ so :meth:`PositionStore.view` is the current position matrix with zero
 per-tick work.
 
 Rows are handed out in registration order and never move.  The backing
-array grows by doubling when full; growing reallocates, which invalidates
-previously handed-out row views — the world (the only writer that adds
-rows) re-binds every follower after a growth event, see
-:meth:`~repro.world.world.World.add_node`.
+array grows at most once per :meth:`PositionStore.allocate` call (to at
+least double its capacity); growing reallocates, which invalidates previously
+handed-out row views — the world (the only writer that adds rows) re-binds
+every follower after a growth event, see
+:meth:`~repro.world.world.World.add_nodes`.
 """
 
 from __future__ import annotations
@@ -45,19 +46,28 @@ class PositionStore:
         return self._data
 
     def add(self, position) -> int:
-        """Append *position* and return its row index.
-
-        May reallocate the backing array; compare :attr:`data` identity
-        before/after to detect growth and re-bind outstanding row views.
-        """
-        if self._count == self._data.shape[0]:
-            grown = np.zeros((self._data.shape[0] * 2, 2), dtype=float)
-            grown[:self._count] = self._data[:self._count]
-            self._data = grown
-        index = self._count
+        """Append *position* and return its row index (see :meth:`allocate`)."""
+        index = self.allocate(1)
         self._data[index] = np.asarray(position, dtype=float)
-        self._count += 1
         return index
+
+    def allocate(self, count: int) -> int:
+        """Append *count* rows for the caller to fill; returns the first index.
+
+        Grows the backing array at most once, to at least twice its
+        capacity, so repeated one-row appends stay amortised O(1).  Growth
+        reallocates; compare :attr:`data` identity before/after to detect it
+        and re-bind outstanding row views.
+        """
+        start = self._count
+        end = start + count
+        capacity = self._data.shape[0]
+        if end > capacity:
+            grown = np.zeros((max(end, 2 * capacity), 2), dtype=float)
+            grown[:start] = self._data[:start]
+            self._data = grown
+        self._count = end
+        return start
 
     def row(self, index: int) -> np.ndarray:
         """Writable ``(2,)`` view of one node's position."""

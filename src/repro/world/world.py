@@ -33,7 +33,7 @@ All statistics flow through a single :class:`~repro.metrics.collector.StatsColle
 from __future__ import annotations
 
 from time import perf_counter as _perf_counter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -177,33 +177,52 @@ class World:
     def add_node(self, node: DTNNode) -> DTNNode:
         """Register *node* (its id must be unique) and return it.
 
-        The node's path follower is re-bound onto this world's position
-        store, so from here on the node moves by writing into its row of the
-        world-wide position matrix.
+        A one-element :meth:`add_nodes`.
         """
-        if node.node_id in self._nodes:
-            raise ValueError(f"duplicate node id {node.node_id}")
-        if node.node_id > _MAX_NODE_ID:
-            raise ValueError(f"node id {node.node_id} exceeds {_MAX_NODE_ID}")
-        if node.router is None:
-            raise ValueError(f"node {node.node_id} has no router attached")
-        backing = self._positions.data
-        index = self._positions.add(node.position)
-        if self._positions.data is not backing:
+        self.add_nodes([node])
+        return node
+
+    def add_nodes(self, nodes: Iterable[DTNNode]) -> List[DTNNode]:
+        """Register *nodes* in order (ids must be unique) and return them.
+
+        Each node's path follower is re-bound onto this world's position
+        store, so from here on the node moves by writing into its row of the
+        world-wide position matrix.  The position store and the router store
+        grow at most once per call.  Every node is validated before any is
+        registered, so a rejected call leaves the world unchanged.
+        """
+        nodes = list(nodes)
+        batch_ids = set()
+        for node in nodes:
+            node_id = node.node_id
+            if node_id in self._nodes or node_id in batch_ids:
+                raise ValueError(f"duplicate node id {node_id}")
+            if node_id > _MAX_NODE_ID:
+                raise ValueError(f"node id {node_id} exceeds {_MAX_NODE_ID}")
+            if node.router is None:
+                raise ValueError(f"node {node_id} has no router attached")
+            batch_ids.add(node_id)
+        positions = self._positions
+        backing = positions.data
+        start = positions.allocate(len(nodes))
+        data = positions.data
+        if data is not backing:
             # the store grew and reallocated: re-bind every existing follower
             # onto its (moved) row view
             for row, existing in enumerate(self._node_order):
-                existing.follower.bind(self._positions.row(row))
-        node.follower.bind(self._positions.row(index))
-        self.movement.register(node.follower)
-        self._nodes[node.node_id] = node
-        self._node_order.append(node)
+                existing.follower.bind(data[row])
+        for row, node in enumerate(nodes, start):
+            # binding copies the follower's position into its new row
+            node.follower.bind(data[row])
+            self._nodes[node.node_id] = node
+        self.movement.register_many([node.follower for node in nodes])
+        self._node_order.extend(nodes)
         # SoA rows are appended in registration order, so store row index
         # == _node_order index == the serial loop's visit order
-        self.router_store.register(node)
+        self.router_store.register_many(nodes)
         self._ranges_cache = None
         self._ids_cache = None
-        return node
+        return nodes
 
     @property
     def nodes(self) -> List[DTNNode]:
@@ -469,7 +488,7 @@ class World:
         node's SoA row so router-derived columns (skip safety, batch
         capability) never go stale across mid-run router swaps.  No-op when
         the node is not registered yet (the builders attach routers before
-        ``add_node``).
+        ``add_nodes``).
         """
         self.router_store.rebind(node)
 

@@ -5,7 +5,10 @@ import pytest
 from repro.core.cr import CommunityRouter
 from repro.core.eer import EERRouter
 from repro.routing.base import Router
+from repro.routing import registry
+from repro.routing.epidemic import EpidemicRouter
 from repro.routing.registry import (
+    ROUTER_REGISTRY,
     available_routers,
     create_router,
     register_router,
@@ -50,3 +53,37 @@ def test_register_custom_router_overrides_and_lists():
 def test_register_requires_callable():
     with pytest.raises(TypeError):
         register_router("bad", "not callable")
+
+
+def test_builtin_classes_are_imported_once(monkeypatch):
+    calls = []
+    real_import = registry.importlib.import_module
+
+    def counting_import(name):
+        calls.append(name)
+        return real_import(name)
+
+    monkeypatch.setattr(registry, "_RESOLVED", {})
+    monkeypatch.setattr(registry.importlib, "import_module", counting_import)
+    routers = [create_router("epidemic") for _ in range(5)]
+    assert calls == ["repro.routing.epidemic"]
+    assert all(type(router) is EpidemicRouter for router in routers)
+    # aliases of one class share the resolution
+    create_router("cr")
+    create_router("cr-newman", detection_staleness=5.0)
+    assert calls == ["repro.routing.epidemic", "repro.core.cr"]
+
+
+def test_registrations_win_over_resolved_builtins():
+    class Shadow(Router):
+        name = "epidemic"
+
+    assert type(create_router("epidemic")) is EpidemicRouter  # memoised
+    register_router("epidemic", Shadow)
+    try:
+        assert type(create_router("epidemic")) is Shadow
+    finally:
+        del ROUTER_REGISTRY["epidemic"]
+    assert type(create_router("epidemic")) is EpidemicRouter
+    with pytest.raises(KeyError):
+        create_router("no-such-protocol")

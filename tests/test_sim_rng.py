@@ -52,3 +52,41 @@ def test_spawn_creates_deterministic_children():
     assert child_a.python("m").random() == child_b.python("m").random()
     other_child = parent_a.spawn("node-4")
     assert child_a.seed != other_child.seed
+
+
+def test_derive_is_pinned_to_the_fnv1a_stream_keys():
+    # recorded from the uncached FNV-1a loop over f"{seed}:{name}": caching
+    # the seed-prefix state must not move a single stream seed
+    pinned = {
+        0: {"mobility-0": 7991004516195935261,
+            "mobility-99999": 5019150376882322174,
+            "traffic": 871749580425841882,
+            "trace-node-3": 4889214121293216969,
+            "": 1948964627900738377},
+        1: {"mobility-0": 9209564958133501164,
+            "mobility-99999": 1380153932220806155,
+            "traffic": 4972984011448765,
+            "trace-node-3": 5340135538002008696,
+            "community-provider": 9105127551283164929},
+        12345: {"mobility-0": 368879550794534400,
+                "mobility-99999": 5450964477896411919,
+                "traffic": 6787674385973598089},
+    }
+    for seed, expected in pinned.items():
+        streams = RandomStreams(seed)
+        assert {name: streams._derive(name) for name in expected} == expected
+    child = RandomStreams(1).spawn("x")
+    assert child.seed == 4599114546621263444
+    assert child._derive("mobility-5") == 585235643378998516
+
+
+def test_pickled_streams_derive_the_same_keys():
+    import pickle
+
+    streams = RandomStreams(12345)
+    streams.python("traffic").random()
+    restored = pickle.loads(pickle.dumps(streams))
+    assert "_prefix_hash" not in streams.__getstate__()
+    assert restored._derive("mobility-7") == streams._derive("mobility-7")
+    assert restored.python("traffic").random() == \
+        streams.python("traffic").random()
