@@ -62,7 +62,9 @@ MAGIC = "repro-checkpoint"
 #: 3: the stats collector lost its lists record store, the sharded detector
 #: its process-pool mode, and the embedded scenario config its detector,
 #: worker and record-mode fields
-FORMAT_VERSION = 3
+#: 4: the stats collector gained the move-phase split (``moves_batched``,
+#: ``moves_loop``) and the movement engine lost its ``batch_enabled`` flag
+FORMAT_VERSION = 4
 #: arrays with at least this many elements move to their own NPY entry
 ARRAY_EXTERNALIZE_THRESHOLD = 32
 

@@ -327,6 +327,11 @@ def cmd_run(args) -> int:
               f"ticked {sum(r.routers_ticked for r in result.reports) / runs:,.0f}  "
               f"skipped {sum(r.routers_skipped for r in result.reports) / runs:,.0f}  "
               f"batched {sum(r.routers_batched for r in result.reports) / runs:,.0f}")
+    if any(r.moves_batched or r.moves_loop for r in result.reports):
+        runs = len(result.reports)
+        print("movement (mean per run): "
+              f"batched {sum(r.moves_batched for r in result.reports) / runs:,.0f}  "
+              f"loop {sum(r.moves_loop for r in result.reports) / runs:,.0f}")
     if any(r.transfers_completed or r.transfers_aborted
            for r in result.reports):
         runs = len(result.reports)

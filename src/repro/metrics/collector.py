@@ -113,6 +113,12 @@ class StatsCollector:
         self.routers_ticked = 0
         self.routers_skipped = 0
         self.routers_batched = 0
+        # move-phase split (see MovementEngine.advance): node-ticks the batch
+        # kernel advanced vs node-ticks that ran PathFollower.move.  Telemetry
+        # like the routers split: the reference world moves every node
+        # through the loop
+        self.moves_batched = 0
+        self.moves_loop = 0
         self.latency_sum = 0.0
         self.hop_count_sum = 0
 
@@ -387,6 +393,15 @@ class StatsCollector:
         self.routers_ticked += int(ticked)
         self.routers_skipped += int(skipped)
         self.routers_batched += int(batched)
+
+    def movement_split(self, batched: int, loop: int) -> None:
+        """Record one move-phase split: kernel moves and loop moves.
+
+        Called once per world update by the move phase; excluded from
+        result comparisons like :meth:`router_sweep`.
+        """
+        self.moves_batched += batched
+        self.moves_loop += loop
 
     # ------------------------------------------------------------------ query
     def is_delivered(self, message_id: str) -> bool:

@@ -66,6 +66,13 @@ class SimulationReport:
     routers_skipped: int = 0
     routers_batched: int = 0
 
+    # move-phase split: node-ticks the batch movement kernel advanced /
+    # node-ticks that ran the per-follower loop.  The reference world moves
+    # everything through the loop, so the split is excluded from the
+    # canonical serialisation like the routers split.
+    moves_batched: int = 0
+    moves_loop: int = 0
+
     latency_percentiles: Dict[str, float] = field(default_factory=dict)
     extra: Dict[str, float] = field(default_factory=dict)
 
@@ -85,10 +92,10 @@ class SimulationReport:
 
         ``include_timings`` keeps the wall-clock fields
         (``tick_phase_seconds`` / ``tick_phase_samples``,
-        ``community_detection_seconds``) and the routers-phase split in the
-        payload; the default drops them, so the payload is the canonical
-        outcome: it compares byte-for-byte across machines, runs and the
-        production and reference worlds.
+        ``community_detection_seconds``), the routers-phase split and the
+        move-phase split in the payload; the default drops them, so the
+        payload is the canonical outcome: it compares byte-for-byte across
+        machines, runs and the production and reference worlds.
         """
         payload = asdict(self)
         if not include_timings:
@@ -98,6 +105,8 @@ class SimulationReport:
             payload.pop("routers_ticked")
             payload.pop("routers_skipped")
             payload.pop("routers_batched")
+            payload.pop("moves_batched")
+            payload.pop("moves_loop")
         return payload
 
     @classmethod
@@ -189,6 +198,8 @@ def build_report(collector: StatsCollector, *, protocol: str, num_nodes: int,
         routers_ticked=collector.routers_ticked,
         routers_skipped=collector.routers_skipped,
         routers_batched=collector.routers_batched,
+        moves_batched=collector.moves_batched,
+        moves_loop=collector.moves_loop,
         latency_percentiles=_latency_percentiles(collector),
         extra=dict(extra or {}),
         tick_phase_seconds=dict(collector.tick_phase_seconds),

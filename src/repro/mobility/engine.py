@@ -35,13 +35,26 @@ the moment the node needs the scalar loop; out-of-band state changes
 
 Models without a batch kernel — and any follower whose state the engine
 cannot mirror (no path yet, zero-length segment, non-positive speed) — run
-the unchanged per-follower loop, so enabling the engine never changes
-behaviour, only cost.
+the unchanged per-follower loop, so the kernel never changes behaviour, only
+cost.  The models that opt in are
+:class:`~repro.mobility.random_waypoint.RandomWaypointMovement`,
+:class:`~repro.mobility.community.CommunityMovement`,
+:class:`~repro.mobility.hcmm.HomeCellMovement` and the paper's bus lines,
+:class:`~repro.mobility.map_route.MapRouteMovement`.  Bus legs are
+multi-segment road paths ending in a stop pause (a stop listed twice in a
+row gives a leg with no segment, only the pause); every segment, pause or
+leg boundary is one scalar-fallback tick, and the kernel carries the ticks
+in between.
+
+The plain per-follower loop the kernel must reproduce is not a mode of
+this class: it is the reference world's movement
+(:class:`repro.testing.reference.ReferenceMovement`), the oracle of the
+parity tests.
 """
 
 from __future__ import annotations
 
-from typing import List, Set
+from typing import List, Set, Tuple
 
 import numpy as np
 
@@ -64,15 +77,10 @@ class MovementEngine:
         duck type to keep the mobility package import-independent of the
         world package); row *i* belongs to the *i*-th registered follower —
         the world registers followers in position-row order.
-    batch:
-        ``False`` disables the kernel entirely: :meth:`advance` becomes the
-        historical per-follower loop (used for A/B parity pins and as the
-        guaranteed-exact reference).
     """
 
-    def __init__(self, positions, batch: bool = True) -> None:
+    def __init__(self, positions) -> None:
         self._positions = positions
-        self.batch_enabled = bool(batch)
         self._followers: List[PathFollower] = []
         self._batchable: List[bool] = []
         self._dirty: Set[int] = set()
@@ -104,10 +112,9 @@ class MovementEngine:
         """
         start = len(self._followers)
         self._followers.extend(followers)
-        enabled = self.batch_enabled
         batchable = self._batchable
         for slot, follower in enumerate(followers, start):
-            fast = enabled and follower.model.supports_batch_advance
+            fast = follower.model.supports_batch_advance
             batchable.append(fast)
             if fast:
                 follower.attach_engine(self, slot)
@@ -140,13 +147,15 @@ class MovementEngine:
         self._ay = resize(self._ay, 0.0)
         self._bx = resize(self._bx, 0.0)
         self._by = resize(self._by, 0.0)
-        # neutral values keep the vector predicates warning-free for slots
-        # that are not in TRAVEL/WAIT mode
+        # neutral values: an infinite speed fails the travel predicate and a
+        # wait time of -inf the wait predicate, so a slot only passes the
+        # predicate of its own mode (see _refresh) and advance never has to
+        # compare modes
         self._seg_len = resize(self._seg_len, 1.0)
         self._offset = resize(self._offset, 0.0)
-        self._speed = resize(self._speed, 0.0)
+        self._speed = resize(self._speed, np.inf)
         self._waited = resize(self._waited, 0.0)
-        self._wait_time = resize(self._wait_time, 0.0)
+        self._wait_time = resize(self._wait_time, -np.inf)
         self._size = n
         self._dirty.update(range(old, n))
 
@@ -156,6 +165,8 @@ class MovementEngine:
             return
         follower = self._followers[slot]
         mode = self._mode
+        self._speed[slot] = np.inf
+        self._wait_time[slot] = -np.inf
         if follower.halted:
             mode[slot] = HALTED
             return
@@ -184,17 +195,13 @@ class MovementEngine:
         self._offset[slot] = offset
         self._speed[slot] = path.speed
         self._waited[slot] = path.waited
-        self._wait_time[slot] = path.wait_time
 
     # ---------------------------------------------------------------- advance
-    def advance(self, dt: float, now: float) -> None:
-        """Move every non-halted follower by *dt* seconds."""
-        if not self.batch_enabled:
-            for follower in self._followers:
-                if not follower.halted:
-                    follower.move(dt, now)
-                    self.loop_moves += 1
-            return
+    def advance(self, dt: float, now: float) -> Tuple[int, int]:
+        """Move every non-halted follower by *dt* (> 0) seconds.
+
+        Returns this tick's ``(kernel moves, loop moves)`` split.
+        """
         if self._size != len(self._followers):
             self._grow()
         if self._dirty:
@@ -207,10 +214,10 @@ class MovementEngine:
         # finish a segment or pause is NOT fast — it falls back to the scalar
         # code, which also handles starting the next segment/path
         step = self._speed * dt
-        fast_travel = (mode == TRAVEL) & (step < self._seg_len - self._offset)
-        fast_wait = (mode == WAIT) & (dt < self._wait_time - self._waited)
+        fast_travel = step < self._seg_len - self._offset
+        fast_wait = dt < self._wait_time - self._waited
 
-        travelling = np.nonzero(fast_travel)[0]
+        travelling = fast_travel.nonzero()[0]
         if len(travelling):
             offset = self._offset
             offset[travelling] += step[travelling]
@@ -220,14 +227,16 @@ class MovementEngine:
             ay = self._ay[travelling]
             data[travelling, 0] = ax + frac * (self._bx[travelling] - ax)
             data[travelling, 1] = ay + frac * (self._by[travelling] - ay)
-        waiting = np.nonzero(fast_wait)[0]
+        waiting = fast_wait.nonzero()[0]
         if len(waiting):
             # position already holds the exact path endpoint (written by the
             # boundary tick's scalar fallback); only the pause clock advances
             self._waited[waiting] += dt
-        self.fast_moves += len(travelling) + len(waiting)
+        fast = len(travelling) + len(waiting)
+        self.fast_moves += fast
 
-        slow = np.nonzero(~(fast_travel | fast_wait) & (mode != HALTED))[0]
+        loop = 0
+        slow = (~(fast_travel | fast_wait) & (mode != HALTED)).nonzero()[0]
         for index in slow:
             slot = int(index)
             follower = self._followers[slot]
@@ -239,13 +248,14 @@ class MovementEngine:
                                                float(self._waited[slot]))
                 if not follower.halted:
                     follower.move(dt, now)
-                    self.loop_moves += 1
+                    loop += 1
                 self._refresh(slot)
             elif not follower.halted:
                 follower.move(dt, now)
-                self.loop_moves += 1
+                loop += 1
+        self.loop_moves += loop
+        return fast, loop
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        kind = "batch" if self.batch_enabled else "loop"
-        return (f"MovementEngine({kind}, {len(self._followers)} followers, "
+        return (f"MovementEngine({len(self._followers)} followers, "
                 f"fast={self.fast_moves}, loop={self.loop_moves})")

@@ -58,6 +58,14 @@ class BusRoute:
                 self._legs.append([a])
             else:
                 self._legs.append(roadmap.shortest_path(a, b))
+        # leg index -> waypoint coordinates, filled on first use (every bus
+        # asks for the same few legs over and over); not pickled
+        self._leg_waypoints: Dict[int, List[np.ndarray]] = {}
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_leg_waypoints"] = {}
+        return state
 
     @property
     def num_stops(self) -> int:
@@ -69,8 +77,20 @@ class BusRoute:
         return list(self._legs[index % len(self._legs)])
 
     def leg_waypoints(self, index: int) -> List[np.ndarray]:
-        """Waypoint coordinates of the ``index``-th leg."""
-        return self.roadmap.path_coordinates(self.leg(index))
+        """Waypoint coordinates of the ``index``-th leg.
+
+        The arrays are cached and shared between calls: treat them as
+        read-only (a :class:`~repro.mobility.path.Path` copies its
+        waypoints, so passing them on is safe).
+        """
+        index %= len(self._legs)
+        waypoints = self._leg_waypoints.get(index)
+        if waypoints is None:
+            waypoints = self.roadmap.path_coordinates(self._legs[index])
+            for point in waypoints:
+                point.flags.writeable = False
+            self._leg_waypoints[index] = waypoints
+        return list(waypoints)
 
     def total_length(self) -> float:
         """Length of one full loop of the line in metres."""
@@ -120,6 +140,13 @@ class MapRouteMovement(MovementModel):
         """The district served by the node's line (``None`` for express lines)."""
         return self.route.district
 
+    @property
+    def supports_batch_advance(self) -> bool:
+        """Constant-speed road legs built only in :meth:`next_path`: the
+        batch kernel handles their segments and stop pauses (see
+        :mod:`repro.mobility.engine`)."""
+        return True
+
     def initial_position(self, rng) -> np.ndarray:
         if self._start_stop is None:
             self._next_leg = rng.randrange(self.route.num_stops)
@@ -135,9 +162,22 @@ class MapRouteMovement(MovementModel):
         wait = rng.uniform(*self.stop_wait)
         # Start the leg from wherever the node actually is (it should already
         # be at the leg's first stop, but guard against drift).
-        if waypoints and not np.allclose(waypoints[0], position):
+        if waypoints and not at_point(waypoints[0], position):
             waypoints = [np.asarray(position, dtype=float)] + waypoints
         return Path(waypoints, speed=speed, wait_time=wait)
+
+
+def at_point(point: np.ndarray, position: np.ndarray) -> bool:
+    """``np.allclose(point, position)`` for 2-D points, exact match first.
+
+    A bus that arrived at its stop holds the stop's exact coordinates, so
+    the common case is settled by two float comparisons; exact equality
+    implies ``allclose``, and any other pair falls through to it, so the
+    decision is always the one ``np.allclose`` alone would make.
+    """
+    if point[0] == position[0] and point[1] == position[1]:
+        return True
+    return bool(np.allclose(point, position))
 
 
 def district_hubs(roadmap: RoadMap, districts: Dict[int, int]) -> Dict[int, int]:

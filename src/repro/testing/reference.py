@@ -9,7 +9,8 @@ module states what "unchanged" means by running the same four phases the
 obvious way:
 
 * ``move`` — every follower advances through the per-follower loop
-  (``MovementEngine(batch=False)``),
+  (:class:`ReferenceMovement`, the spec of the production
+  :class:`~repro.mobility.engine.MovementEngine` kernel),
 * ``connectivity`` — every link event is applied on its own: a fresh
   :class:`~repro.net.connection.Connection` per establishment and one
   ``contact_up`` / ``contact_down`` record per event, with links found by
@@ -39,7 +40,8 @@ The production world's columnar stores are still constructed and
 never reads them: nothing here depends on their bookkeeping being right.
 
 The module also holds the naive twins of single production components,
-each the oracle of its parity tests: :class:`BruteForceConnectivity` (the
+each the oracle of its parity tests: :class:`ReferenceMovement` (the
+per-follower movement loop), :class:`BruteForceConnectivity` (the
 O(n²) detector), :class:`ReferenceMessageBuffer` (the sort-per-add buffer)
 and :func:`dijkstra_delays_reference` (the heap-based MEMD Dijkstra).
 """
@@ -54,7 +56,7 @@ from typing import (Callable, Deque, Dict, Iterable, Iterator, List, Optional,
 import numpy as np
 
 from repro.contacts.memd import _validate
-from repro.mobility.engine import MovementEngine
+from repro.mobility.base import PathFollower
 from repro.net.buffer import BufferFullError, DropPolicy
 from repro.net.connection import Connection
 from repro.net.message import Message
@@ -65,8 +67,9 @@ from repro.world.node import DTNNode
 from repro.world.world import World
 
 __all__ = ["ReferenceTick", "ReferenceWorld", "ReferenceTraceReplayWorld",
-           "BruteForceConnectivity", "ContactHistoryReference",
-           "ReferenceMessageBuffer", "dijkstra_delays_reference"]
+           "ReferenceMovement", "BruteForceConnectivity",
+           "ContactHistoryReference", "ReferenceMessageBuffer",
+           "dijkstra_delays_reference"]
 
 
 class ReferenceTick:
@@ -78,7 +81,7 @@ class ReferenceTick:
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)  # type: ignore[call-arg]
         # no node is registered yet, so swapping the engine is safe
-        self.movement = MovementEngine(self._positions, batch=False)
+        self.movement = ReferenceMovement()
 
     def add_nodes(self, nodes: Iterable[DTNNode]) -> List[DTNNode]:
         nodes = super().add_nodes(nodes)  # type: ignore[misc]
@@ -154,6 +157,33 @@ class ReferenceTraceReplayWorld(ReferenceTick, TraceReplayWorld):
 
 
 # ------------------------------------------------------ component twins
+class ReferenceMovement:
+    """The per-follower movement loop: ``move`` on every live follower.
+
+    The executable spec of :class:`~repro.mobility.engine.MovementEngine`,
+    with its :meth:`register_many` and :meth:`advance` interface.  It never
+    attaches to a follower, so ``PathFollower.teleport`` has nothing to
+    invalidate.
+    """
+
+    def __init__(self) -> None:
+        self._followers: List[PathFollower] = []
+
+    def register_many(self, followers: List[PathFollower]) -> int:
+        start = len(self._followers)
+        self._followers.extend(followers)
+        return start
+
+    def advance(self, dt: float, now: float) -> Tuple[int, int]:
+        """Move every non-halted follower; returns ``(0, loop moves)``."""
+        moved = 0
+        for follower in self._followers:
+            if not follower.halted:
+                follower.move(dt, now)
+                moved += 1
+        return 0, moved
+
+
 class BruteForceConnectivity(ConnectivityDetector):
     """Reference O(n²) detector: every pair checked (vectorised with NumPy)."""
 

@@ -325,7 +325,8 @@ class World:
         self._update_routers(now)
 
     def _move_nodes(self, dt: float, now: float) -> None:
-        self.movement.advance(dt, now)
+        batched, loop = self.movement.advance(dt, now)
+        self.stats.movement_split(batched, loop)
 
     def _refresh_connectivity(self, now: float) -> None:
         # sub-metered separately from the surrounding phase: the phase also

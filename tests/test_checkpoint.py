@@ -317,6 +317,15 @@ def test_version_2_container_is_rejected_before_its_config(world_blob):
         load_checkpoint_bytes(v2)
 
 
+def test_version_3_container_is_rejected(world_blob):
+    # a version-3 snapshot pickles a stats collector without the move-phase
+    # split and a movement engine with the retired batch_enabled flag
+    v3 = _rewrite_manifest(world_blob, format_version=3)
+    with pytest.raises(CheckpointError,
+                       match=r"^unsupported checkpoint format version 3 "):
+        load_checkpoint_bytes(v3)
+
+
 def test_missing_entries_and_garbage_raise_checkpoint_error(world_blob,
                                                             tmp_path):
     source = zipfile.ZipFile(io.BytesIO(world_blob))

@@ -373,3 +373,13 @@ def test_run_human_output_includes_transfers_line(capsys):
     # any relayed message is a completed transfer, so the summary line shows
     assert "transfers (mean per run):" in out
     assert "completed" in out and "aborted" in out and "delivered" in out
+
+
+def test_run_human_output_includes_movement_line(capsys):
+    code = main(["run", "bench", "--seeds", "1", "--set", "num_nodes=8",
+                 "--set", "sim_time=200"])
+    assert code == 0
+    out = capsys.readouterr().out
+    line = next(row for row in out.splitlines()
+                if row.startswith("movement (mean per run):"))
+    assert "batched" in line and "loop" in line

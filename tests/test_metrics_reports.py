@@ -101,3 +101,42 @@ def test_transfer_counters_are_canonical():
     assert data["transfers_completed"] == 2
     assert data["transfers_aborted"] == 1
     assert data["bytes_delivered"] == 2 * 4096
+
+
+def test_movement_split_is_telemetry_not_outcome():
+    """The move-phase split rides the timed payload only: a report whose
+    nodes moved on the batch kernel and one whose nodes moved through the
+    loop serialise to the same canonical bytes."""
+    from repro.testing import canonical_report_bytes
+
+    batched, looped = populated_collector(), populated_collector()
+    for _ in range(3):
+        batched.movement_split(38, 2)
+        looped.movement_split(0, 40)
+    reports = [build_report(stats, protocol="eer", num_nodes=40,
+                            sim_time=1000.0, seed=3)
+               for stats in (batched, looped)]
+    assert (reports[0].moves_batched, reports[0].moves_loop) == (114, 6)
+    assert (reports[1].moves_batched, reports[1].moves_loop) == (0, 120)
+    assert canonical_report_bytes(reports[0]) \
+        == canonical_report_bytes(reports[1])
+    for report in reports:
+        assert "moves_batched" not in report.as_dict()
+        assert "moves_loop" not in report.as_dict()
+    timed = reports[0].as_dict(include_timings=True)
+    assert (timed["moves_batched"], timed["moves_loop"]) == (114, 6)
+
+
+def test_bus_run_reports_its_movement_split():
+    from repro.experiments.catalog import make_scenario
+    from repro.testing import canonical_report_bytes, run_report
+
+    config = make_scenario("bench", {"num_nodes": 10, "sim_time": 300.0})
+    production = run_report(config)
+    reference = run_report(config, reference=True)
+    ticks = production.tick_phase_samples["move"]
+    assert production.moves_batched + production.moves_loop == 10 * ticks
+    assert production.moves_batched > production.moves_loop
+    assert (reference.moves_batched, reference.moves_loop) == (0, 10 * ticks)
+    assert canonical_report_bytes(production) \
+        == canonical_report_bytes(reference)

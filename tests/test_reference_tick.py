@@ -23,8 +23,10 @@ import pytest
 from repro.experiments.builder import build_scenario
 from repro.experiments.catalog import make_scenario
 from repro.experiments.scenario import ScenarioConfig
+from repro.mobility.engine import MovementEngine
 from repro.testing import canonical_report_bytes, run_report
 from repro.testing.golden import GOLDEN_PATH, cell_digests, golden_cells
+from repro.testing.reference import ReferenceMovement
 from repro.world.world import World
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -65,7 +67,9 @@ def test_reference_is_a_build_keyword_not_a_config_field():
     try:
         assert isinstance(built.world, World)
         assert type(built.world).__name__ == "ReferenceWorld"
-        assert not built.world.movement.batch_enabled
+        # the reference moves every follower through the plain loop
+        assert isinstance(built.world.movement, ReferenceMovement)
+        assert not isinstance(built.world.movement, MovementEngine)
     finally:
         built.world.stop()
 
