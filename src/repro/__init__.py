@@ -19,7 +19,8 @@ the paper's contributions on top of them:
     generators.
 ``repro.contacts``
     Per-pair contact histories, the meeting-interval matrix (MI), the
-    expected-meeting-delay matrix (MD) and the Dijkstra MEMD solver.
+    expected-meeting-delay matrix (MD), the MEMD solver and the shortest-path
+    kernel it shares with MaxProp.
 ``repro.core``
     The paper's contribution: expected encounter value (Theorem 1), expected
     meeting delay (Theorem 2), expected number of encountering communities

@@ -64,7 +64,10 @@ MAGIC = "repro-checkpoint"
 #: worker and record-mode fields
 #: 4: the stats collector gained the move-phase split (``moves_batched``,
 #: ``moves_loop``) and the movement engine lost its ``batch_enabled`` flag
-FORMAT_VERSION = 4
+#: 5: MaxProp keeps its known likelihood vectors in a dense cost table, and
+#: the stats collector gained the knowledge-layer split (``kernel_runs``,
+#: ``memd_hits``)
+FORMAT_VERSION = 5
 #: arrays with at least this many elements move to their own NPY entry
 ARRAY_EXTERNALIZE_THRESHOLD = 32
 

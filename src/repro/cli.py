@@ -332,6 +332,11 @@ def cmd_run(args) -> int:
         print("movement (mean per run): "
               f"batched {sum(r.moves_batched for r in result.reports) / runs:,.0f}  "
               f"loop {sum(r.moves_loop for r in result.reports) / runs:,.0f}")
+    if any(r.kernel_runs or r.memd_hits for r in result.reports):
+        runs = len(result.reports)
+        print("knowledge layer (mean per run): "
+              f"kernel runs {sum(r.kernel_runs for r in result.reports) / runs:,.0f}  "
+              f"memd hits {sum(r.memd_hits for r in result.reports) / runs:,.0f}")
     if any(r.transfers_completed or r.transfers_aborted
            for r in result.reports):
         runs = len(result.reports)

@@ -13,7 +13,8 @@ records (oracle view used by the examples and tests).
 The reference and vectorized history builders produce *identical* graphs —
 same nodes, same edges, bit-identical ``weight``/``mean_interval`` attributes
 (the vectorized mean uses a left-to-right ``cumsum``, matching the reference
-implementation's sequential ``sum()`` exactly).  The paired
+implementation's sequential :func:`~repro.core.expectation.left_sum`
+exactly).  The paired
 ``community_detection`` benchmark in :mod:`repro.bench` pins this.
 """
 
@@ -81,7 +82,7 @@ def contact_edge_arrays(histories: Iterable[ContactHistory],
     :meth:`~repro.contacts.history.ContactHistory.contact_count_arrays` pair
     per node) and reduces them to canonical undirected edges in a handful of
     NumPy operations: per-row mean intervals via a chronological ``cumsum``
-    (bit-identical to the reference's sequential ``sum()``), endpoint
+    (bit-identical to the reference's sequential ``left_sum``), endpoint
     canonicalisation by packing ``(lo, hi)`` pairs into int64 codes, and
     duplicate resolution (the two endpoints of an edge each report it) with
     ``np.maximum.at`` / ``np.fmin.at`` scatter reductions — the same
@@ -108,7 +109,7 @@ def contact_edge_arrays(histories: Iterable[ContactHistory],
             continue
         if getattr(history, "interval_arrays", None) is not None:
             _, intervals, interval_counts, _ = history.interval_arrays()
-            # sequential left-to-right sums per row, matching sum(list)
+            # sequential left-to-right sums per row, matching left_sum(list)
             # bit for bit
             cums = np.cumsum(intervals, axis=1)
             has = interval_counts > 0

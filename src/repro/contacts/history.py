@@ -30,6 +30,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.expectation import left_sum
+
 
 class ContactHistory:
     """Sliding-window record of meeting intervals with every peer.
@@ -167,8 +169,9 @@ class ContactHistory:
 
         This is the value :math:`I_{ij}` that populates the node's own row of
         the MI matrix.  ``None`` if fewer than one interval is recorded.
-        The sum runs left to right over the chronological window, matching
-        the reference implementation's sequential ``sum()`` exactly.
+        The sum runs left to right over the chronological window
+        (:func:`~repro.core.expectation.left_sum`), matching the reference
+        implementation exactly.
         """
         slot = self._slots.get(int(peer_id))
         if slot is None:
@@ -176,7 +179,7 @@ class ContactHistory:
         count = int(self._counts[slot])
         if count == 0:
             return None
-        return sum(self._intervals[slot, :count].tolist()) / count
+        return left_sum(self._intervals[slot, :count].tolist()) / count
 
     def total_intervals(self) -> int:
         """Total number of recorded intervals across all peers."""

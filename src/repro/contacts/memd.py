@@ -1,14 +1,15 @@
-"""Minimum expected meeting delay (MEMD) via Dijkstra over the MD matrix.
+"""Minimum expected meeting delay (MEMD) over the MD matrix.
 
-Theorem 3 of the paper: running Dijkstra's algorithm on the expected-meeting-
-delay matrix yields the minimum expected multi-hop meeting delay between the
-node and any destination.  The matrices are small and dense (``n`` up to a few
-hundred nodes), so a dense O(n²) Dijkstra that relaxes a whole row per
-iteration with NumPy is both the simplest and the fastest option here —
-profiling showed it beats :func:`scipy.sparse.csgraph.dijkstra` for these
-sizes because the conversion/validation overhead of the sparse path dominates.
-A heap-based reference implementation cross-checks it in the tests
-(:func:`repro.testing.reference.dijkstra_delays_reference`).
+Theorem 3 of the paper: the shortest path over the expected-meeting-delay
+matrix yields the minimum expected multi-hop meeting delay between the node
+and any destination.  :func:`dijkstra_delays` validates its input and runs
+the knowledge layer's shared shortest-path kernel,
+:func:`repro.contacts.paths.shortest_path_lengths` (frontier min-plus
+relaxation, bit-identical to any Dijkstra over the same matrix).
+:class:`MemdCache` serves one delay vector per source until the routing
+state changes.  The heap-based reference
+(:func:`repro.testing.reference.dijkstra_delays_reference`) cross-checks the
+kernel in the tests.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
+
+from repro.contacts.paths import shortest_path_lengths
 
 
 def _validate(md: np.ndarray, source: int) -> np.ndarray:
@@ -52,41 +55,12 @@ def dijkstra_delays(md: np.ndarray, source: int,
         Length-``n`` vector of minimum expected meeting delays;
         ``inf`` where the destination is unreachable through known contacts,
         0 at the source itself.
-
-    Notes
-    -----
-    ``work`` mirrors ``dist`` with visited entries masked to ``inf``, so the
-    per-iteration vertex pick is a single ``argmin`` with no re-masking
-    allocation.  An improved candidate can never belong to a visited vertex
-    (its distance is final and ``dist[u] + w >= dist[u] >= dist[visited]``
-    holds exactly in IEEE arithmetic for non-negative ``w``), so the update
-    needs no ``~visited`` mask either — the relaxation arithmetic and vertex
-    order are identical to the textbook masked formulation, bit for bit.
     """
     if validate:
         md = _validate(md, source)
     else:
         md = np.asarray(md, dtype=float)
-    n = md.shape[0]
-    dist = np.full(n, np.inf)
-    dist[source] = 0.0
-    work = dist.copy()
-    out = np.empty(n)
-    for _ in range(n):
-        # pick the closest unvisited node
-        u = int(work.argmin())
-        du = work[u]
-        if du == np.inf:
-            break
-        work[u] = np.inf
-        # relax every outgoing edge of u at once
-        np.add(md[u], du, out=out)
-        improved = out < dist
-        if improved.any():
-            dist[improved] = out[improved]
-            work[improved] = out[improved]
-    dist[source] = 0.0
-    return dist
+    return shortest_path_lengths(md, source)
 
 
 def minimum_expected_meeting_delay(md: np.ndarray, source: int, destination: int) -> float:
@@ -99,7 +73,7 @@ def minimum_expected_meeting_delay(md: np.ndarray, source: int, destination: int
 class MemdCache:
     """Per-source MEMD delay-vector cache keyed on routing-state versions.
 
-    One Dijkstra run over the MD matrix yields the delays to *all*
+    One shortest-path run over the MD matrix yields the delays to *all*
     destinations (:func:`dijkstra_delays`), so the expensive part of every
     per-(source, destination) MEMD query is shared.  The cached vector stays
     valid while
@@ -114,7 +88,7 @@ class MemdCache:
       the elapsed time since each last contact and therefore drifts with the
       clock even without new contacts; meeting delays are on the order of
       hundreds of seconds, so a few seconds of staleness never changes a
-      forwarding decision but avoids a Dijkstra per tick.
+      forwarding decision but avoids a shortest-path run per tick.
 
     Parameters
     ----------

@@ -276,9 +276,12 @@ class CommunityRouter(ContactAwareRouter):
         detection moved a node.
         """
         assert self.history is not None
-        delays = self._memd.delays(self.history, self.intra_mi, self.now,
-                                   self.overdue_policy,
-                                   node_filter=self._membership_mask())
+        mask = self._membership_mask()
+        cache = self._memd
+        computes = cache.computes
+        delays = cache.delays(self.history, self.intra_mi, self.now,
+                              self.overdue_policy, node_filter=mask)
+        self.stats.memd_lookup(cache.computes != computes)
         if not 0 <= destination < len(delays):
             return float("inf")
         return float(delays[destination])

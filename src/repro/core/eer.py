@@ -52,7 +52,7 @@ class EERRouter(ContactAwareRouter):
         Maximum staleness (seconds) of the cached MEMD vector before it is
         recomputed.  Meeting delays are on the order of hundreds of seconds,
         so a few seconds of staleness does not change forwarding decisions but
-        avoids one Dijkstra run per world tick.  Within that budget the
+        avoids one shortest-path run per world tick.  Within that budget the
         vector is additionally keyed on the contact-history / MI-matrix
         versions (see :class:`~repro.contacts.memd.MemdCache`), so it is only
         recomputed when a recorded contact or an exchanged row actually
@@ -83,8 +83,8 @@ class EERRouter(ContactAwareRouter):
         self.overdue_policy = overdue_policy
         self.forward_margin = float(forward_margin)
         self._mi: Optional[MeetingIntervalMatrix] = None
-        # MEMD delay-vector cache: one Dijkstra yields the delays to every
-        # destination; invalidated by version changes or staleness.
+        # MEMD delay-vector cache: one shortest-path run yields the delays to
+        # every destination; invalidated by version changes or staleness.
         self._memd = MemdCache(refresh=memd_refresh)
 
     @property
@@ -121,14 +121,17 @@ class EERRouter(ContactAwareRouter):
     def memd_to(self, destination: int) -> float:
         """Minimum expected meeting delay from this node to *destination*.
 
-        Served from the per-source delay-vector cache: one Dijkstra run over
+        Served from the per-source delay-vector cache: one shortest-path run over
         the MD matrix answers every destination until a recorded contact or
         an effective MI merge changes the routing state (or the vector goes
         stale, see ``memd_refresh``).
         """
         assert self.history is not None
-        delays = self._memd.delays(self.history, self.mi, self.now,
-                                   self.overdue_policy)
+        cache = self._memd
+        computes = cache.computes
+        delays = cache.delays(self.history, self.mi, self.now,
+                              self.overdue_policy)
+        self.stats.memd_lookup(cache.computes != computes)
         if not 0 <= destination < len(delays):
             return float("inf")
         return float(delays[destination])

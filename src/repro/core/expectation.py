@@ -38,6 +38,8 @@ property tests and the benchmark checksums rely on this.
 from __future__ import annotations
 
 import enum
+import functools
+import operator
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -54,12 +56,24 @@ class OverduePolicy(enum.Enum):
     PESSIMISTIC = "pessimistic"
 
 
+def left_sum(values: Iterable[float]) -> float:
+    """``0.0 + v0 + v1 + ...``, rounded after every addition, left to right.
+
+    Every float sum that feeds an outcome goes through this fold instead of
+    the builtin ``sum()``: since Python 3.12 ``sum()`` compensates float
+    rounding error, so its result (and every routing decision downstream)
+    would depend on the interpreter version.  On 3.11 the builtin is
+    exactly this fold.
+    """
+    return functools.reduce(operator.add, values, 0.0)
+
+
 def _sequential_row_sum(values: np.ndarray) -> np.ndarray:
     """Left-to-right per-row sum of a ``(p, w)`` matrix.
 
     ``cumsum`` accumulates strictly sequentially, so the last column equals
-    the Python ``sum()`` of the same row — bit for bit — which keeps the
-    batch kernels exactly interchangeable with the reference loops.
+    :func:`left_sum` of the same row — bit for bit — which keeps the batch
+    kernels exactly interchangeable with the reference loops.
     """
     if values.shape[1] == 0:
         return np.zeros(values.shape[0], dtype=float)
@@ -323,14 +337,14 @@ def expected_meeting_delay(intervals: Sequence[float], elapsed: float,
         return None
     conditioned = [dt for dt in intervals if dt > elapsed]
     if conditioned:
-        return sum(conditioned) / len(conditioned) - elapsed
+        return left_sum(conditioned) / len(conditioned) - elapsed
     if overdue_policy is OverduePolicy.OPTIMISTIC:
         return 0.0
     if overdue_policy is OverduePolicy.PESSIMISTIC:
         return None
     # REFRESH: the overdue meeting is treated as a fresh renewal, so the
     # expected residual wait is the plain mean interval.
-    return sum(intervals) / len(intervals)
+    return left_sum(intervals) / len(intervals)
 
 
 # --------------------------------------------------------------------------- Theorem 4

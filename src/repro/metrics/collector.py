@@ -119,6 +119,11 @@ class StatsCollector:
         # through the loop
         self.moves_batched = 0
         self.moves_loop = 0
+        # knowledge-layer split: shortest-path kernel runs (MEMD recomputes
+        # plus MaxProp path-cost recomputes) and MEMD lookups served from the
+        # delay-vector cache.  Telemetry like the splits above
+        self.kernel_runs = 0
+        self.memd_hits = 0
         self.latency_sum = 0.0
         self.hop_count_sum = 0
 
@@ -402,6 +407,20 @@ class StatsCollector:
         """
         self.moves_batched += batched
         self.moves_loop += loop
+
+    def knowledge_kernel_run(self) -> None:
+        """Record one shortest-path kernel run (a MaxProp path-cost recompute).
+
+        Excluded from result comparisons like :meth:`router_sweep`.
+        """
+        self.kernel_runs += 1
+
+    def memd_lookup(self, recomputed: bool) -> None:
+        """Record one MEMD lookup: a kernel run if *recomputed*, else a cache hit."""
+        if recomputed:
+            self.kernel_runs += 1
+        else:
+            self.memd_hits += 1
 
     # ------------------------------------------------------------------ query
     def is_delivered(self, message_id: str) -> bool:

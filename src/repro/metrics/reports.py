@@ -73,6 +73,13 @@ class SimulationReport:
     moves_batched: int = 0
     moves_loop: int = 0
 
+    # knowledge-layer split: shortest-path kernel runs (MEMD recomputes
+    # plus MaxProp path-cost recomputes) and MEMD cache hits.  Cache
+    # behaviour is an implementation detail, not an outcome, so the split is
+    # excluded from the canonical serialisation like the move-phase split.
+    kernel_runs: int = 0
+    memd_hits: int = 0
+
     latency_percentiles: Dict[str, float] = field(default_factory=dict)
     extra: Dict[str, float] = field(default_factory=dict)
 
@@ -92,8 +99,8 @@ class SimulationReport:
 
         ``include_timings`` keeps the wall-clock fields
         (``tick_phase_seconds`` / ``tick_phase_samples``,
-        ``community_detection_seconds``), the routers-phase split and the
-        move-phase split in the payload; the default drops them, so the
+        ``community_detection_seconds``), the routers-phase, move-phase and
+        knowledge-layer splits in the payload; the default drops them, so the
         payload is the canonical outcome: it compares byte-for-byte across
         machines, runs and the production and reference worlds.
         """
@@ -107,6 +114,8 @@ class SimulationReport:
             payload.pop("routers_batched")
             payload.pop("moves_batched")
             payload.pop("moves_loop")
+            payload.pop("kernel_runs")
+            payload.pop("memd_hits")
         return payload
 
     @classmethod
@@ -200,6 +209,8 @@ def build_report(collector: StatsCollector, *, protocol: str, num_nodes: int,
         routers_batched=collector.routers_batched,
         moves_batched=collector.moves_batched,
         moves_loop=collector.moves_loop,
+        kernel_runs=collector.kernel_runs,
+        memd_hits=collector.memd_hits,
         latency_percentiles=_latency_percentiles(collector),
         extra=dict(extra or {}),
         tick_phase_seconds=dict(collector.tick_phase_seconds),

@@ -12,16 +12,25 @@ not limit the number of replicas.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
-import heapq
+import numpy as np
 
+from repro.contacts.paths import shortest_path_lengths
+from repro.core.expectation import left_sum
 from repro.net.connection import Connection
 from repro.net.message import Message
 from repro.routing.active import ContactAwareRouter
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.world.node import DTNNode
+
+
+def _check_node_id(node_id: int, n: int) -> None:
+    if not 0 <= node_id < n:
+        raise RuntimeError(
+            "node ids must be 0..n-1 for the MaxProp cost table; "
+            f"node {node_id} with only {n} nodes registered")
 
 
 class MaxPropRouter(ContactAwareRouter):
@@ -32,6 +41,13 @@ class MaxPropRouter(ContactAwareRouter):
     hop_threshold:
         Messages with fewer hops than this are transmitted first (and evicted
         last), mirroring MaxProp's protection of "young" messages.
+
+    Node ids must be ``0..n-1`` for the ``n`` nodes registered when the
+    router first records a contact: the likelihood vectors it knows live in
+    a dense ``(n, n)`` per-hop cost table, row ``u`` holding
+    ``1 - P(u meets v)`` (``inf`` where ``u``'s vector has no entry, or no
+    vector of ``u`` is known) with its timestamp in a length-``n`` stamp
+    vector (``-inf`` for unknown rows).
     """
 
     name = "maxprop"
@@ -43,13 +59,15 @@ class MaxPropRouter(ContactAwareRouter):
         self.hop_threshold = int(hop_threshold)
         #: this node's incrementally averaged meeting likelihoods
         self._meet_probs: Dict[int, float] = {}
-        #: likelihood vectors learned from other nodes: node -> (timestamp, vector)
-        self._known_vectors: Dict[int, Tuple[float, Dict[int, float]]] = {}
+        #: per-hop costs of every known likelihood vector (row = vector
+        #: owner) and each row's timestamp; allocated at the first contact
+        self._costs: Optional[np.ndarray] = None
+        self._stamps: Optional[np.ndarray] = None
         #: ids of messages known (via acks) to have been delivered
         self._acked: Set[str] = set()
-        #: memo of path costs, valid until the known likelihood vectors change
-        self._cost_cache: Dict[int, float] = {}
-        self._cost_cache_revision: int = -1
+        #: path costs to every node, valid until the cost table changes
+        self._distances: Optional[np.ndarray] = None
+        self._distances_revision: int = -1
         self._vector_revision: int = 0
 
     # ------------------------------------------------------------- likelihoods
@@ -57,26 +75,45 @@ class MaxPropRouter(ContactAwareRouter):
         """This node's normalised meeting-likelihood vector (copy)."""
         return dict(self._meet_probs)
 
+    def _tables(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The cost table and stamp vector, allocated on first use."""
+        if self._costs is None:
+            assert self.world is not None
+            n = self.world.num_nodes
+            _check_node_id(self.node_id, n)
+            self._costs = np.full((n, n), np.inf)
+            self._stamps = np.full(n, -np.inf)
+        return self._costs, self._stamps
+
     def _update_meeting_probability(self, peer_id: int) -> None:
         # MaxProp's incremental averaging: bump the met node, renormalise.
-        self._meet_probs[peer_id] = self._meet_probs.get(peer_id, 0.0) + 1.0
-        total = sum(self._meet_probs.values())
-        for key in self._meet_probs:
-            self._meet_probs[key] /= total
-        self._known_vectors[self.node_id] = (self.now, dict(self._meet_probs))
+        costs, stamps = self._tables()
+        _check_node_id(peer_id, len(stamps))
+        probs = self._meet_probs
+        probs[peer_id] = probs.get(peer_id, 0.0) + 1.0
+        total = left_sum(probs.values())
+        for key in probs:
+            probs[key] /= total
+        count = len(probs)
+        row = costs[self.node_id]
+        row.fill(np.inf)
+        row[np.fromiter(probs.keys(), dtype=np.intp, count=count)] = (
+            1.0 - np.clip(np.fromiter(probs.values(), dtype=float,
+                                      count=count), 0.0, 1.0))
+        stamps[self.node_id] = self.now
         self._vector_revision += 1
 
     def _merge_vectors(self, other: "MaxPropRouter") -> int:
         """Copy every likelihood vector *other* knows more recently.  Returns rows copied."""
-        copied = 0
-        for node_id, (stamp, vector) in other._known_vectors.items():
-            if node_id == self.node_id:
-                continue
-            mine = self._known_vectors.get(node_id)
-            if mine is None or stamp > mine[0]:
-                self._known_vectors[node_id] = (stamp, dict(vector))
-                copied += 1
+        if other._stamps is None:
+            return 0
+        costs, stamps = self._tables()
+        newer = other._stamps > stamps
+        newer[self.node_id] = False
+        copied = int(np.count_nonzero(newer))
         if copied:
+            stamps[newer] = other._stamps[newer]
+            costs[newer] = other._costs[newer]
             self._vector_revision += 1
         return copied
 
@@ -84,38 +121,24 @@ class MaxPropRouter(ContactAwareRouter):
     def path_cost(self, destination: int) -> float:
         """Estimated delivery cost to *destination* (lower is better).
 
-        Dijkstra over the known likelihood vectors with per-hop cost
-        ``1 - P(meet)``; unreachable destinations cost ``inf``.  Costs are
-        memoised until the known likelihood vectors change (they only change
+        The shortest path over the known likelihood vectors with per-hop
+        cost ``1 - P(meet)``; unreachable destinations, and ids outside
+        ``0..n-1``, cost ``inf``.  One kernel run yields the cost to every
+        destination, memoised until the cost table changes (it only changes
         at contacts), because the transmission ordering and buffer eviction
-        query them on every tick.
+        query it on every tick.
         """
         destination = int(destination)
         if destination == self.node_id:
             return 0.0
-        if self._cost_cache_revision == self._vector_revision:
-            return self._cost_cache.get(destination, float("inf"))
-        self._cost_cache = {}
-        self._cost_cache_revision = self._vector_revision
-        # run Dijkstra to completion and memoise every reachable destination
-        dist: Dict[int, float] = {self.node_id: 0.0}
-        heap: List[Tuple[float, int]] = [(0.0, self.node_id)]
-        visited: Set[int] = set()
-        while heap:
-            d, u = heapq.heappop(heap)
-            if u in visited:
-                continue
-            visited.add(u)
-            entry = self._known_vectors.get(u)
-            if entry is None:
-                continue
-            for v, p in entry[1].items():
-                cost = d + (1.0 - min(max(p, 0.0), 1.0))
-                if cost < dist.get(v, float("inf")):
-                    dist[v] = cost
-                    heapq.heappush(heap, (cost, v))
-        self._cost_cache.update(dist)
-        return dist.get(destination, float("inf"))
+        stamps = self._stamps
+        if stamps is None or not 0 <= destination < len(stamps):
+            return float("inf")
+        if self._distances_revision != self._vector_revision:
+            self._distances = shortest_path_lengths(self._costs, self.node_id)
+            self._distances_revision = self._vector_revision
+            self.stats.knowledge_kernel_run()
+        return float(self._distances[destination])
 
     # ---------------------------------------------------------------- ack flush
     def _purge_acked(self) -> None:

@@ -34,6 +34,7 @@ import datetime
 import json
 import sqlite3
 import threading
+import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.scenario import ScenarioConfig
@@ -104,18 +105,18 @@ class ResultsStore:
         self._connection = sqlite3.connect(
             path, timeout=timeout, check_same_thread=False)
         try:
-            self._initialise()
+            self._initialise(timeout)
         except sqlite3.DatabaseError as error:
             self._connection.close()
             raise StoreError(
                 f"{path!r} is not a usable results store: {error}") from error
 
-    def _initialise(self) -> None:
+    def _initialise(self, timeout: float) -> None:
         with self._lock:
             if self.path != ":memory:":
                 # WAL lets readers proceed under a writer and is the mode
                 # SQLite recommends for multi-process append workloads
-                self._connection.execute("PRAGMA journal_mode=WAL")
+                self._enable_wal(timeout)
             self._connection.executescript(_SCHEMA)
             # two processes opening a fresh file may both get here before
             # either commits: OR IGNORE makes the stamp idempotent, and the
@@ -135,6 +136,22 @@ class ResultsStore:
                 raise sqlite3.DatabaseError(
                     f"store schema version {found} != supported "
                     f"{SCHEMA_VERSION}")
+
+    def _enable_wal(self, timeout: float) -> None:
+        # Switching a fresh file to WAL while another connection holds its
+        # write lock fails at once with "database is locked": SQLite does
+        # not run the busy handler for it.  Openers racing on a new store
+        # hit this, so retry until the busy timeout would have expired.
+        deadline = time.monotonic() + timeout
+        while True:
+            try:
+                self._connection.execute("PRAGMA journal_mode=WAL")
+                return
+            except sqlite3.OperationalError as error:
+                if ("locked" not in str(error)
+                        or time.monotonic() >= deadline):
+                    raise
+                time.sleep(0.005)
 
     # ------------------------------------------------------------- lifecycle
     def close(self) -> None:

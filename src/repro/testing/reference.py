@@ -43,7 +43,8 @@ The module also holds the naive twins of single production components,
 each the oracle of its parity tests: :class:`ReferenceMovement` (the
 per-follower movement loop), :class:`BruteForceConnectivity` (the
 O(n²) detector), :class:`ReferenceMessageBuffer` (the sort-per-add buffer)
-and :func:`dijkstra_delays_reference` (the heap-based MEMD Dijkstra).
+and :func:`dijkstra_delays_reference` (the heap-based Dijkstra, spec of
+the MEMD and MaxProp shortest-path kernel).
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from typing import (Callable, Deque, Dict, Iterable, Iterator, List, Optional,
 import numpy as np
 
 from repro.contacts.memd import _validate
+from repro.core.expectation import left_sum
 from repro.mobility.base import PathFollower
 from repro.net.buffer import BufferFullError, DropPolicy
 from repro.net.connection import Connection
@@ -275,7 +277,7 @@ class ContactHistoryReference:
         window = self._intervals.get(int(peer_id))
         if not window:
             return None
-        return sum(window) / len(window)
+        return left_sum(window) / len(window)
 
     def total_intervals(self) -> int:
         """Total number of recorded intervals across all peers."""
@@ -451,7 +453,8 @@ class ReferenceMessageBuffer:
 
 
 def dijkstra_delays_reference(md: np.ndarray, source: int) -> np.ndarray:
-    """Heap-based Dijkstra that cross-checks
+    """Heap-based Dijkstra: the spec of the shortest-path kernel
+    (:func:`~repro.contacts.paths.shortest_path_lengths`) and of
     :func:`~repro.contacts.memd.dijkstra_delays` in the tests."""
     md = _validate(md, source)
     n = md.shape[0]

@@ -326,6 +326,16 @@ def test_version_3_container_is_rejected(world_blob):
         load_checkpoint_bytes(v3)
 
 
+def test_version_4_container_is_rejected(world_blob):
+    # a version-4 snapshot pickles MaxProp routers with dict likelihood
+    # vectors instead of the dense cost table, and a stats collector without
+    # the knowledge-layer split
+    v4 = _rewrite_manifest(world_blob, format_version=4)
+    with pytest.raises(CheckpointError,
+                       match=r"^unsupported checkpoint format version 4 "):
+        load_checkpoint_bytes(v4)
+
+
 def test_missing_entries_and_garbage_raise_checkpoint_error(world_blob,
                                                             tmp_path):
     source = zipfile.ZipFile(io.BytesIO(world_blob))

@@ -4,7 +4,7 @@
 with a full serialize → tear down → deserialize → resume cycle at each
 checkpoint time and requires the canonical report bytes (metrics, counters,
 per-protocol extras — everything but wall-clock timings) to match exactly.
-Covered here: the four headline protocols, every admissible tick boundary of
+Covered here: the four headline protocols and MaxProp, every admissible tick boundary of
 a short run, the reference tick (repro.testing.reference), columnar and disabled
 collectors, the sharded detector of a 1 000-node world, file trace replay,
 and online community detection (CR with the Newman tracker).
@@ -25,7 +25,8 @@ def bench(protocol, **overrides):
         protocol=protocol, num_nodes=16, seed=3, sim_time=360.0, **overrides)
 
 
-@pytest.mark.parametrize("protocol", ["direct", "prophet", "eer", "cr"])
+@pytest.mark.parametrize("protocol", ["direct", "prophet", "eer", "cr",
+                                      "maxprop"])
 def test_resume_equality_headline_protocols(protocol):
     assert_resume_equality(bench(protocol), checkpoint_times=[120.0, 250.0])
 

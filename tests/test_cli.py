@@ -383,3 +383,15 @@ def test_run_human_output_includes_movement_line(capsys):
     line = next(row for row in out.splitlines()
                 if row.startswith("movement (mean per run):"))
     assert "batched" in line and "loop" in line
+
+
+def test_run_human_output_includes_knowledge_layer_line(capsys):
+    code = main(["run", "bench", "--protocol", "maxprop", "--seeds", "1",
+                 "--set", "num_nodes=16", "--set", "sim_time=400"])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    movement = next(index for index, row in enumerate(lines)
+                    if row.startswith("movement (mean per run):"))
+    line = lines[movement + 1]
+    assert line.startswith("knowledge layer (mean per run):")
+    assert "kernel runs" in line and "memd hits" in line

@@ -14,6 +14,7 @@ from repro.core.expectation import (
     expected_encounter_value,
     expected_meeting_delay,
     expected_num_encountering_communities,
+    left_sum,
 )
 
 
@@ -136,6 +137,29 @@ def test_expected_meeting_delay_overdue_policies():
     assert expected_meeting_delay([], 1.0) is None
     with pytest.raises(ValueError):
         expected_meeting_delay(intervals, -1.0)
+
+
+# ------------------------------------------------------------- float sums
+def test_left_sum_is_a_left_fold():
+    # Python 3.12's builtin sum() compensates and returns 1.0 here; the
+    # outcome-affecting sums must round after every addition on every
+    # interpreter
+    assert left_sum([1e16, 1.0, -1e16]) == 0.0
+    assert left_sum([]) == 0.0
+    assert left_sum(iter([0.1] * 10)) == 0.9999999999999999
+
+
+def test_estimators_and_history_mean_use_the_left_fold():
+    # ten 0.1 intervals: the left fold gives 0.9999999999999999, a
+    # compensated sum exactly 1.0
+    assert expected_meeting_delay([0.1] * 10, 0.0) == 0.09999999999999999
+    assert expected_meeting_delay([0.1] * 10, 1.0) == 0.09999999999999999
+    history = ContactHistory(owner_id=0)
+    times = [0.0, 1e16, 1e16 + 2.0, 2e16, 2e16 + 2.0]
+    for now in times:
+        history.record_contact(1, now)
+    intervals = history.intervals(1)
+    assert history.mean_interval(1) == left_sum(intervals) / len(intervals)
 
 
 # ------------------------------------------------------------------- Theorem 4

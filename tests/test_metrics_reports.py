@@ -140,3 +140,55 @@ def test_bus_run_reports_its_movement_split():
     assert (reference.moves_batched, reference.moves_loop) == (0, 10 * ticks)
     assert canonical_report_bytes(production) \
         == canonical_report_bytes(reference)
+
+
+def test_knowledge_split_is_telemetry_not_outcome():
+    """Kernel runs and MEMD cache hits ride the timed payload only: how
+    often a cache was hit is not an outcome."""
+    from repro.testing import canonical_report_bytes
+
+    cached, uncached = populated_collector(), populated_collector()
+    for _ in range(3):
+        cached.memd_lookup(recomputed=False)
+        uncached.memd_lookup(recomputed=True)
+    cached.knowledge_kernel_run()
+    reports = [build_report(stats, protocol="eer", num_nodes=40,
+                            sim_time=1000.0, seed=3)
+               for stats in (cached, uncached)]
+    assert (reports[0].kernel_runs, reports[0].memd_hits) == (1, 3)
+    assert (reports[1].kernel_runs, reports[1].memd_hits) == (3, 0)
+    assert canonical_report_bytes(reports[0]) \
+        == canonical_report_bytes(reports[1])
+    for report in reports:
+        assert "kernel_runs" not in report.as_dict()
+        assert "memd_hits" not in report.as_dict()
+    timed = reports[0].as_dict(include_timings=True)
+    assert (timed["kernel_runs"], timed["memd_hits"]) == (1, 3)
+
+
+@pytest.mark.parametrize("protocol", ["eer", "cr", "maxprop", "epidemic"])
+def test_runs_report_their_knowledge_split(protocol):
+    from repro.experiments.builder import build_scenario
+    from repro.experiments.catalog import make_scenario
+    from repro.experiments.runner import finalize_report
+
+    config = make_scenario("bench", {"num_nodes": 30, "sim_time": 1500.0,
+                                     "protocol": protocol})
+    built = build_scenario(config)
+    try:
+        built.run()
+    finally:
+        built.world.stop()
+    report = finalize_report(built.stats, config)
+    routers = [node.router for node in built.world.nodes]
+    caches = [router._memd for router in routers if hasattr(router, "_memd")]
+    recomputes = sum(cache.computes for cache in caches)
+    hits = sum(cache.hits for cache in caches)
+    if protocol == "maxprop":
+        assert report.kernel_runs > 0
+        assert report.memd_hits == 0
+    elif protocol == "epidemic":
+        assert (report.kernel_runs, report.memd_hits) == (0, 0)
+    else:
+        assert report.kernel_runs == recomputes > 0
+        assert report.memd_hits == hits > 0

@@ -221,6 +221,26 @@ def test_concurrent_writers_one_row_per_key(tmp_path):
                 canonical_report_json(report)
 
 
+def test_opening_a_fresh_store_waits_out_a_concurrent_writer(tmp_path):
+    # another connection holds the write lock of a fresh (rollback-journal)
+    # file: SQLite refuses the switch to WAL at once, without waiting out
+    # the busy timeout, so the store has to retry it
+    path = str(tmp_path / "r.sqlite")
+    holder = sqlite3.connect(path, isolation_level=None,
+                             check_same_thread=False)
+    holder.execute("CREATE TABLE held (x)")
+    holder.execute("BEGIN IMMEDIATE")
+    release = threading.Timer(0.2, holder.execute, args=("COMMIT",))
+    release.start()
+    try:
+        with open_store(path, timeout=10.0) as store:
+            assert len(store) == 0
+    finally:
+        release.join(timeout=5.0)
+        holder.close()
+    assert not release.is_alive()
+
+
 def test_store_summary_counts(tmp_path):
     config = tiny_config()
     with open_store(str(tmp_path / "r.sqlite")) as store:
