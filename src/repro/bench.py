@@ -13,8 +13,9 @@ checksums proving the two paths computed the same answers:
     stream.  Every encounter records a contact, refreshes the owner's MI row
     and evaluates the expected encounter value (Theorem 1); every few
     encounters a batch of single-replica forwarding decisions queries the
-    MEMD (Theorems 2+3).  Baseline: dict-of-deques history, per-peer Python
-    estimator loops, and one fresh Dijkstra per (source, destination) query.
+    MEMD (Theorems 2+3).  Baseline: dict-of-deques history, the per-peer
+    estimator specs of :mod:`repro.testing.reference`, and one fresh MD
+    build and Dijkstra per (source, destination) query.
     Current: ring-buffer history, batch kernels, and the version-keyed
     delay-vector cache.  The EEV/MEMD checksums must match bit for bit.
 ``buffer_churn``
@@ -24,7 +25,7 @@ checksums proving the two paths computed the same answers:
 ``scenario_eer``
     An end-to-end catalog scenario run on the reference world of
     :mod:`repro.testing.reference` (naive tick, dict-of-deques contact
-    histories, per-peer estimator loops) vs the production world:
+    histories) vs the production world:
     wall-clock ms/tick, encounters processed per wall-second, and the full
     delivery-metric checksum set, which must be identical — the vectorized
     hot path must not change a single routing decision.
@@ -33,8 +34,9 @@ checksums proving the two paths computed the same answers:
     from a planted-community contact stream are reduced to one aggregate
     contact graph, repeatedly (as the online tracker does between
     detections), then Newman detection runs once on the result.  Baseline:
-    the per-edge Python builder (one ``contact_count``/``mean_interval``
-    call per peer).  Current: the vectorized builder over the zero-copy
+    the per-edge spec builder of :mod:`repro.testing.reference` (one
+    ``contact_count``/``mean_interval`` call per peer).  Current: the
+    vectorized builder over the zero-copy
     ``interval_arrays()``/``contact_count_arrays()`` views.  The graph
     checksums (edge count, total weight, mean-interval sum) and the detected
     assignment CRC must match bit for bit.
@@ -78,7 +80,6 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.contacts.history import ContactHistory
-from repro.contacts.md_matrix import build_delay_matrix
 from repro.contacts.memd import MemdCache, minimum_expected_meeting_delay
 from repro.contacts.mi_matrix import MeetingIntervalMatrix
 from repro.core.expectation import expected_encounter_value
@@ -171,10 +172,16 @@ def bench_encounter_pipeline(scale: Dict[str, float], seed: int,
     owner = 0
     mi = _seed_mi_matrix(num_nodes, owner, seed)
     if reference:
-        from repro.testing.reference import ContactHistoryReference
+        from repro.testing.reference import (
+            ContactHistoryReference,
+            build_delay_matrix_reference,
+            expected_encounter_value_reference,
+        )
         history = ContactHistoryReference(owner, 20)
+        eev = expected_encounter_value_reference
     else:
         history = ContactHistory(owner, 20)
+        eev = expected_encounter_value
     cache = MemdCache(refresh=0.0)
     horizon = 0.28 * 1200.0  # alpha * TTL, the paper's operating point
     eev_checksum = 0.0
@@ -187,7 +194,7 @@ def bench_encounter_pipeline(scale: Dict[str, float], seed: int,
         mean = history.mean_interval(int(peers[i]))
         if mean is not None:
             mi.update_own_row({int(peers[i]): mean}, now)
-        eev_checksum += expected_encounter_value(history, now, horizon)
+        eev_checksum += eev(history, now, horizon)
         if i % memd_every == memd_every - 1:
             # a batch of single-replica forwarding decisions
             for j in range(memd_batch):
@@ -195,8 +202,8 @@ def bench_encounter_pipeline(scale: Dict[str, float], seed: int,
                 if dest == owner:
                     continue
                 if reference:
-                    # pre-PR pattern: fresh MD build + Dijkstra per query
-                    md = build_delay_matrix(history, mi, now)
+                    # naive pattern: fresh MD build + Dijkstra per query
+                    md = build_delay_matrix_reference(history, mi, now)
                     value = minimum_expected_meeting_delay(md, owner, dest)
                 else:
                     value = float(cache.delays(history, mi, now)[dest])
@@ -601,28 +608,28 @@ def bench_community_detection(scale: Dict[str, float], seed: int,
     """Aggregation rounds + one graph build + one detection, per mode.
 
     The reference mode re-materialises the aggregate graph per round through
-    the per-edge builder (the pre-vectorization pattern).  The current mode
-    reduces the histories to edge *arrays* per round — that is what the
+    the per-edge spec builder (the pre-vectorization pattern).  The current
+    mode reduces the histories to edge *arrays* per round — that is what the
     online pipeline keeps fresh — and materialises a graph only once, when
     detection runs, exactly like the tracker's flush.  Both modes end in the
     same Newman detection and must produce bit-identical graph checksums and
     assignment CRC.
     """
-    from repro.community.graph import (
-        contact_edge_arrays,
-        contact_graph_from_history,
-        graph_from_edge_arrays,
-    )
+    from repro.community.graph import contact_edge_arrays, graph_from_edge_arrays
     from repro.community.newman import newman_modularity_communities
 
     num_nodes = int(scale["detect_nodes"])
     contacts = int(scale["detect_contacts"])
     rounds = int(scale["detect_rounds"])
     histories = _planted_history_set(num_nodes, contacts, seed)
+    if reference:
+        from repro.testing.reference import (
+            contact_graph_from_history_reference)
     start = time.perf_counter()
     if reference:
         for _ in range(rounds):
-            graph = contact_graph_from_history(histories, min_contacts=1)
+            graph = contact_graph_from_history_reference(histories,
+                                                         min_contacts=1)
     else:
         for _ in range(rounds):
             arrays = contact_edge_arrays(histories, min_contacts=1)

@@ -15,7 +15,6 @@ from repro.community.graph import (
     aggregate_contact_graph,
     contact_edge_arrays,
     contact_graph_from_history,
-    contact_graph_from_history_vectorized,
     graph_from_edge_weights,
 )
 from repro.community.kclique import k_clique_communities
@@ -33,7 +32,6 @@ from repro.community.provider import (
 __all__ = [
     "CommunityAssignment",
     "contact_graph_from_history",
-    "contact_graph_from_history_vectorized",
     "contact_edge_arrays",
     "graph_from_edge_weights",
     "aggregate_contact_graph",

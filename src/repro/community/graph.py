@@ -2,20 +2,21 @@
 
 Community detection works on an *aggregate contact graph*: nodes are DTN
 nodes, edge weights summarise how strongly two nodes are connected over the
-observation window (number of contacts or total contact duration).  Three
-builders are provided: a per-edge reference from a node's own contact history
-(local view), a vectorized equivalent that reduces over the PR3 zero-copy
-array views (:meth:`~repro.contacts.history.ContactHistory.interval_arrays`
-and :meth:`~repro.contacts.history.ContactHistory.contact_count_arrays`)
-instead of looping peer by peer, and one from the collector's global contact
+observation window (number of contacts or total contact duration).  Two
+builders are provided: one from the nodes' own contact histories (local
+view), which reduces over their array views
+(:meth:`~repro.contacts.history.ContactHistory.interval_arrays` and
+:meth:`~repro.contacts.history.ContactHistory.contact_count_arrays`) in a
+handful of NumPy operations, and one from the collector's global contact
 records (oracle view used by the examples and tests).
 
-The reference and vectorized history builders produce *identical* graphs —
-same nodes, same edges, bit-identical ``weight``/``mean_interval`` attributes
-(the vectorized mean uses a left-to-right ``cumsum``, matching the reference
-implementation's sequential :func:`~repro.core.expectation.left_sum`
-exactly).  The paired
-``community_detection`` benchmark in :mod:`repro.bench` pins this.
+The per-edge spec of the history builder,
+:func:`repro.testing.reference.contact_graph_from_history_reference`, must
+produce the *identical* graph — same nodes, same edges, bit-identical
+``weight``/``mean_interval`` attributes (the vectorized mean uses a
+left-to-right ``cumsum``, matching the spec's sequential
+:func:`~repro.core.expectation.left_sum` exactly).  The parity tests and the
+paired ``community_detection`` benchmark in :mod:`repro.bench` pin this.
 """
 
 from __future__ import annotations
@@ -27,48 +28,6 @@ import numpy as np
 
 from repro.contacts.history import ContactHistory
 from repro.metrics.events import ContactRecord
-
-
-def contact_graph_from_history(histories: Iterable[ContactHistory],
-                               min_contacts: int = 1) -> nx.Graph:
-    """Build an aggregate contact graph from per-node contact histories.
-
-    Parameters
-    ----------
-    histories:
-        One :class:`~repro.contacts.history.ContactHistory` per node.
-    min_contacts:
-        Minimum number of recorded contacts for an edge to appear.
-
-    Returns
-    -------
-    networkx.Graph
-        Undirected graph with ``weight`` = number of contacts and
-        ``mean_interval`` = average recorded meeting interval (``None`` when
-        fewer than two contacts were recorded).
-    """
-    graph = nx.Graph()
-    for history in histories:
-        graph.add_node(history.owner_id)
-        for peer in history.peers():
-            count = history.contact_count(peer)
-            if count < min_contacts:
-                continue
-            mean = history.mean_interval(peer)
-            if graph.has_edge(history.owner_id, peer):
-                # keep the larger of the two (histories should agree, but
-                # sliding windows may have trimmed one side differently)
-                existing = graph[history.owner_id][peer]
-                existing["weight"] = max(existing["weight"], count)
-                if mean is not None:
-                    if existing.get("mean_interval") is None:
-                        existing["mean_interval"] = mean
-                    else:
-                        existing["mean_interval"] = min(existing["mean_interval"], mean)
-            else:
-                graph.add_edge(history.owner_id, peer, weight=count,
-                               mean_interval=mean)
-    return graph
 
 
 def contact_edge_arrays(histories: Iterable[ContactHistory],
@@ -86,7 +45,7 @@ def contact_edge_arrays(histories: Iterable[ContactHistory],
     canonicalisation by packing ``(lo, hi)`` pairs into int64 codes, and
     duplicate resolution (the two endpoints of an edge each report it) with
     ``np.maximum.at`` / ``np.fmin.at`` scatter reductions — the same
-    max-weight / min-mean tie-break the per-edge reference applies.
+    max-weight / min-mean tie-break the per-edge spec applies.
 
     Returns
     -------
@@ -107,26 +66,17 @@ def contact_edge_arrays(histories: Iterable[ContactHistory],
         peer_ids, contact_counts = history.contact_count_arrays()
         if not len(peer_ids):
             continue
-        if getattr(history, "interval_arrays", None) is not None:
-            _, intervals, interval_counts, _ = history.interval_arrays()
-            # sequential left-to-right sums per row, matching left_sum(list)
-            # bit for bit
-            cums = np.cumsum(intervals, axis=1)
-            has = interval_counts > 0
-            sums = np.where(
-                has, cums[np.arange(len(interval_counts)),
-                          np.maximum(interval_counts, 1) - 1], 0.0)
-            means = np.divide(sums, interval_counts,
-                              out=np.full(len(interval_counts), np.nan),
-                              where=has)
-        else:
-            # histories without array views (ContactHistoryReference) go
-            # through the scalar API; mean_interval sums sequentially, so
-            # the result is bit-identical either way
-            means = np.fromiter(
-                (mean if (mean := history.mean_interval(int(peer)))
-                 is not None else np.nan for peer in peer_ids),
-                dtype=float, count=len(peer_ids))
+        _, intervals, interval_counts, _ = history.interval_arrays()
+        # sequential left-to-right sums per row, matching left_sum(list)
+        # bit for bit
+        cums = np.cumsum(intervals, axis=1)
+        has = interval_counts > 0
+        sums = np.where(
+            has, cums[np.arange(len(interval_counts)),
+                      np.maximum(interval_counts, 1) - 1], 0.0)
+        means = np.divide(sums, interval_counts,
+                          out=np.full(len(interval_counts), np.nan),
+                          where=has)
         keep = contact_counts >= min_contacts
         if not keep.all():
             peer_ids = peer_ids[keep]
@@ -178,13 +128,25 @@ def graph_from_edge_arrays(owners: np.ndarray, lo: np.ndarray,
     return graph
 
 
-def contact_graph_from_history_vectorized(histories: Iterable[ContactHistory],
-                                          min_contacts: int = 1) -> nx.Graph:
-    """Vectorized equivalent of :func:`contact_graph_from_history`.
+def contact_graph_from_history(histories: Iterable[ContactHistory],
+                               min_contacts: int = 1) -> nx.Graph:
+    """Build an aggregate contact graph from per-node contact histories.
 
-    Same node set, same edges, bit-identical ``weight`` and
-    ``mean_interval`` attributes; only the aggregation strategy differs (see
-    :func:`contact_edge_arrays`).
+    Parameters
+    ----------
+    histories:
+        One :class:`~repro.contacts.history.ContactHistory` per node.
+    min_contacts:
+        Minimum number of recorded contacts for an edge to appear.
+
+    Returns
+    -------
+    networkx.Graph
+        Undirected graph with ``weight`` = number of contacts and
+        ``mean_interval`` = average recorded meeting interval (``None`` when
+        fewer than two contacts were recorded).  Where the two endpoints'
+        histories disagree (sliding windows trimmed differently) the larger
+        count and the smaller mean win (see :func:`contact_edge_arrays`).
     """
     return graph_from_edge_arrays(*contact_edge_arrays(
         histories, min_contacts=min_contacts))

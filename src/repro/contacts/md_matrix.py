@@ -8,12 +8,12 @@ average meeting intervals :math:`I_{jk}` taken from the exchanged MI matrix.
 The minimum expected meeting delay (MEMD, Theorem 3) is then the Dijkstra
 shortest path over ``MD``.
 
-With a vectorized :class:`~repro.contacts.history.ContactHistory` the owner's
-row is produced by one call to
+The owner's row is produced by one call to
 :func:`~repro.core.expectation.batch_expected_delays` over the whole
-``(peers, window)`` interval matrix; reference histories fall back to the
-original per-peer loop.  Both paths are bit-identical (see
-:mod:`repro.core.expectation`).
+``(peers, window)`` interval matrix of the history's array views.  Its
+per-peer spec, :func:`repro.testing.reference.build_delay_matrix_reference`,
+fills the same row one :func:`~repro.core.expectation.expected_meeting_delay`
+call at a time and must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -23,12 +23,7 @@ from typing import Optional
 import numpy as np
 
 from repro.contacts.mi_matrix import MeetingIntervalMatrix
-import repro.core.expectation as expectation
-from repro.core.expectation import (
-    OverduePolicy,
-    batch_expected_delays,
-    expected_meeting_delay,
-)
+from repro.core.expectation import OverduePolicy, batch_expected_delays
 
 
 def build_delay_matrix(history, mi: MeetingIntervalMatrix,
@@ -60,38 +55,26 @@ def build_delay_matrix(history, mi: MeetingIntervalMatrix,
         diagonal.
     """
     n = mi.num_nodes
-    owner = mi.owner_id
-    if history.owner_id != owner:
+    if history.owner_id != mi.owner_id:
         raise ValueError("history and MI matrix belong to different nodes")
-    md = mi.values.copy()
     # Owner's row: Theorem 2 conditioned on the elapsed time since last
-    # contact.  Vectorized histories with enough peers go through the batch
-    # kernel; small or reference histories take the (bit-identical) loop.
-    arrays = (history.interval_arrays()
-              if hasattr(history, "interval_arrays") else None)
-    if arrays is not None and len(arrays[0]) >= expectation.BATCH_MIN_PEERS:
-        own_row = np.full(n, np.inf)
-        peer_ids, intervals, counts, last = arrays
-        elapsed = np.maximum(0.0, now - last)
-        emd = batch_expected_delays(intervals, counts, elapsed,
-                                    overdue_policy)
-        usable = ~np.isnan(emd) & (peer_ids >= 0) & (peer_ids < n)
-        own_row[peer_ids[usable]] = emd[usable]
-        own_row[owner] = 0.0
-    else:
-        own_row = np.full(n, np.inf)
-        own_row[owner] = 0.0
-        for peer in history.peers():
-            if not 0 <= peer < n:
-                continue
-            intervals = history.intervals(peer)
-            elapsed = history.elapsed_since(peer, now)
-            if elapsed is None:
-                continue
-            emd = expected_meeting_delay(intervals, elapsed, overdue_policy)
-            if emd is not None:
-                own_row[peer] = emd
-    md[owner, :] = own_row
+    # contact; peers without a prediction or beyond n stay unknown.
+    own_row = np.full(n, np.inf)
+    peer_ids, intervals, counts, last = history.interval_arrays()
+    emd = batch_expected_delays(intervals, counts, np.maximum(0.0, now - last),
+                                overdue_policy)
+    usable = ~np.isnan(emd) & (peer_ids >= 0) & (peer_ids < n)
+    own_row[peer_ids[usable]] = emd[usable]
+    return _delay_matrix(mi, own_row, node_filter)
+
+
+def _delay_matrix(mi: MeetingIntervalMatrix, own_row: np.ndarray,
+                  node_filter: Optional[np.ndarray]) -> np.ndarray:
+    """*mi*'s values with the owner's row replaced by *own_row*, the
+    diagonal zeroed and *node_filter* applied (shared with the spec)."""
+    n = mi.num_nodes
+    md = mi.values.copy()
+    md[mi.owner_id, :] = own_row
     np.fill_diagonal(md, 0.0)
     if node_filter is not None:
         mask = np.asarray(node_filter, dtype=bool)

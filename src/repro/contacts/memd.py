@@ -65,9 +65,13 @@ def dijkstra_delays(md: np.ndarray, source: int,
 
 def minimum_expected_meeting_delay(md: np.ndarray, source: int, destination: int) -> float:
     """The MEMD from *source* to *destination* over matrix *md*."""
+    md = _validate(md, source)
+    n = md.shape[0]
+    if not 0 <= destination < n:
+        raise IndexError(f"destination {destination} out of range for n={n}")
     if source == destination:
         return 0.0
-    return float(dijkstra_delays(md, source)[destination])
+    return float(dijkstra_delays(md, source, validate=False)[destination])
 
 
 class MemdCache:

@@ -21,18 +21,20 @@ choice explicit; the default ``REFRESH`` treats the overdue meeting as a fresh
 renewal drawn from the full window, which is the standard empirical-renewal
 fallback and is what the reference experiments use.
 
-Two execution paths share these definitions.  When the history is the
-vectorized :class:`~repro.contacts.history.ContactHistory`, the estimators
-reduce over the whole ``(peers, window)`` interval matrix in a few NumPy
-operations (:func:`batch_encounter_probabilities`,
-:func:`batch_expected_delays`).  Any other history object (in particular
-:class:`~repro.testing.reference.ContactHistoryReference`) falls back to the
-original per-peer Python loops.  The batch kernels are *bit-exact* against
-the loops: counts are integers, quotients are single IEEE divisions, and
-every order-sensitive float sum is performed left to right via ``cumsum``
-over chronologically ordered rows (masked-out entries contribute an exact
-``+0.0``), so both paths produce identical routing decisions — the parity
-property tests and the benchmark checksums rely on this.
+The estimators that take a whole contact history
+(:func:`expected_encounter_value`, :func:`community_encounter_probability`)
+read it only through its array views
+(:meth:`~repro.contacts.history.ContactHistory.interval_arrays`) and reduce
+over the whole ``(peers, window)`` interval matrix in a few NumPy operations
+(:func:`batch_encounter_probabilities`, :func:`batch_expected_delays`).  The
+per-pair functions :func:`conditional_encounter_probability` and
+:func:`expected_meeting_delay` state the theorems for one peer; the per-peer
+loops over them in :mod:`repro.testing.reference` are the executable spec
+the batch kernels are held to *bit for bit*: counts are integers, quotients
+are single IEEE divisions, and every order-sensitive float sum is performed
+left to right via ``cumsum`` over chronologically ordered rows (masked-out
+entries contribute an exact ``+0.0``).  The parity property tests and the
+benchmark checksums rely on this.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from __future__ import annotations
 import enum
 import functools
 import operator
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -73,7 +75,7 @@ def _sequential_row_sum(values: np.ndarray) -> np.ndarray:
 
     ``cumsum`` accumulates strictly sequentially, so the last column equals
     :func:`left_sum` of the same row — bit for bit — which keeps the batch
-    kernels exactly interchangeable with the reference loops.
+    kernels exactly equal to the per-peer spec.
     """
     if values.shape[1] == 0:
         return np.zeros(values.shape[0], dtype=float)
@@ -117,8 +119,8 @@ def batch_encounter_probabilities(intervals: np.ndarray, counts: np.ndarray,
     conditioned = valid & (intervals > elapsed[:, None])
     m = conditioned.sum(axis=1)
     within = (conditioned & (intervals <= (elapsed + horizon)[:, None])).sum(axis=1)
-    safe_m = np.maximum(m, 1)
-    p = np.where(m > 0, within / safe_m, 0.0)
+    # m == 0 implies within == 0, so those rows read an exact 0 / 1 = 0.0
+    p = within / np.maximum(m, 1)
     overdue = (m == 0) & (counts > 0)
     if overdue.any():
         if overdue_policy is OverduePolicy.OPTIMISTIC:
@@ -164,29 +166,6 @@ def batch_expected_delays(intervals: np.ndarray, counts: np.ndarray,
         # PESSIMISTIC keeps nan
     emd[counts == 0] = np.nan
     return emd
-
-
-#: below this many recorded peers the per-peer Python loop beats the batch
-#: kernel's fixed NumPy call overhead (measured crossover ~13 peers); both
-#: paths are bit-identical, so the dispatch never changes a result
-BATCH_MIN_PEERS = 14
-
-
-def _history_arrays(history, min_peers: Optional[int] = None):
-    """Batch views of a vectorized history, or ``None`` to use the loop path.
-
-    Returns ``None`` both for reference histories (no array accessor) and for
-    vectorized histories too small for the kernel to pay off.  *min_peers*
-    defaults to the module-level :data:`BATCH_MIN_PEERS` (read at call time,
-    so tests can tune it).
-    """
-    accessor = getattr(history, "interval_arrays", None)
-    if accessor is None:
-        return None
-    arrays = accessor()
-    if len(arrays[0]) < (BATCH_MIN_PEERS if min_peers is None else min_peers):
-        return None
-    return arrays
 
 
 def _elapsed_vector(last: np.ndarray, now: float) -> np.ndarray:
@@ -237,26 +216,9 @@ def conditional_encounter_probability(intervals: Sequence[float], elapsed: float
     return within / len(intervals)
 
 
-#: a peer filter is either a predicate on the peer id or a boolean mask
-#: indexed by node id (the CR protocol passes its community-membership mask)
-PeerFilter = Union[Callable[[int], bool], np.ndarray]
-
-
-def _filter_mask(peer_ids: np.ndarray, peer_filter: Optional[PeerFilter]) -> Optional[np.ndarray]:
-    if peer_filter is None:
-        return None
-    if isinstance(peer_filter, np.ndarray):
-        mask = np.zeros(len(peer_ids), dtype=bool)
-        in_range = (peer_ids >= 0) & (peer_ids < len(peer_filter))
-        mask[in_range] = peer_filter[peer_ids[in_range]]
-        return mask
-    return np.fromiter((bool(peer_filter(int(pid))) for pid in peer_ids),
-                       dtype=bool, count=len(peer_ids))
-
-
 def expected_encounter_value(history, now: float, horizon: float,
                              overdue_policy: OverduePolicy = OverduePolicy.REFRESH,
-                             peer_filter: Optional[PeerFilter] = None,
+                             peer_filter: Optional[np.ndarray] = None,
                              ) -> float:
     """Theorem 1: the expected encounter value ``EEV_i(t, tau)``.
 
@@ -267,7 +229,8 @@ def expected_encounter_value(history, now: float, horizon: float,
     Parameters
     ----------
     history:
-        The node's contact history (vectorized or reference).
+        The node's contact history; read through its
+        :meth:`~repro.contacts.history.ContactHistory.interval_arrays`.
     now:
         Current time :math:`t`.
     horizon:
@@ -276,44 +239,23 @@ def expected_encounter_value(history, now: float, horizon: float,
     overdue_policy:
         See :class:`OverduePolicy`.
     peer_filter:
-        Optional restriction on which peers count: a predicate on the peer
-        id, or a boolean mask indexed by node id (the CR protocol's
-        intra-community EEV' passes its same-community mask).
+        Optional boolean mask indexed by node id restricting which peers
+        count (the CR protocol's intra-community EEV' passes its
+        same-community mask); peers beyond the mask do not count.
     """
-    arrays = _history_arrays(history)
-    if arrays is None:
-        return _expected_encounter_value_reference(
-            history, now, horizon, overdue_policy, peer_filter)
-    peer_ids, intervals, counts, last = arrays
+    peer_ids, intervals, counts, last = history.interval_arrays()
     if peer_ids.size == 0:
         return 0.0
     elapsed = _elapsed_vector(last, now)
     p = batch_encounter_probabilities(intervals, counts, elapsed, horizon,
                                       overdue_policy)
-    mask = _filter_mask(peer_ids, peer_filter)
-    if mask is not None:
+    if peer_filter is not None:
+        mask = np.zeros(len(peer_ids), dtype=bool)
+        in_range = (peer_ids >= 0) & (peer_ids < len(peer_filter))
+        mask[in_range] = peer_filter[peer_ids[in_range]]
         # excluded peers contribute an exact +0.0 to the sequential sum
         p = np.where(mask, p, 0.0)
     return float(np.cumsum(p)[-1])
-
-
-def _expected_encounter_value_reference(history, now, horizon, overdue_policy,
-                                        peer_filter):
-    total = 0.0
-    is_mask = isinstance(peer_filter, np.ndarray)
-    for peer in history.peers():
-        if peer_filter is not None:
-            if is_mask:
-                if not (0 <= peer < len(peer_filter) and peer_filter[peer]):
-                    continue
-            elif not peer_filter(peer):
-                continue
-        elapsed = history.elapsed_since(peer, now)
-        if elapsed is None:
-            continue
-        total += conditional_encounter_probability(
-            history.intervals(peer), elapsed, horizon, overdue_policy)
-    return total
 
 
 # --------------------------------------------------------------------------- Theorem 2
@@ -348,6 +290,30 @@ def expected_meeting_delay(intervals: Sequence[float], elapsed: float,
 
 
 # --------------------------------------------------------------------------- Theorem 4
+def _encounter_probabilities(history, now: float, horizon: float,
+                             overdue_policy: OverduePolicy) -> np.ndarray:
+    """Theorem 1 for every recorded peer, in the history's row order."""
+    peer_ids, intervals, counts, last = history.interval_arrays()
+    if peer_ids.size == 0:
+        return np.zeros(0)
+    return batch_encounter_probabilities(intervals, counts,
+                                         _elapsed_vector(last, now), horizon,
+                                         overdue_policy)
+
+
+def _meet_any_probability(history, p: np.ndarray,
+                          members: Iterable[int]) -> float:
+    # gather the met members in the caller's member order so the sequential
+    # product matches the per-member spec exactly
+    slots = [slot for member in members
+             if member != history.owner_id
+             and (slot := history.slot_of(member)) is not None]
+    if not slots:
+        return 0.0
+    miss = np.cumprod(1.0 - p[np.asarray(slots, dtype=np.intp)])[-1]
+    return 1.0 - float(miss)
+
+
 def community_encounter_probability(history, now: float, horizon: float,
                                     members: Iterable[int],
                                     overdue_policy: OverduePolicy = OverduePolicy.REFRESH,
@@ -358,42 +324,8 @@ def community_encounter_probability(history, now: float, horizon: float,
     conditional encounter probability of Theorem 1.  Members the node has
     never met contribute probability 0.
     """
-    arrays = _history_arrays(history)
-    if arrays is None:
-        return _community_encounter_probability_reference(
-            history, now, horizon, members, overdue_policy)
-    peer_ids, intervals, counts, last = arrays
-    if peer_ids.size == 0:
-        return 0.0
-    elapsed = _elapsed_vector(last, now)
-    p = batch_encounter_probabilities(intervals, counts, elapsed, horizon,
-                                      overdue_policy)
-    # gather the met members in the caller's member order so the sequential
-    # product matches the reference loop exactly
-    slots = [slot for member in members
-             if member != history.owner_id
-             and (slot := history.slot_of(member)) is not None]
-    if not slots:
-        return 0.0
-    miss = np.cumprod(1.0 - p[np.asarray(slots, dtype=np.intp)])[-1]
-    return 1.0 - float(miss)
-
-
-def _community_encounter_probability_reference(history, now, horizon, members,
-                                               overdue_policy):
-    miss = 1.0
-    for member in members:
-        if member == history.owner_id:
-            continue
-        elapsed = history.elapsed_since(member, now)
-        if elapsed is None:
-            continue
-        p = conditional_encounter_probability(
-            history.intervals(member), elapsed, horizon, overdue_policy)
-        miss *= (1.0 - p)
-        if miss == 0.0:
-            break
-    return 1.0 - miss
+    p = _encounter_probabilities(history, now, horizon, overdue_policy)
+    return _meet_any_probability(history, p, members)
 
 
 def expected_num_encountering_communities(history, now: float,
@@ -417,11 +349,14 @@ def expected_num_encountering_communities(history, now: float,
         sums over :math:`k \\ne CID_{u_i}`).
     overdue_policy:
         See :class:`OverduePolicy`.
+
+    The per-peer probabilities are computed once and shared by every
+    community's :func:`community_encounter_probability` product.
     """
+    p = _encounter_probabilities(history, now, horizon, overdue_policy)
     total = 0.0
     for community_id, members in communities.items():
         if own_community is not None and community_id == own_community:
             continue
-        total += community_encounter_probability(
-            history, now, horizon, members, overdue_policy)
+        total += _meet_any_probability(history, p, members)
     return total

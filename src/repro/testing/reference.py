@@ -19,11 +19,13 @@ obvious way:
 * ``transfers`` — every live link is scanned and advanced,
 * ``routers`` — every router is ticked, every update.
 
-The knowledge layer runs the obvious way too: every contact-aware router
+The contact store runs the obvious way too: every contact-aware router
 (EER, CR, EBR, PRoPHET, MaxProp, Spray-and-Focus) records its contacts in a
-:class:`ContactHistoryReference` — the original dict-of-deques store, which
-has no array views, so the Theorem 1/2/4 estimators take their per-peer
-Python loops instead of the batch kernels.
+:class:`ContactHistoryReference` — the original dict-of-deques store, whose
+array views are rebuilt from its deques on every call.  The production
+Theorem 1/2/4 estimators run over those views, so a reference run checks
+the ring-buffer storage of :class:`~repro.contacts.history.ContactHistory`
+end to end.
 
 :class:`ReferenceTick` is one mixin applied to both world flavours
 (:class:`ReferenceWorld`, :class:`ReferenceTraceReplayWorld`).  Select it
@@ -45,6 +47,16 @@ per-follower movement loop), :class:`BruteForceConnectivity` (the
 O(n²) detector), :class:`ReferenceMessageBuffer` (the sort-per-add buffer)
 and :func:`dijkstra_delays_reference` (the heap-based Dijkstra, spec of
 the MEMD and MaxProp shortest-path kernel).
+
+It holds the history-level estimator loops too, each one call of the
+public per-pair functions of :mod:`repro.core.expectation` per peer:
+:func:`expected_encounter_value_reference` (Theorem 1),
+:func:`community_encounter_probability_reference` (Theorem 4),
+:func:`build_delay_matrix_reference` (the Theorem 2 MD own row) and
+:func:`contact_graph_from_history_reference` (the per-edge contact graph).
+They are the spec the batch kernels are held to bit for bit by the parity
+tests, and the baselines of the ``encounter_pipeline`` and
+``community_detection`` pairs in ``repro bench``.
 """
 
 from __future__ import annotations
@@ -54,10 +66,15 @@ from collections import deque
 from typing import (Callable, Deque, Dict, Iterable, Iterator, List, Optional,
                     Tuple)
 
+import networkx as nx
 import numpy as np
 
+from repro.contacts.md_matrix import _delay_matrix
 from repro.contacts.memd import _validate
-from repro.core.expectation import left_sum
+from repro.contacts.mi_matrix import MeetingIntervalMatrix
+from repro.core.expectation import (OverduePolicy,
+                                    conditional_encounter_probability,
+                                    expected_meeting_delay, left_sum)
 from repro.mobility.base import PathFollower
 from repro.net.buffer import BufferFullError, DropPolicy
 from repro.net.connection import Connection
@@ -71,7 +88,10 @@ from repro.world.world import World
 __all__ = ["ReferenceTick", "ReferenceWorld", "ReferenceTraceReplayWorld",
            "ReferenceMovement", "BruteForceConnectivity",
            "ContactHistoryReference", "ReferenceMessageBuffer",
-           "dijkstra_delays_reference"]
+           "dijkstra_delays_reference", "expected_encounter_value_reference",
+           "community_encounter_probability_reference",
+           "build_delay_matrix_reference",
+           "contact_graph_from_history_reference"]
 
 
 class ReferenceTick:
@@ -207,7 +227,8 @@ class ContactHistoryReference:
     Semantically identical to :class:`~repro.contacts.history.ContactHistory`;
     the history of every contact-aware router in the reference world, the
     oracle of the property-based parity tests and the pure-Python baseline
-    of the ``encounter_pipeline`` pair in ``repro bench``.
+    of the ``encounter_pipeline`` pair in ``repro bench``.  Its array views
+    are built on demand from the deques and nothing is cached.
     """
 
     def __init__(self, owner_id: int, window_size: int = 20) -> None:
@@ -301,11 +322,32 @@ class ContactHistoryReference:
                              dtype=np.int64, count=len(peers))
         return peers, counts
 
-    # NOTE: deliberately no interval_arrays() here — the estimator dispatch
-    # in repro.core.expectation keys on that attribute to decide between
-    # the batch kernels and the pure-Python reference loops, and this class
-    # exists precisely to exercise (and benchmark against) the loops.  The
-    # graph builders fall back to the scalar API for histories without it.
+    def slot_of(self, peer_id: int) -> Optional[int]:
+        """Row of *peer_id* in :meth:`interval_arrays` (first-met order)."""
+        for slot, peer in enumerate(self._last_contact):
+            if peer == int(peer_id):
+                return slot
+        return None
+
+    def interval_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                                       np.ndarray]:
+        """``(peer_ids, intervals, counts, last_contact)`` (built on demand).
+
+        The same arrays as
+        :meth:`~repro.contacts.history.ContactHistory.interval_arrays`, with
+        every column at or past ``counts[row]`` zero, as there; fresh copies
+        materialized from the deques.
+        """
+        peers = list(self._last_contact)
+        intervals = np.zeros((len(peers), self.window_size), dtype=float)
+        counts = np.zeros(len(peers), dtype=np.int64)
+        for slot, peer in enumerate(peers):
+            window = self._intervals.get(peer, ())
+            counts[slot] = len(window)
+            intervals[slot, :len(window)] = list(window)
+        return (np.asarray(peers, dtype=np.int64), intervals, counts,
+                np.asarray([self._last_contact[p] for p in peers],
+                           dtype=float))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ContactHistoryReference(owner={self.owner_id}, "
@@ -450,6 +492,92 @@ class ReferenceMessageBuffer:
         self._occupancy = 0
         if self._mirror_store is not None:
             self._mirror_store.mark_dirty(self._mirror_row)
+
+
+# ------------------------------------------------------- estimator specs
+def expected_encounter_value_reference(
+        history, now: float, horizon: float,
+        overdue_policy: OverduePolicy = OverduePolicy.REFRESH,
+        peer_filter: Optional[np.ndarray] = None) -> float:
+    """Theorem 1 peer by peer: the spec of
+    :func:`~repro.core.expectation.expected_encounter_value`."""
+    total = 0.0
+    for peer in history.peers():
+        if peer_filter is not None and not (
+                0 <= peer < len(peer_filter) and peer_filter[peer]):
+            continue
+        total += conditional_encounter_probability(
+            history.intervals(peer), history.elapsed_since(peer, now),
+            horizon, overdue_policy)
+    return total
+
+
+def community_encounter_probability_reference(
+        history, now: float, horizon: float, members: Iterable[int],
+        overdue_policy: OverduePolicy = OverduePolicy.REFRESH) -> float:
+    """Theorem 4 member by member: the spec of
+    :func:`~repro.core.expectation.community_encounter_probability`."""
+    miss = 1.0
+    for member in members:
+        if member == history.owner_id:
+            continue
+        elapsed = history.elapsed_since(member, now)
+        if elapsed is None:
+            continue
+        p = conditional_encounter_probability(
+            history.intervals(member), elapsed, horizon, overdue_policy)
+        miss *= (1.0 - p)
+    return 1.0 - miss
+
+
+def build_delay_matrix_reference(
+        history, mi: MeetingIntervalMatrix, now: float,
+        overdue_policy: OverduePolicy = OverduePolicy.REFRESH,
+        node_filter: Optional[np.ndarray] = None) -> np.ndarray:
+    """The MD matrix with its own row filled peer by peer (Theorem 2): the
+    spec of :func:`~repro.contacts.md_matrix.build_delay_matrix`."""
+    n = mi.num_nodes
+    if history.owner_id != mi.owner_id:
+        raise ValueError("history and MI matrix belong to different nodes")
+    own_row = np.full(n, np.inf)
+    for peer in history.peers():
+        if not 0 <= peer < n:
+            continue
+        emd = expected_meeting_delay(history.intervals(peer),
+                                     history.elapsed_since(peer, now),
+                                     overdue_policy)
+        if emd is not None:
+            own_row[peer] = emd
+    return _delay_matrix(mi, own_row, node_filter)
+
+
+def contact_graph_from_history_reference(histories: Iterable,
+                                         min_contacts: int = 1) -> nx.Graph:
+    """The aggregate contact graph edge by edge: the spec of
+    :func:`~repro.community.graph.contact_graph_from_history`."""
+    graph = nx.Graph()
+    for history in histories:
+        graph.add_node(history.owner_id)
+        for peer in history.peers():
+            count = history.contact_count(peer)
+            if count < min_contacts:
+                continue
+            mean = history.mean_interval(peer)
+            if graph.has_edge(history.owner_id, peer):
+                # keep the larger count and the smaller mean: the sliding
+                # windows may have trimmed the two sides differently
+                existing = graph[history.owner_id][peer]
+                existing["weight"] = max(existing["weight"], count)
+                if mean is not None:
+                    if existing.get("mean_interval") is None:
+                        existing["mean_interval"] = mean
+                    else:
+                        existing["mean_interval"] = min(
+                            existing["mean_interval"], mean)
+            else:
+                graph.add_edge(history.owner_id, peer, weight=count,
+                               mean_interval=mean)
+    return graph
 
 
 def dijkstra_delays_reference(md: np.ndarray, source: int) -> np.ndarray:

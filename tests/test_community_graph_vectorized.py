@@ -1,4 +1,4 @@
-"""Reference vs vectorized contact-graph aggregation parity."""
+"""Contact-graph aggregation: the vectorized builder vs its per-edge spec."""
 
 import numpy as np
 import pytest
@@ -7,11 +7,13 @@ from hypothesis import given, settings, strategies as st
 from repro.community.graph import (
     contact_edge_arrays,
     contact_graph_from_history,
-    contact_graph_from_history_vectorized,
     graph_from_edge_weights,
 )
 from repro.contacts.history import ContactHistory
-from repro.testing.reference import ContactHistoryReference
+from repro.testing.reference import (
+    ContactHistoryReference,
+    contact_graph_from_history_reference,
+)
 
 
 def _assert_graphs_identical(reference, vectorized):
@@ -25,7 +27,7 @@ def _assert_graphs_identical(reference, vectorized):
             assert other["mean_interval"] is None
         else:
             # bit-identical, not approximately equal: the vectorized cumsum
-            # must reproduce the reference's sequential sum exactly
+            # must reproduce the spec's sequential sum exactly
             assert other["mean_interval"] == data["mean_interval"]
 
 
@@ -47,15 +49,15 @@ def test_simple_parity_and_min_contacts():
         [(0, 1, 1.0), (0, 1, 2.5), (0, 2, 1.0), (1, 2, 3.0), (0, 1, 0.25)],
         num_nodes=4)
     for min_contacts in (1, 2, 3):
-        reference = contact_graph_from_history(histories, min_contacts)
-        vectorized = contact_graph_from_history_vectorized(
-            histories, min_contacts)
+        reference = contact_graph_from_history_reference(histories,
+                                                         min_contacts)
+        vectorized = contact_graph_from_history(histories, min_contacts)
         _assert_graphs_identical(reference, vectorized)
 
 
 def test_empty_histories():
     histories = [ContactHistory(n) for n in range(3)]
-    vectorized = contact_graph_from_history_vectorized(histories)
+    vectorized = contact_graph_from_history(histories)
     assert set(vectorized.nodes) == {0, 1, 2}
     assert vectorized.number_of_edges() == 0
     owners, lo, hi, weights, means = contact_edge_arrays(histories)
@@ -83,8 +85,8 @@ def test_one_sided_window_asymmetry_resolves_like_reference():
     for t in (1.0, 2.0, 10.0, 11.0, 30.0):
         h0.record_contact(1, t)
         h1.record_contact(0, t)
-    _assert_graphs_identical(contact_graph_from_history([h0, h1]),
-                             contact_graph_from_history_vectorized([h0, h1]))
+    _assert_graphs_identical(contact_graph_from_history_reference([h0, h1]),
+                             contact_graph_from_history([h0, h1]))
 
 
 @settings(max_examples=50, deadline=None)
@@ -101,13 +103,13 @@ def test_one_sided_window_asymmetry_resolves_like_reference():
 def test_property_parity(contacts, num_nodes, window, min_contacts):
     histories = _record_stream(contacts, num_nodes, window=window)
     _assert_graphs_identical(
-        contact_graph_from_history(histories, min_contacts),
-        contact_graph_from_history_vectorized(histories, min_contacts))
+        contact_graph_from_history_reference(histories, min_contacts),
+        contact_graph_from_history(histories, min_contacts))
 
 
 def test_vectorized_builder_accepts_reference_histories():
-    # the builders take either history implementation: a CR router in the
-    # reference world must feed the same pipeline
+    # the builder reads either history implementation through its array
+    # views: a CR router in the reference world feeds the same pipeline
     stream = [(0, 1, 1.0), (0, 1, 2.0), (1, 2, 3.0), (0, 2, 1.5), (0, 1, 4.0)]
     production = _record_stream(stream, num_nodes=3)
     reference = []
@@ -118,12 +120,12 @@ def test_vectorized_builder_accepts_reference_histories():
         now += step
         reference[a].record_contact(b, now)
         reference[b].record_contact(a, now)
-    _assert_graphs_identical(
-        contact_graph_from_history_vectorized(production),
-        contact_graph_from_history_vectorized(reference))
-    _assert_graphs_identical(
-        contact_graph_from_history(reference),
-        contact_graph_from_history_vectorized(reference))
+    _assert_graphs_identical(contact_graph_from_history(production),
+                             contact_graph_from_history(reference))
+    _assert_graphs_identical(contact_graph_from_history_reference(reference),
+                             contact_graph_from_history(reference))
+    assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(
+        contact_edge_arrays(production), contact_edge_arrays(reference)))
 
 
 def test_graph_from_edge_weights():

@@ -86,6 +86,19 @@ def test_memd_helper():
     assert minimum_expected_meeting_delay(md, 0, 2) == np.inf
 
 
+def test_memd_helper_rejects_out_of_range_destination():
+    md = np.full((3, 3), 5.0)
+    np.fill_diagonal(md, 0.0)
+    # a negative destination must not wrap around to the last node
+    with pytest.raises(IndexError, match="destination -1 out of range"):
+        minimum_expected_meeting_delay(md, 0, -1)
+    # a node that does not exist is not "already there"
+    with pytest.raises(IndexError, match="source 5 out of range"):
+        minimum_expected_meeting_delay(md, 5, 5)
+    with pytest.raises(IndexError, match="destination 3 out of range"):
+        minimum_expected_meeting_delay(md, 0, 3)
+
+
 # ------------------------------------------------------------------- MD builder
 def build_history_and_mi():
     history = ContactHistory(owner_id=0)

@@ -4,6 +4,7 @@ The numeric cases are worked out by hand from the formulas in the paper's
 appendix so they double as a check of the formulas' implementation.
 """
 
+import numpy as np
 import pytest
 
 from repro.contacts.history import ContactHistory
@@ -93,8 +94,10 @@ def test_expected_encounter_value_sums_per_peer_probabilities():
 def test_expected_encounter_value_peer_filter():
     history = make_history()
     value_all = expected_encounter_value(history, now=420.0, horizon=100.0)
+    only_2 = np.zeros(4, dtype=bool)
+    only_2[2] = True
     value_only_2 = expected_encounter_value(history, now=420.0, horizon=100.0,
-                                            peer_filter=lambda peer: peer == 2)
+                                            peer_filter=only_2)
     assert value_only_2 <= value_all
     assert value_only_2 == 0.0
 

@@ -1,18 +1,18 @@
-"""Property-based parity: vectorized hot path vs reference implementations.
+"""Property-based parity: vectorized hot path vs the executable spec.
 
 The vectorized contact store, the batch estimator kernels and the cached MEMD
 solver are required to agree *exactly* (bit for bit) with the pure-Python
-reference implementations kept in-tree — that contract is what lets the
-benchmark harness prove "same decisions, just faster" and what lets the
-``BATCH_MIN_PEERS`` size dispatch pick either path freely.  These tests pin
-it across randomized contact sequences.
+specs in :mod:`repro.testing.reference` — the dict-of-deques history and the
+per-peer estimator loops.  That contract is what lets the benchmark harness
+prove "same decisions, just faster" and what lets the reference world run
+the production estimators over the naive store.  These tests pin it across
+randomized contact sequences; hypothesis shrinks any counterexample.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.core.expectation as expectation
 from repro.contacts.history import ContactHistory
 from repro.contacts.md_matrix import build_delay_matrix
 from repro.contacts.memd import MemdCache, dijkstra_delays
@@ -21,10 +21,14 @@ from repro.core.expectation import (
     OverduePolicy,
     community_encounter_probability,
     expected_encounter_value,
+    expected_num_encountering_communities,
 )
 from repro.testing.reference import (
     ContactHistoryReference,
+    build_delay_matrix_reference,
+    community_encounter_probability_reference,
     dijkstra_delays_reference,
+    expected_encounter_value_reference,
 )
 
 policy_strategy = st.sampled_from(list(OverduePolicy))
@@ -72,6 +76,13 @@ def test_history_state_parity(sequence):
         assert fast.elapsed_since(peer, 6000.0) == ref.elapsed_since(peer, 6000.0)
         # the MI-row mean must be bit-identical: sequential sums in both
         assert fast.mean_interval(peer) == ref.mean_interval(peer)
+        assert fast.slot_of(peer) == ref.slot_of(peer)
+    assert fast.slot_of(10_000) is None and ref.slot_of(10_000) is None
+    # the estimators read only the array views: bit-equal, dtypes included
+    for fast_array, ref_array in zip(fast.interval_arrays(),
+                                     ref.interval_arrays()):
+        assert fast_array.dtype == ref_array.dtype
+        assert np.array_equal(fast_array, ref_array)
 
 
 def test_history_grows_past_initial_capacity():
@@ -106,19 +117,18 @@ def test_history_validation_parity():
        st.floats(min_value=0.0, max_value=3000.0),
        policy_strategy)
 @settings(max_examples=80)
-def test_eev_batch_vs_reference_bit_exact(sequence, extra, horizon, policy,
-                                          ):
+def test_eev_batch_vs_reference_bit_exact(sequence, extra, horizon, policy):
     window, events = sequence
     fast, ref = build_pair(window, events)
     now = events[-1][1] + extra
-    original = expectation.BATCH_MIN_PEERS
-    try:
-        expectation.BATCH_MIN_PEERS = 0  # force the batch kernel
-        batch_value = expected_encounter_value(fast, now, horizon, policy)
-    finally:
-        expectation.BATCH_MIN_PEERS = original
-    loop_value = expected_encounter_value(ref, now, horizon, policy)
-    assert batch_value == loop_value
+    spec = expected_encounter_value_reference(ref, now, horizon, policy)
+    assert expected_encounter_value(fast, now, horizon, policy) == spec
+    # the reference world runs the kernel over the naive store's views
+    assert expected_encounter_value(ref, now, horizon, policy) == spec
+    # CR's same-community mask, shorter than the peer range on purpose
+    mask = np.array([False, True, False, True, True, False])
+    assert expected_encounter_value(fast, now, horizon, policy, mask) \
+        == expected_encounter_value_reference(ref, now, horizon, policy, mask)
 
 
 @given(contact_sequence(),
@@ -131,17 +141,21 @@ def test_community_probability_batch_vs_reference_bit_exact(sequence, extra,
     window, events = sequence
     fast, ref = build_pair(window, events)
     now = events[-1][1] + extra
-    members = [2, 4, 5, 9]  # mix of met, unmet and absent peers
-    original = expectation.BATCH_MIN_PEERS
-    try:
-        expectation.BATCH_MIN_PEERS = 0
-        batch_value = community_encounter_probability(fast, now, horizon,
-                                                      members, policy)
-    finally:
-        expectation.BATCH_MIN_PEERS = original
-    loop_value = community_encounter_probability(ref, now, horizon, members,
-                                                 policy)
-    assert batch_value == loop_value
+    members = [2, 4, 5, 9, 0]  # met, unmet and absent peers, and the owner
+    spec = community_encounter_probability_reference(ref, now, horizon,
+                                                     members, policy)
+    assert community_encounter_probability(fast, now, horizon, members,
+                                           policy) == spec
+    assert community_encounter_probability(ref, now, horizon, members,
+                                           policy) == spec
+    # Theorem 4 sums the per-community products in mapping order
+    communities = {0: [0, 1], 1: members, 2: [3, 1, 7], 3: []}
+    enec_spec = 0.0
+    for community_id in (1, 2, 3):
+        enec_spec += community_encounter_probability_reference(
+            ref, now, horizon, communities[community_id], policy)
+    assert expected_num_encountering_communities(
+        fast, now, horizon, communities, 0, policy) == enec_spec
 
 
 @given(contact_sequence(),
@@ -154,20 +168,15 @@ def test_md_own_row_batch_vs_reference_bit_exact(sequence, extra, policy):
     now = events[-1][1] + extra
     n = 10
     mi = MeetingIntervalMatrix(n, 0)
-    original = expectation.BATCH_MIN_PEERS
-    try:
-        expectation.BATCH_MIN_PEERS = 0  # force the batch own-row branch
-        md_fast = build_delay_matrix(fast, mi, now, policy)
-    finally:
-        expectation.BATCH_MIN_PEERS = original
-    md_ref = build_delay_matrix(ref, mi, now, policy)
-    assert np.array_equal(md_fast, md_ref)
+    spec = build_delay_matrix_reference(ref, mi, now, policy)
+    assert np.array_equal(build_delay_matrix(fast, mi, now, policy), spec)
+    assert np.array_equal(build_delay_matrix(ref, mi, now, policy), spec)
 
 
 @pytest.mark.parametrize("policy", list(OverduePolicy))
-def test_md_own_row_parity_above_dispatch_threshold(policy):
-    """A history big enough to take the batch branch without forcing it."""
-    num_peers = 3 * expectation.BATCH_MIN_PEERS
+def test_md_own_row_ignores_peers_beyond_n(policy):
+    """Peers the MI matrix has no column for leave the own row untouched."""
+    num_peers = 42
     fast = ContactHistory(owner_id=0, window_size=6)
     ref = ContactHistoryReference(owner_id=0, window_size=6)
     rng = np.random.default_rng(11)
@@ -177,12 +186,12 @@ def test_md_own_row_parity_above_dispatch_threshold(policy):
         clock += float(rng.integers(1, 40))
         fast.record_contact(peer, clock)
         ref.record_contact(peer, clock)
-    # peers beyond n must be ignored by both paths
     n = num_peers // 2
     mi = MeetingIntervalMatrix(n, 0)
     md_fast = build_delay_matrix(fast, mi, clock + 17.0, policy)
-    md_ref = build_delay_matrix(ref, mi, clock + 17.0, policy)
-    assert np.array_equal(md_fast, md_ref)
+    assert md_fast.shape == (n, n)
+    assert np.array_equal(
+        md_fast, build_delay_matrix_reference(ref, mi, clock + 17.0, policy))
 
 
 # ---------------------------------------------------------------- MEMD cache

@@ -97,11 +97,11 @@ def test_reference_reproduces_the_golden_digests():
 
 @pytest.mark.parametrize("protocol", ["eer", "cr", "maxprop", "ebr"])
 def test_reference_knowledge_layer_matches_production(protocol):
-    """The contact-aware headline protocols on the reference world:
-    dict-of-deques histories and per-peer estimator loops must route
-    exactly like the production knowledge layer.  The horizon is long
-    enough for estimator inputs to steer forwarding (the lockfile's 200 s
-    cells are not)."""
+    """The contact-aware headline protocols on the reference world: the
+    estimators read the dict-of-deques histories through their rebuilt
+    array views and must route exactly like the production ring-buffer
+    store.  The horizon is long enough for estimator inputs to steer
+    forwarding (the lockfile's 200 s cells are not)."""
     config = make_scenario("bench", {"protocol": protocol,
                                      "sim_time": 2_000.0})
     assert canonical_report_bytes(run_report(config)) \
