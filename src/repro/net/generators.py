@@ -153,7 +153,7 @@ class MessageEventGenerator:
         return self._rng.uniform(lo, hi)
 
     def _pick_endpoints(self) -> tuple:
-        node_ids = self.world.node_ids()
+        node_ids = self.world.node_id_tuple
         sources = list(self.spec.sources) if self.spec.sources is not None else node_ids
         destinations = (list(self.spec.destinations)
                         if self.spec.destinations is not None else node_ids)

@@ -57,7 +57,14 @@ class Router:
     #:
     #: * stateless (``batch_update_gated = False``): the assertion holds
     #:   unconditionally, link events included (direct, epidemic — their
-    #:   ``on_update`` early-outs before touching per-contact state);
+    #:   ``on_update`` early-outs before touching per-contact state).  The
+    #:   tier asserts more for a *loaded* buffer: ``update`` has no
+    #:   observable effect unless the router saw a link event, its buffer
+    #:   changed since its last executed update, a TTL is due, or it was
+    #:   just (re)attached — every buffered message was already decided on
+    #:   every live contact (``considered_on``), and every deliverable one
+    #:   stays queued to its destination until a completion removes it
+    #:   from the buffer.  The sweep lets such rows sleep on a live link;
     #: * gated (``batch_update_gated = True``): the empty update still
     #:   consumes per-contact evaluation gates (:meth:`is_first_evaluation`),
     #:   so it is a no-op only on event-free ticks after the router has run

@@ -12,7 +12,11 @@ class DirectDeliveryRouter(Router):
 
     #: stateless tier: the empty-buffer early-out below touches no
     #: per-contact state, so an awake-but-empty tick batches away even on
-    #: link-event ticks (see Router.supports_batch_update)
+    #: link-event ticks; a loaded update only re-sends deliverables, which
+    #: stay queued to their destination until a completion removes them
+    #: from the buffer, so the row sleeps on a live link until its buffer
+    #: changes, a link event or a TTL wakes it (see
+    #: Router.supports_batch_update)
     supports_batch_update = True
     batch_update_gated = False
 

@@ -19,7 +19,10 @@ class EpidemicRouter(Router):
     #: stateless tier: with the empty-buffer early-out below, an empty
     #: update touches no per-contact state (the considered-set for a contact
     #: is only materialized once there are messages to flood), so
-    #: awake-but-empty ticks batch away even on link-event ticks
+    #: awake-but-empty ticks batch away even on link-event ticks; a loaded
+    #: update re-offers nothing already in a contact's considered-set, so
+    #: the row sleeps on a live link until its buffer changes, a link event
+    #: or a TTL wakes it (see Router.supports_batch_update)
     supports_batch_update = True
     batch_update_gated = False
 

@@ -10,20 +10,22 @@ router contract"):
 
 ``awake``
     a router wakes on a link event this tick, when it opts out of skipping
-    (``Router.idle_skip_safe`` False), when it holds messages and has live
-    contacts or a TTL due, or when it is the endpoint of a connection with
-    queued transfers; every other row is provably idle (``skipped``).
+    (``Router.idle_skip_safe`` False), when it holds messages and has a TTL
+    due, when it holds messages and has live contacts — for the stateless
+    tier (direct, epidemic) only if its buffer ``changed`` since the last
+    sweep or its row is ``fresh`` — or when it is the endpoint of a
+    connection with queued transfers; every other row is provably idle
+    (``skipped``).
 ``noop``
     awake rows whose ``update`` call is *provably* without observable
     effect, resolved in batch (counted as ``routers_batched``) instead of
     executed.  The proof rests on the :attr:`~repro.routing.base.Router.
     supports_batch_update` contract: an empty-buffer update of a batchable
-    router is a no-op — unconditionally for the stateless tier (direct,
-    epidemic), and on event-free ticks once the per-contact gates are
-    consumed for the gated tier (first-contact, spray-and-wait).  A freshly
-    (re)attached gated router may still hold unconsumed gates, so its row
-    carries a ``fresh`` bit that forces Python execution until its first
-    real update.
+    router is a no-op — unconditionally for the stateless tier, and on
+    event-free ticks once the per-contact gates are consumed for the gated
+    tier (first-contact, spray-and-wait).  A freshly (re)attached router may
+    still hold unconsumed gates or unscanned contacts, so its row carries a
+    ``fresh`` bit that forces Python execution until its first real update.
 
 Everything not provably a no-op runs through the exact per-router
 ``Router.update`` in ascending row (= registration) order, which is the
@@ -40,7 +42,8 @@ Synchronisation seams (no polling, no per-tick rebuild):
 * buffers push a dirty-row mark on every mutation
   (``MessageBuffer._mirror_store``); dirty rows are re-read once at sweep
   start, which is exact because buffers are static between the transfers
-  phase and the routers phase;
+  phase and the routers phase; they are also the sweep's ``changed``
+  rows;
 * live-connection counts are maintained incrementally by the world's
   ``_establish_link`` / ``_teardown_link``;
 * router-derived columns (skip safety, batchability tier) refresh on
@@ -105,8 +108,9 @@ class RouterStateStore:
         #: Router.batch_update_gated (meaningful only where batchable)
         self._gated = np.zeros(capacity, dtype=bool)
         #: row has never executed a Python update since its router was
-        #: (re)attached: per-contact gates may be unconsumed, so the gated
-        #: no-op proof does not apply yet
+        #: (re)attached: per-contact gates may be unconsumed and live
+        #: contacts unscanned, so neither the gated no-op proof nor the
+        #: stateless sleep on a live link applies yet
         self._fresh = np.zeros(capacity, dtype=bool)
         #: rows whose buffer mutated since the last sweep refresh
         self._dirty: set = set()
@@ -199,20 +203,27 @@ class RouterStateStore:
         if row is not None:
             self._conns[row] += delta
 
-    def _refresh_dirty(self) -> None:
-        if not self._dirty:
-            return
+    def _refresh_dirty(self) -> List[int]:
+        """Re-read the dirty rows' buffer columns and clear the dirty set.
+
+        Returns this sweep's ``changed`` rows: those whose buffer mutated
+        since the previous refresh (a sparse mask; usually a handful).
+        """
+        changed = list(self._dirty)
+        if not changed:
+            return changed
         nodes = self._nodes
         count = self._count
         occupancy = self._occupancy
         expiry = self._expiry
-        for row in self._dirty:
+        for row in changed:
             buffer = nodes[row].buffer
             stored = len(buffer)
             count[row] = stored
             occupancy[row] = buffer.occupancy
             expiry[row] = buffer.next_expiry() if stored else np.inf
         self._dirty.clear()
+        return changed
 
     # -------------------------------------------------------------- the sweep
     def sweep(self, world: "World", now: float) -> Tuple[int, int, int]:
@@ -226,7 +237,7 @@ class RouterStateStore:
         n = len(self._nodes)
         if n == 0:
             return 0, 0, 0
-        self._refresh_dirty()
+        changed = self._refresh_dirty()
         count = self._count[:n]
         expiry = self._expiry[:n]
         conns = self._conns[:n]
@@ -264,9 +275,17 @@ class RouterStateStore:
             if row is not None:
                 queued[row] = True
 
+        # a loaded stateless row (batchable, not gated) on a live link
+        # sleeps unless it is fresh or its buffer changed: its last executed
+        # update already decided every buffered message on every live
+        # contact (link events and due TTLs wake it separately)
         awake = (event | ~idle_safe
-                 | (~empty & ((conns > 0) | (expiry <= now)))
+                 | (~empty & (((conns > 0) & (gated | ~batchable | fresh))
+                              | (expiry <= now)))
                  | (empty & queued))
+        for row in changed:
+            if count[row] and conns[row]:
+                awake[row] = True
         # the no-op proof: stateless batchable rows need only an empty
         # buffer; gated rows additionally need an event-free tick and
         # consumed gates (~fresh)
@@ -302,9 +321,11 @@ class RouterStateStore:
                         if other is None or other <= row or awake[other]:
                             continue
                         if count[other] != 0:
-                            # loaded rows wake on contacts/TTL only; a
-                            # loaded endpoint of a live link is awake
-                            # already, so this is purely defensive
+                            # loaded rows wake on contacts/TTL only: a
+                            # loaded non-stateless endpoint of a live link
+                            # is awake already, and a sleeping stateless
+                            # one checks only transfers queued toward its
+                            # peer, which the peer's enqueue does not add
                             continue
                         awake[other] = True
                         if batchable[other] and (

@@ -160,6 +160,7 @@ class World:
         #: per-node caches rebuilt lazily after node registration
         self._ranges_cache: Optional[np.ndarray] = None
         self._ids_cache: Optional[np.ndarray] = None
+        self._id_tuple: Optional[Tuple[int, ...]] = None
         self._last_update = 0.0
         self.updates = 0
         #: the staged tick: every update runs these four phases in order,
@@ -222,6 +223,7 @@ class World:
         self.router_store.register_many(nodes)
         self._ranges_cache = None
         self._ids_cache = None
+        self._id_tuple = None
         return nodes
 
     @property
@@ -236,7 +238,18 @@ class World:
 
     def node_ids(self) -> List[int]:
         """All node ids in registration order."""
-        return [node.node_id for node in self._node_order]
+        return list(self.node_id_tuple)
+
+    @property
+    def node_id_tuple(self) -> Tuple[int, ...]:
+        """All node ids in registration order, as one shared tuple.
+
+        Built once per registration batch (traffic generators draw message
+        endpoints from it for every created message).
+        """
+        if self._id_tuple is None:
+            self._id_tuple = tuple(node.node_id for node in self._node_order)
+        return self._id_tuple
 
     def get_node(self, node_id: int) -> DTNNode:
         """Look up a node by id."""
@@ -530,6 +543,8 @@ class World:
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
+        # snapshots written before the id tuple cache existed
+        self.__dict__.setdefault("_id_tuple", None)
         # Pickling broke the one load-bearing aliasing relationship in the
         # graph: each follower's position was a row *view* of the position
         # matrix and came back as an independent copy.  Re-bind every

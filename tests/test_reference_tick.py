@@ -101,8 +101,11 @@ def test_reference_knowledge_layer_matches_production(protocol):
     estimators read the dict-of-deques histories through their rebuilt
     array views and must route exactly like the production ring-buffer
     store.  The horizon is long enough for estimator inputs to steer
-    forwarding (the lockfile's 200 s cells are not)."""
+    forwarding (the lockfile's 200 s cells are not), and the routers'
+    three-interval contact windows fill, so the ring buffer's shift path
+    runs too."""
     config = make_scenario("bench", {"protocol": protocol,
-                                     "sim_time": 2_000.0})
+                                     "sim_time": 2_000.0,
+                                     "router.window_size": 3})
     assert canonical_report_bytes(run_report(config)) \
         == canonical_report_bytes(run_report(config, reference=True))

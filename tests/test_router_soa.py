@@ -9,9 +9,14 @@ The contract: **same decisions, same bytes, just faster**.  Pinned here:
 * full-scenario canonical reports are byte-identical to the reference for
   all four batch-capable protocols and for the non-batchable fallbacks
   (prophet, spray-and-focus);
-* hypothesis-generated contact/traffic scripts agree outcome-for-outcome
-  with the reference, and the sweep's ticked/batched/skipped split always
-  accounts for every router the reference ticks;
+* hypothesis-generated contact/traffic scripts — messages arriving at
+  random ticks, mid-contact included, over fast and slow links and roomy
+  and evicting buffers — agree outcome-for-outcome with the reference, and
+  the sweep's ticked/batched/skipped split always accounts for every router
+  the reference ticks;
+* a loaded stateless row sleeps through a quiet contact and wakes exactly
+  on a buffer change, a due TTL or a router rebind; a subclass that does
+  not redeclare the batch contract runs every tick;
 * the batched/ticked/skipped counters sum to ``nodes × updates``, surface on
   :class:`SimulationReport` and stay out of the canonical serialisation;
 * the store itself: registration order, growth, dirty-buffer mirrors,
@@ -76,9 +81,21 @@ def test_soa_report_byte_identical_for_fallback_routers(protocol):
 
 
 # ------------------------------------------------- hypothesis parity
+#: link speeds: every transfer completes within a tick, or a 1 400 B replica
+#: stays queued for two ticks (deliverables in transit across sleeping ticks)
+FAST_LINK, SLOW_LINK = 2_000_000 / 8, 700.0
+#: buffers: roomy, or two replicas at most (evictions and re-adds)
+ROOMY_BUFFER, SMALL_BUFFER = 1024 * 1024, 2_500
+
+
 @st.composite
 def contact_script(draw):
-    """A randomized contact plan plus traffic over a handful of nodes."""
+    """A randomized contact plan plus traffic over a handful of nodes.
+
+    Half of the messages arrive at an endpoint of a drawn contact, right
+    after one of its ticks from link-up to link-down (injections fire after
+    the world update of the same instant); the rest at a random tick.
+    """
     num_nodes = draw(st.integers(2, 5))
     contacts = draw(st.lists(
         st.tuples(st.integers(0, 20),               # start tick
@@ -86,29 +103,51 @@ def contact_script(draw):
                   st.integers(0, num_nodes - 1),    # endpoint a
                   st.integers(0, num_nodes - 1)),   # endpoint b
         min_size=1, max_size=12))
-    messages = draw(st.lists(
-        st.tuples(st.integers(0, num_nodes - 1),    # source
-                  st.integers(0, num_nodes - 1),    # destination
-                  st.integers(4, 40),               # ttl in ticks
-                  st.integers(1, 4)),               # spray copies
-        min_size=1, max_size=4))
-    return num_nodes, contacts, messages
+    messages = []
+    for _ in range(draw(st.integers(1, 6))):
+        start, duration, a, b = draw(st.sampled_from(contacts))
+        if draw(st.booleans()):                     # mid-contact arrival
+            source = draw(st.sampled_from((a, b)))
+            tick = start + draw(st.integers(0, duration))
+        else:
+            source = draw(st.integers(0, num_nodes - 1))
+            tick = draw(st.integers(0, 28))
+        messages.append((source,
+                         draw(st.integers(0, num_nodes - 1)),  # destination
+                         draw(st.integers(4, 40)),             # ttl in ticks
+                         draw(st.integers(1, 4)),              # spray copies
+                         tick,                                 # arrival tick
+                         draw(st.sampled_from((600, 1_000, 1_400)))))  # bytes
+    speed = draw(st.sampled_from((FAST_LINK, SLOW_LINK)))
+    return num_nodes, contacts, messages, speed
 
 
-def run_script(protocol, num_nodes, contacts, messages, *, reference):
+def run_script(protocol, num_nodes, contacts, messages, speed, *, reference,
+               buffer_capacity=ROOMY_BUFFER):
     plan = make_contact_plan(
         [(float(s), float(s + d), a, b) for s, d, a, b in contacts if a != b])
     simulator, world = build_trace_world(plan, protocol=protocol,
                                          num_nodes=num_nodes,
+                                         buffer_capacity=buffer_capacity,
+                                         transmit_speed=speed,
                                          reference=reference)
-    for index, (source, destination, ttl, copies) in enumerate(messages):
+    for index, (source, destination, ttl, copies, tick, size) in \
+            enumerate(messages):
         if source == destination:
             continue
-        inject_message(world, source, destination, ttl=float(ttl),
-                       copies=copies, message_id=f"M{index}")
+        schedule_injection(simulator, world, float(tick), source, destination,
+                           ttl=float(ttl), copies=copies, size=size,
+                           message_id=f"M{index}")
     horizon = max(s + d for s, d, _, _ in contacts) + 45.0
     simulator.run(until=horizon)
     return world
+
+
+def schedule_injection(simulator, world, at, source, destination, **fields):
+    """Create a message at *source* at simulated time *at*: after that
+    instant's world update (priority 20, like the traffic generators)."""
+    simulator.schedule_at(at, lambda sim: inject_message(
+        world, source, destination, now=sim.now, **fields), priority=20)
 
 
 def outcome_fingerprint(world):
@@ -126,15 +165,10 @@ def outcome_fingerprint(world):
     )
 
 
-@pytest.mark.parametrize("protocol", BATCHABLE)
-@given(script=contact_script())
-@settings(max_examples=25, deadline=None)
-def test_hypothesis_outcome_parity(protocol, script):
-    num_nodes, contacts, messages = script
-    soa = run_script(protocol, num_nodes, contacts, messages,
-                     reference=False)
-    ref = run_script(protocol, num_nodes, contacts, messages,
-                     reference=True)
+def assert_script_parity(protocol, script, **world):
+    num_nodes = script[0]
+    soa = run_script(protocol, *script, reference=False, **world)
+    ref = run_script(protocol, *script, reference=True, **world)
     assert outcome_fingerprint(soa) == outcome_fingerprint(ref)
     # every router the reference ticks is accounted for exactly once by the
     # sweep: executed, resolved as a batched no-op, or provably asleep
@@ -143,6 +177,22 @@ def test_hypothesis_outcome_parity(protocol, script):
     assert (soa.routers_ticked + soa.routers_batched
             + soa.routers_skipped) == ref.routers_ticked
     assert soa.routers_ticked <= ref.routers_ticked
+
+
+@pytest.mark.parametrize("protocol", BATCHABLE)
+@given(script=contact_script())
+@settings(max_examples=25, deadline=None)
+def test_hypothesis_outcome_parity(protocol, script):
+    assert_script_parity(protocol, script)
+
+
+@pytest.mark.parametrize("protocol", BATCHABLE)
+@given(script=contact_script())
+@settings(max_examples=25, deadline=None)
+def test_hypothesis_outcome_parity_small_buffers(protocol, script):
+    """Two-replica buffers: arrivals evict, and evicted replicas come back
+    on later contacts."""
+    assert_script_parity(protocol, script, buffer_capacity=SMALL_BUFFER)
 
 
 # ------------------------------------------------- counter semantics
@@ -170,6 +220,98 @@ def test_gated_rows_execute_on_link_events():
     simulator.run(until=5.0)
     assert world.routers_ticked == 4
     assert world.routers_batched == 0
+
+
+def record_updates(router):
+    """Log the simulated time of every executed ``update`` of *router*
+    (wrapped on the instance, so the class keeps its batch contract)."""
+    log = []
+    update = router.update
+
+    def logged(now):
+        log.append(now)
+        update(now)
+
+    router.update = logged
+    return log
+
+
+def quiet_contact_world(protocol="epidemic", **message):
+    """Nodes 0 and 1 in contact over [1, 40) s; node 2 never met.  Node 0
+    holds one message for node 2, so every replica stays buffered."""
+    plan = make_contact_plan([(1.0, 40.0, 0, 1)])
+    simulator, world = build_trace_world(plan, protocol=protocol,
+                                         num_nodes=3)
+    inject_message(world, 0, 2, **message)
+    return simulator, world
+
+
+def test_loaded_stateless_row_sleeps_through_a_quiet_contact():
+    """Link-up runs the loaded row once; with nothing new to offer it then
+    sleeps for the rest of the contact (the replica's arrival wakes the
+    peer once)."""
+    simulator, world = quiet_contact_world()
+    sender = record_updates(world.get_node(0).router)
+    receiver = record_updates(world.get_node(1).router)
+    simulator.run(until=30.0)
+    assert sender == [1.0]
+    assert receiver == [2.0]
+    assert world.routers_ticked == 2
+    assert world.get_node(1).buffer.message_ids() == ["M1"]
+
+
+def test_mid_contact_arrival_wakes_the_row_once():
+    simulator, world = quiet_contact_world()
+    sender = record_updates(world.get_node(0).router)
+    receiver = record_updates(world.get_node(1).router)
+    schedule_injection(simulator, world, 9.5, 0, 2, message_id="M2")
+    simulator.run(until=30.0)
+    assert sender == [1.0, 10.0]
+    assert receiver == [2.0, 11.0]
+    assert sorted(world.get_node(1).buffer.message_ids()) == ["M1", "M2"]
+
+
+def test_due_ttl_wakes_a_sleeping_row():
+    simulator, world = quiet_contact_world(ttl=15.0)
+    sender = record_updates(world.get_node(0).router)
+    receiver = record_updates(world.get_node(1).router)
+    simulator.run(until=30.0)
+    assert sender == [1.0, 15.0]
+    assert receiver == [2.0, 15.0]
+    assert [(r.node, r.time, r.reason)
+            for r in world.stats.dropped_records] \
+        == [(0, 15.0, "expired"), (1, 15.0, "expired")]
+
+
+def test_router_rebind_wakes_a_sleeping_row():
+    """A direct-delivery node holding a relayable message sleeps through
+    the contact; swapping in an epidemic router mid-contact (no link event,
+    no buffer change) must still flood it — the fresh bit wakes the row."""
+    simulator, world = quiet_contact_world(protocol="direct")
+    simulator.run(until=9.5)
+    assert world.stats.relayed == 0
+    node = world.get_node(0)
+    node.router = None
+    EpidemicRouter().attach(node, world)
+    assert world.router_store._fresh[0]
+    sender = record_updates(node.router)
+    simulator.run(until=30.0)
+    assert sender == [10.0]
+    assert world.stats.relayed == 1
+    assert world.get_node(1).buffer.message_ids() == ["M1"]
+
+
+def test_subclass_without_batch_contract_runs_every_tick():
+    class Logging(EpidemicRouter):
+        pass
+
+    simulator, world = quiet_contact_world()
+    node = world.get_node(0)
+    node.router = None
+    Logging().attach(node, world)
+    sender = record_updates(node.router)
+    simulator.run(until=30.0)
+    assert sender == [float(tick) for tick in range(1, 31)]
 
 
 def test_report_surfaces_counters_outside_canonical_payload():
@@ -216,14 +358,16 @@ def test_buffer_mutations_mark_rows_dirty():
     node = world.get_node(1)
     node.buffer.add(Message("m-dirty", 1, 0, 500, 0.0, ttl=9.0))
     assert store._dirty == {1}
-    store._refresh_dirty()
+    assert store._refresh_dirty() == [1]        # this sweep's changed rows
+    assert not store._dirty
     assert store._count[1] == 1
     assert store._occupancy[1] == 500
     assert store._expiry[1] == 9.0
     node.buffer.remove("m-dirty")
-    store._refresh_dirty()
+    assert store._refresh_dirty() == [1]
     assert store._count[1] == 0
     assert store._expiry[1] == float("inf")
+    assert store._refresh_dirty() == []
 
 
 def test_link_deltas_track_live_connections():

@@ -62,6 +62,7 @@ def assert_registered(world, nodes):
     n = len(nodes)
     assert world.nodes == nodes
     assert world.node_ids() == list(range(n))
+    assert world.node_id_tuple == tuple(range(n))
     positions = world.positions()
     data = world._positions.data
     store = world.router_store
@@ -165,3 +166,28 @@ def test_rejected_batch_registers_nothing():
         assert_same_state(registration_state(world), before)
     world.add_nodes(nodes[5:])
     assert_registered(world, nodes)
+
+
+def test_node_id_tuple_is_shared_until_the_next_registration():
+    """Traffic generators draw endpoints from this tuple once per message:
+    it is built once, not per read, and never goes stale."""
+    _, world, nodes = make_world()
+    world.add_nodes(nodes[:3])
+    ids = world.node_id_tuple
+    assert ids == (0, 1, 2)
+    assert world.node_id_tuple is ids
+    world.add_node(nodes[3])
+    assert world.node_id_tuple == (0, 1, 2, 3)
+    assert world.node_ids() == [0, 1, 2, 3]
+
+
+def test_snapshot_without_id_tuple_restores():
+    """Snapshots written before the id tuple cache existed restore with the
+    cache unset, and the tuple is rebuilt on first read."""
+    _, world, nodes = make_world()
+    world.add_nodes(nodes)
+    state = dict(world.__dict__)
+    del state["_id_tuple"]
+    restored = World.__new__(World)
+    restored.__setstate__(state)
+    assert restored.node_id_tuple == tuple(range(NUM_NODES))
