@@ -19,9 +19,8 @@ results store for exact dedupe and crash-resumable grids.
                            seeds=[1, 2], store=store)   # resumable
         fig = api.figure("fig3", seeds=[1, 2], store=store)
 
-The old deep import paths (``repro.experiments.runner.AveragedResult``,
-``repro.experiments.sweep.SweepPoint``) keep working but warn; new code
-should import from here or from :mod:`repro.experiments`.
+The result types live in :mod:`repro.experiments.results`; import them
+from here or from :mod:`repro.experiments`.
 """
 
 from __future__ import annotations

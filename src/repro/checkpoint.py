@@ -238,6 +238,7 @@ def decode_state(data: bytes, arrays: List[np.ndarray]) -> Any:
 # ------------------------------------------------------------ config codec
 #: ScenarioConfig fields whose tuple values JSON flattens to lists
 _TUPLE_FIELDS = ("stop_wait", "message_interval", "trace_window")
+_RETIRED_FIELDS = ("contact_window",)
 
 
 def config_to_payload(config: Any) -> Dict[str, Any]:
@@ -256,6 +257,9 @@ def config_from_payload(payload: Dict[str, Any]) -> Any:
     from repro.experiments.scenario import ScenarioConfig
 
     data = dict(payload)
+    # retired fields that no run ever read: older manifests still carry them
+    for key in _RETIRED_FIELDS:
+        data.pop(key, None)
     for key in _TUPLE_FIELDS:
         if data.get(key) is not None:
             data[key] = tuple(data[key])

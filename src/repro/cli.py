@@ -433,15 +433,7 @@ def cmd_bench(args) -> int:
     """``bench``: run the paired benchmarks, write/compare BENCH JSON."""
     from repro import bench
 
-    if args.quick:
-        # deprecated spelling: warn and forward (it predates --scale)
-        print("warning: --quick is deprecated; use --scale quick",
-              file=sys.stderr)
-        if args.scale is not None and args.scale != "quick":
-            raise ValueError(
-                f"--quick contradicts --scale {args.scale}; pass one of them")
-    scale = args.scale or "quick"
-    payload = bench.run_benchmarks(scale_name=scale, seed=args.seed)
+    payload = bench.run_benchmarks(scale_name=args.scale, seed=args.seed)
     if args.output:
         # BENCH artifacts keep their established trailing-newline format
         bench.write_payload(payload, args.output)
@@ -698,11 +690,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench_parser = sub.add_parser(
         "bench", help="run the paired performance benchmarks")
     bench_parser.add_argument("--scale", choices=("smoke", "quick", "full"),
-                              default=None,
+                              default="quick",
                               help="benchmark scale (default: quick)")
-    bench_parser.add_argument("--quick", action="store_true",
-                              help="deprecated spelling of --scale quick "
-                                   "(warns and forwards)")
     bench_parser.add_argument("--seed", type=int, default=1,
                               help="workload seed (default: 1)")
     bench_parser.add_argument("--compare", default=None, metavar="FILE",

@@ -110,6 +110,13 @@ class CommunityRouter(ContactAwareRouter):
 
     name = "cr"
 
+    #: gated tier, as EERRouter: the estimators, the MEMD' cache and — in
+    #: the detected modes — every community-provider query of on_update
+    #: run only behind the per-meeting gate (see
+    #: Router.supports_batch_update)
+    supports_batch_update = True
+    batch_update_gated = True
+
     def __init__(self, alpha: float = 0.28, window_size: int = 20,
                  overdue_policy: OverduePolicy = OverduePolicy.REFRESH,
                  memd_refresh: float = 5.0, forward_margin: float = 0.35,

@@ -70,6 +70,15 @@ class EERRouter(ContactAwareRouter):
 
     name = "eer"
 
+    #: gated tier: on_update consumes the one-decision-per-meeting gate of
+    #: every live contact with an EER peer, and every time-dependent read —
+    #: the EEV estimates, the MEMD cache's staleness check and its
+    #: ``memd_lookup`` counters — sits behind that gate; past it an update
+    #: only re-offers deliverables, which stay queued until a completion
+    #: changes the buffer (see Router.supports_batch_update)
+    supports_batch_update = True
+    batch_update_gated = True
+
     def __init__(self, alpha: float = 0.28, window_size: int = 20,
                  overdue_policy: OverduePolicy = OverduePolicy.REFRESH,
                  memd_refresh: float = 5.0,

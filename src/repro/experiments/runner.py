@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import os
 import time
-import warnings
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.backend import BackendLike, resolve_backend
@@ -25,16 +24,6 @@ from repro.metrics.reports import SimulationReport, build_report
 #: progress callback: receives one dict per resolved cell (see
 #: run_many_averaged's ``progress`` parameter)
 ProgressCallback = Callable[[Dict[str, object]], None]
-
-
-def __getattr__(name: str):
-    if name == "AveragedResult":
-        warnings.warn(
-            "importing AveragedResult from repro.experiments.runner is "
-            "deprecated; import it from repro.experiments (or repro.api)",
-            DeprecationWarning, stacklevel=2)
-        return _AveragedResult
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def finalize_report(stats: StatsCollector,

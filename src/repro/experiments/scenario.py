@@ -122,7 +122,6 @@ class ScenarioConfig:
     traffic_burst_spacing: float = 0.0
 
     # bookkeeping
-    contact_window: int = 20
     #: keep per-event records (in the collector's columnar store); False
     #: keeps the aggregates only
     keep_records: bool = True

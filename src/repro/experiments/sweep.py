@@ -15,23 +15,12 @@ byte-identical to an uninterrupted run.
 from __future__ import annotations
 
 import itertools
-import warnings
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.experiments.backend import BackendLike
 from repro.experiments.results import SweepPoint as _SweepPoint
 from repro.experiments.runner import ProgressCallback, run_many_averaged
 from repro.experiments.scenario import ScenarioConfig, apply_overrides
-
-
-def __getattr__(name: str):
-    if name == "SweepPoint":
-        warnings.warn(
-            "importing SweepPoint from repro.experiments.sweep is "
-            "deprecated; import it from repro.experiments (or repro.api)",
-            DeprecationWarning, stacklevel=2)
-        return _SweepPoint
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def sweep_grid(base: ScenarioConfig, grid: Mapping[str, Sequence[object]]

@@ -56,21 +56,24 @@ class Router:
     #: Two tiers, selected by :attr:`batch_update_gated`:
     #:
     #: * stateless (``batch_update_gated = False``): the assertion holds
-    #:   unconditionally, link events included (direct, epidemic — their
-    #:   ``on_update`` early-outs before touching per-contact state).  The
-    #:   tier asserts more for a *loaded* buffer: ``update`` has no
-    #:   observable effect unless the router saw a link event, its buffer
-    #:   changed since its last executed update, a TTL is due, or it was
-    #:   just (re)attached — every buffered message was already decided on
-    #:   every live contact (``considered_on``), and every deliverable one
-    #:   stays queued to its destination until a completion removes it
-    #:   from the buffer.  The sweep lets such rows sleep on a live link;
+    #:   unconditionally, link events included (direct, epidemic, MaxProp —
+    #:   their ``on_update`` early-outs before touching per-contact state);
     #: * gated (``batch_update_gated = True``): the empty update still
     #:   consumes per-contact evaluation gates (:meth:`is_first_evaluation`),
     #:   so it is a no-op only on event-free ticks after the router has run
     #:   at least once since each contact came up (first-contact,
-    #:   spray-and-wait — the world executes every event tick, which
-    #:   consumes the gates of all live contacts).
+    #:   spray-and-wait, EBR, EER, CR — the world executes every event tick,
+    #:   which consumes the gates of all live contacts).
+    #:
+    #: Both tiers assert more for a *loaded* buffer: ``update`` has no
+    #: observable effect unless the router saw a link event, its buffer
+    #: changed since its last executed update, a TTL is due, or it (or a
+    #: live peer) was just (re)attached — every buffered message was
+    #: already decided on every live contact (``considered_on`` for the
+    #: stateless tier, the consumed gate for the gated one, which must
+    #: therefore guard every time-dependent read), and every deliverable
+    #: one stays queued to its destination until a completion removes it
+    #: from the buffer.  The sweep lets such rows sleep on a live link.
     #:
     #: Deliberately **not inherited**: a subclass must redeclare it (see
     #: ``__init_subclass__``), because any override of ``on_update`` /

@@ -36,6 +36,14 @@ class EBRRouter(ContactAwareRouter):
 
     name = "ebr"
 
+    #: gated tier: the encounter values are read only behind the
+    #: per-meeting gate, each right after a fold to the current time, and
+    #: a fold skipped on a sleeping tick catches up exactly on the next
+    #: call — the same window-by-window folds with the same counts, since
+    #: a contact folds before it counts (see Router.supports_batch_update)
+    supports_batch_update = True
+    batch_update_gated = True
+
     def __init__(self, ewma_alpha: float = 0.85, window: float = 30.0,
                  window_size: int = 20) -> None:
         super().__init__(window_size=window_size)

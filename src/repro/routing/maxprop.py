@@ -52,6 +52,14 @@ class MaxPropRouter(ContactAwareRouter):
 
     name = "maxprop"
 
+    #: stateless tier: with the empty-buffer early-out below an empty update
+    #: touches no per-contact state, and a loaded one re-offers nothing
+    #: already in a contact's considered-set, so the row sleeps on a live
+    #: link until its buffer changes, a link event or a TTL wakes it (see
+    #: Router.supports_batch_update)
+    supports_batch_update = True
+    batch_update_gated = False
+
     def __init__(self, hop_threshold: int = 3, window_size: int = 20) -> None:
         super().__init__(window_size=window_size)
         if hop_threshold < 0:
@@ -204,6 +212,10 @@ class MaxPropRouter(ContactAwareRouter):
         return young + old
 
     def on_update(self, now: float) -> None:
+        if not len(self.buffer):
+            # nothing deliverable and nothing to flood: skip the scan, which
+            # would only materialize empty considered-sets
+            return
         for connection in self.connections():
             self.send_deliverable(connection)
             peer = connection.other(self.node)

@@ -11,11 +11,10 @@ router contract"):
 ``awake``
     a router wakes on a link event this tick, when it opts out of skipping
     (``Router.idle_skip_safe`` False), when it holds messages and has a TTL
-    due, when it holds messages and has live contacts — for the stateless
-    tier (direct, epidemic) only if its buffer ``changed`` since the last
-    sweep or its row is ``fresh`` — or when it is the endpoint of a
-    connection with queued transfers; every other row is provably idle
-    (``skipped``).
+    due, when it holds messages and has live contacts — for the batchable
+    tiers only if its buffer ``changed`` since the last sweep or its row is
+    ``fresh`` — or when it is the endpoint of a connection with queued
+    transfers; every other row is provably idle (``skipped``).
 ``noop``
     awake rows whose ``update`` call is *provably* without observable
     effect, resolved in batch (counted as ``routers_batched``) instead of
@@ -23,9 +22,9 @@ router contract"):
     supports_batch_update` contract: an empty-buffer update of a batchable
     router is a no-op — unconditionally for the stateless tier, and on
     event-free ticks once the per-contact gates are consumed for the gated
-    tier (first-contact, spray-and-wait).  A freshly (re)attached router may
+    tier.  A freshly (re)attached router — or the live peer of one — may
     still hold unconsumed gates or unscanned contacts, so its row carries a
-    ``fresh`` bit that forces Python execution until its first real update.
+    ``fresh`` bit that forces Python execution until its next real update.
 
 Everything not provably a no-op runs through the exact per-router
 ``Router.update`` in ascending row (= registration) order, which is the
@@ -36,6 +35,16 @@ the first transfer onto a previously idle connection (announced through
 ``Connection.activity_sink``), any *later* row among the endpoints is woken
 — classified as batched when its no-op proof holds, otherwise merged into
 the execution order through a min-heap.
+
+A quiet tick never builds a mask.  The store keeps three summaries of its
+columns — the number of rows that opt out of skipping, the number of loaded
+rows on a live link that are not batchable or are fresh (the rows the
+``awake`` term wakes with no event), and a lower bound on the earliest TTL
+deadline — kept by registration, rebinds and every full sweep, which
+re-derives the second from the mask it builds anyway.  When they are zero,
+zero and in the future, and the tick brought no link event, no buffer
+change and no transfer activity, no row can be awake and the sweep returns
+at once.
 
 Synchronisation seams (no polling, no per-tick rebuild):
 
@@ -51,7 +60,8 @@ Synchronisation seams (no polling, no per-tick rebuild):
 
 The store pickles with the world and is covered by the resume-equality
 contract (see ``repro.checkpoint``): its arrays, dirty set and row maps are
-plain state, and the buffer mirrors survive the round trip because they are
+plain state, the quiet-tick summaries are re-derived from the columns on
+restore, and the buffer mirrors survive the round trip because they are
 ordinary attributes on the buffer objects.
 """
 
@@ -107,13 +117,59 @@ class RouterStateStore:
         self._batchable = np.zeros(capacity, dtype=bool)
         #: Router.batch_update_gated (meaningful only where batchable)
         self._gated = np.zeros(capacity, dtype=bool)
-        #: row has never executed a Python update since its router was
-        #: (re)attached: per-contact gates may be unconsumed and live
-        #: contacts unscanned, so neither the gated no-op proof nor the
-        #: stateless sleep on a live link applies yet
+        #: row has never executed a Python update since its router, or the
+        #: router of a live peer, was (re)attached: per-contact gates may be
+        #: unconsumed and live contacts unscanned, so neither the gated
+        #: no-op proof nor the batchable sleep on a live link applies yet
         self._fresh = np.zeros(capacity, dtype=bool)
         #: rows whose buffer mutated since the last sweep refresh
         self._dirty: set = set()
+        #: quiet-tick summary: rows whose router opts out of skipping
+        self._unsafe = 0
+        #: quiet-tick summary: rows of _forced_mask
+        self._forced = 0
+        #: quiet-tick summary: a lower bound on the earliest buffered TTL
+        #: deadline (lowered as refreshed rows report earlier deadlines,
+        #: recomputed by the full sweep once it has passed)
+        self._next_due = np.inf
+
+    # ------------------------------------------------ quiet-tick summaries
+    # Derived from the columns and never pickled (``__setstate__``
+    # re-derives them).  Registration and rebinds keep them exact, and so
+    # does every full sweep: it re-reads the dirty rows (lowering
+    # ``_next_due``), re-derives ``_forced`` from its mask and clears fresh
+    # bits.  Link deltas leave ``_forced`` stale until that next full
+    # sweep, which a link change always forces (see ``link_delta``).
+    _SUMMARIES = ("_unsafe", "_forced", "_next_due")
+
+    def _forced_mask(self, rows: slice) -> np.ndarray:
+        """Loaded rows on a live link that wake with no event: not batchable,
+        or fresh."""
+        return ((self._count[rows] > 0) & (self._conns[rows] > 0)
+                & (~self._batchable[rows] | self._fresh[rows]))
+
+    def _forces(self, row: int) -> bool:
+        """One row of :meth:`_forced_mask`."""
+        return bool(self._count[row] and self._conns[row]
+                    and (self._fresh[row] or not self._batchable[row]))
+
+    def _derive_summaries(self) -> None:
+        """Recompute every quiet-tick summary from the columns."""
+        rows = slice(0, len(self._nodes))
+        self._unsafe = int(np.count_nonzero(~self._idle_safe[rows]))
+        self._forced = int(np.count_nonzero(self._forced_mask(rows)))
+        self._next_due = (float(self._expiry[rows].min()) if self._nodes
+                          else np.inf)
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        for name in self._SUMMARIES:
+            state.pop(name, None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._derive_summaries()
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -153,16 +209,23 @@ class RouterStateStore:
             self._grow(end)
         buffers = []
         flags = []
+        forced = 0
+        next_due = self._next_due
         for row, node in enumerate(nodes, start):
             row_of[node.node_id] = row
             buffer = node.buffer
             buffer._mirror_store = self
             buffer._mirror_row = row
             stored = len(buffer)
-            buffers.append((stored, buffer.occupancy,
-                            buffer.next_expiry() if stored else np.inf,
-                            len(node.connections)))
+            due = buffer.next_expiry() if stored else np.inf
+            live = len(node.connections)
+            buffers.append((stored, buffer.occupancy, due, live))
             flags.append(_router_flags(node.router))
+            # every new row is fresh: loaded and live is forced
+            if stored and live:
+                forced += 1
+            if due < next_due:
+                next_due = due
         self._nodes.extend(nodes)
         if nodes:
             rows = slice(start, end)
@@ -171,15 +234,34 @@ class RouterStateStore:
             (self._idle_safe[rows], self._batchable[rows],
              self._gated[rows]) = zip(*flags)
             self._fresh[rows] = True
+            self._unsafe += len(nodes) - int(
+                np.count_nonzero(self._idle_safe[rows]))
+            self._forced += forced
+            self._next_due = next_due
         return start
 
+    def _mark_fresh(self, row: int) -> None:
+        forced = self._forces(row)
+        self._fresh[row] = True
+        self._forced += self._forces(row) - forced
+
     def _refresh_router(self, row: int, router) -> None:
+        forced = self._forces(row)
+        unsafe = not self._idle_safe[row]
         (self._idle_safe[row], self._batchable[row],
          self._gated[row]) = _router_flags(router)
         self._fresh[row] = True
+        self._unsafe += (not self._idle_safe[row]) - unsafe
+        self._forced += self._forces(row) - forced
 
     def rebind(self, node: "DTNNode") -> None:
         """Refresh router-derived columns after a router (re)attach.
+
+        The rows of the node's live peers turn fresh too: their routers
+        skip the per-contact evaluation of a peer running another protocol
+        (EER, CR and EBR evaluate only their own kind), so the gate of
+        that contact may be unconsumed, and the new router's
+        ``delivered_here`` set is new to their deliverable offers.
 
         No-op for unregistered nodes: the scenario builders attach routers
         *before* ``World.add_nodes`` registers the row, and an unregistered
@@ -188,6 +270,10 @@ class RouterStateStore:
         row = self._row.get(node.node_id)
         if row is not None and self._nodes[row] is node:
             self._refresh_router(row, node.router)
+            for peer_id in node.connections:
+                peer_row = self._row.get(peer_id)
+                if peer_row is not None:
+                    self._mark_fresh(peer_row)
 
     # -------------------------------------------------------------- sync seams
     def mark_dirty(self, row: int) -> None:
@@ -195,7 +281,12 @@ class RouterStateStore:
         self._dirty.add(row)
 
     def link_delta(self, id_a: int, id_b: int, delta: int) -> None:
-        """Apply a live-connection count change to both endpoints."""
+        """Apply a live-connection count change to both endpoints.
+
+        Leaves ``_forced`` stale: every link change also wakes both
+        endpoints (``World._router_events``), so the next sweep takes the
+        full path, which re-derives it before anything reads it.
+        """
         row = self._row.get(id_a)
         if row is not None:
             self._conns[row] += delta
@@ -216,16 +307,96 @@ class RouterStateStore:
         count = self._count
         occupancy = self._occupancy
         expiry = self._expiry
+        next_due = self._next_due
         for row in changed:
             buffer = nodes[row].buffer
             stored = len(buffer)
             count[row] = stored
             occupancy[row] = buffer.occupancy
-            expiry[row] = buffer.next_expiry() if stored else np.inf
+            if stored:
+                due = buffer.next_expiry()
+                expiry[row] = due
+                if due < next_due:
+                    next_due = due
+            else:
+                expiry[row] = np.inf
+        self._next_due = next_due
         self._dirty.clear()
         return changed
 
     # -------------------------------------------------------------- the sweep
+    def quiet(self, world: "World", now: float) -> bool:
+        """Whether no row can wake this tick: an O(1) test of the summaries.
+
+        True only when the tick brought no link event and no buffer change,
+        no connection holds or announced queued transfers, no row is forced
+        awake (opted out of skipping, or loaded on a live link while not
+        batchable or fresh) and no buffered TTL is due.  Every term of the
+        ``awake`` mask is then false on every row.
+        """
+        return (not world._router_events and not self._dirty
+                and not self._unsafe and not self._forced
+                and self._next_due > now
+                and not world._newly_active and not len(world.transfer_engine))
+
+    def _wake_masks(self, world: "World", now: float,
+                    changed: List[int]) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``awake`` and ``noop`` masks over the registered rows.
+
+        Also re-derives ``_forced`` from the forced rows' mask it builds.
+        """
+        n = len(self._nodes)
+        rows = slice(0, n)
+        empty = self._count[rows] == 0
+        batchable = self._batchable[rows]
+        gated = self._gated[rows]
+
+        event = np.zeros(n, dtype=bool)
+        row_of = self._row
+        for node_id in world._router_events:
+            row = row_of.get(node_id)
+            if row is not None:
+                event[row] = True
+
+        # endpoints of connections with queued transfers: the serial
+        # predicate's defensive wake for empty-buffer routers.  Every such
+        # connection holds a transfer-engine row (up with a non-empty queue
+        # by invariant) or announced itself through activity_sink since the
+        # transfers phase, so this is the complete set — stale announcements
+        # are filtered exactly like the engine's ingest filters them.
+        queued = np.zeros(n, dtype=bool)
+        engine = world.transfer_engine
+        busy = engine.connections() if len(engine) else []
+        busy += [c for c in world._newly_active if c.is_up and c.has_queued]
+        for connection in busy:
+            row = row_of.get(connection.node_a.node_id)
+            if row is not None:
+                queued[row] = True
+            row = row_of.get(connection.node_b.node_id)
+            if row is not None:
+                queued[row] = True
+
+        # a loaded batchable row on a live link sleeps unless it is fresh or
+        # its buffer changed: its last executed update already decided every
+        # buffered message on every live contact, per contact or through
+        # the consumed gate (link events and due TTLs wake it separately)
+        forced = self._forced_mask(rows)
+        self._forced = int(np.count_nonzero(forced))
+        awake = (event | ~self._idle_safe[rows] | forced
+                 | (~empty & (self._expiry[rows] <= now))
+                 | (empty & queued))
+        count = self._count
+        conns = self._conns
+        for row in changed:
+            if count[row] and conns[row]:
+                awake[row] = True
+        # the no-op proof: stateless batchable rows need only an empty
+        # buffer; gated rows additionally need an event-free tick and
+        # consumed gates (~fresh)
+        noop = awake & empty & batchable & (
+            ~gated | (~event & ~self._fresh[rows]))
+        return awake, noop
+
     def sweep(self, world: "World", now: float) -> Tuple[int, int, int]:
         """Run one routers phase; returns ``(ticked, batched, skipped)``.
 
@@ -237,62 +408,24 @@ class RouterStateStore:
         n = len(self._nodes)
         if n == 0:
             return 0, 0, 0
+        if self.quiet(world, now):
+            return 0, 0, n
         changed = self._refresh_dirty()
-        count = self._count[:n]
-        expiry = self._expiry[:n]
-        conns = self._conns[:n]
-        idle_safe = self._idle_safe[:n]
-        batchable = self._batchable[:n]
-        gated = self._gated[:n]
-        fresh = self._fresh[:n]
-        empty = count == 0
-
-        event = np.zeros(n, dtype=bool)
-        if world._router_events:
-            row_of = self._row
-            for node_id in world._router_events:
-                row = row_of.get(node_id)
-                if row is not None:
-                    event[row] = True
-
-        # endpoints of connections with queued transfers: the serial
-        # predicate's defensive wake for empty-buffer routers.  Every such
-        # connection holds a transfer-engine row (up with a non-empty queue
-        # by invariant) or announced itself through activity_sink since the
-        # transfers phase, so this is the complete set — stale announcements
-        # are filtered exactly like the engine's ingest filters them.
-        queued = np.zeros(n, dtype=bool)
-        newly = world._newly_active
-        row_of = self._row
-        engine = world.transfer_engine
-        busy = engine.connections() if len(engine) else []
-        busy += [c for c in newly if c.is_up and c.has_queued]
-        for connection in busy:
-            row = row_of.get(connection.node_a.node_id)
-            if row is not None:
-                queued[row] = True
-            row = row_of.get(connection.node_b.node_id)
-            if row is not None:
-                queued[row] = True
-
-        # a loaded stateless row (batchable, not gated) on a live link
-        # sleeps unless it is fresh or its buffer changed: its last executed
-        # update already decided every buffered message on every live
-        # contact (link events and due TTLs wake it separately)
-        awake = (event | ~idle_safe
-                 | (~empty & (((conns > 0) & (gated | ~batchable | fresh))
-                              | (expiry <= now)))
-                 | (empty & queued))
-        for row in changed:
-            if count[row] and conns[row]:
-                awake[row] = True
-        # the no-op proof: stateless batchable rows need only an empty
-        # buffer; gated rows additionally need an event-free tick and
-        # consumed gates (~fresh)
-        noop = awake & empty & batchable & (~gated | (~event & ~fresh))
+        if self._next_due <= now:
+            # the bound may be stale (an earlier deadline left the buffer):
+            # tighten it so the following quiet ticks can pass the guard
+            self._next_due = float(self._expiry[:n].min())
+        awake, noop = self._wake_masks(world, now, changed)
         batched = int(np.count_nonzero(noop))
         run_rows = np.flatnonzero(awake & ~noop).tolist()
 
+        count = self._count
+        conns = self._conns
+        batchable = self._batchable
+        gated = self._gated
+        fresh = self._fresh
+        row_of = self._row
+        newly = world._newly_active
         nodes = self._nodes
         ticked = 0
         late: List[int] = []
@@ -308,7 +441,10 @@ class RouterStateStore:
             node = nodes[row]
             assert node.router is not None
             node.router.update(now)
-            fresh[row] = False
+            if fresh[row]:
+                fresh[row] = False
+                if count[row] and conns[row] and batchable[row]:
+                    self._forced -= 1
             ticked += 1
             if len(newly) != seen_newly:
                 # this router enqueued the first transfer(s) onto previously
@@ -322,10 +458,11 @@ class RouterStateStore:
                             continue
                         if count[other] != 0:
                             # loaded rows wake on contacts/TTL only: a
-                            # loaded non-stateless endpoint of a live link
-                            # is awake already, and a sleeping stateless
-                            # one checks only transfers queued toward its
-                            # peer, which the peer's enqueue does not add
+                            # loaded non-batchable endpoint of a live link
+                            # is awake already, and a sleeping batchable
+                            # one only re-offers transfers queued toward
+                            # its peers, which the peer's enqueue does not
+                            # add
                             continue
                         awake[other] = True
                         if batchable[other] and (

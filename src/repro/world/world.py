@@ -357,6 +357,8 @@ class World:
         else:
             codes = _empty_codes()
         previous = self._link_codes
+        if len(codes) == len(previous) and codes.tobytes() == previous.tobytes():
+            return  # the same links as last tick: nothing to diff
         down_keys = _decode_codes(_sorted_diff(previous, codes))
         up_keys = _decode_codes(_sorted_diff(codes, previous))
         self._link_codes = codes

@@ -6,7 +6,6 @@ convention, the old deep import paths warn-but-work, and the spool-directory
 service resolves every cell through the store.
 """
 
-import importlib
 import json
 import warnings
 
@@ -86,23 +85,7 @@ def test_identity_keys_empty_without_config():
     assert result.identity_keys() == []
 
 
-# ---------------------------------------------------------- deprecation shims
-def test_runner_averaged_result_shim_warns():
-    runner = importlib.import_module("repro.experiments.runner")
-    with pytest.warns(DeprecationWarning, match="AveragedResult"):
-        shimmed = runner.AveragedResult
-    assert shimmed is api.AveragedResult
-
-
-def test_sweep_point_shim_warns():
-    # NB: `from repro.experiments import sweep` yields the *function* (the
-    # package re-export wins); importlib returns the true module
-    sweep_module = importlib.import_module("repro.experiments.sweep")
-    with pytest.warns(DeprecationWarning, match="SweepPoint"):
-        shimmed = sweep_module.SweepPoint
-    assert shimmed is api.SweepPoint
-
-
+# ---------------------------------------------------------- import paths
 def test_blessed_paths_do_not_warn():
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)

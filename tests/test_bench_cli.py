@@ -125,19 +125,11 @@ def test_unknown_scale_rejected():
         bench.run_benchmarks(scale_name="galactic")
 
 
-def test_cli_bench_quick_is_a_deprecated_spelling(smoke_payload, monkeypatch,
-                                                  capsys):
-    seen = {}
-
-    def record(scale_name, seed):
-        seen["scale"] = scale_name
-        return dict(smoke_payload)
-
-    monkeypatch.setattr(bench, "run_benchmarks", record)
-    assert main(["bench", "--quick"]) == 0
-    captured = capsys.readouterr()
-    assert "deprecated" in captured.err
-    assert seen["scale"] == "quick"  # warns, then forwards to --scale quick
-    # contradictory spellings are still rejected
-    assert main(["bench", "--quick", "--scale", "smoke"]) == 2
-    assert "contradicts" in capsys.readouterr().err
+def test_cli_bench_rejects_the_removed_quick_flag(monkeypatch, capsys):
+    """``--quick`` was a spelling of ``--scale quick`` (the default); it is
+    gone, and argparse rejects it before any benchmark runs."""
+    monkeypatch.setattr(bench, "run_benchmarks", pytest.fail)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bench", "--quick"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --quick" in capsys.readouterr().err

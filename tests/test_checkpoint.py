@@ -373,6 +373,16 @@ def test_config_payload_roundtrip():
         config_from_payload({"num_nodes": -3})
 
 
+def test_config_payload_of_older_manifests_drops_retired_fields():
+    """Manifests written while ScenarioConfig still had ``contact_window``
+    (read by no run) restore to the same config and the same hash."""
+    config = ScenarioConfig.bench_scale(protocol="eer", num_nodes=12, seed=4)
+    payload = dict(config_to_payload(config), contact_window=20)
+    restored = config_from_payload(payload)
+    assert restored == config
+    assert restored.config_hash() == config.config_hash()
+
+
 # ---------------------------------------------------------------- RNG pins
 def test_rng_streams_restore_to_exact_generator_state():
     streams = RandomStreams(seed=42)

@@ -7,16 +7,20 @@ router wake predicate plus a batch resolution of provably no-op updates
 The contract: **same decisions, same bytes, just faster**.  Pinned here:
 
 * full-scenario canonical reports are byte-identical to the reference for
-  all four batch-capable protocols and for the non-batchable fallbacks
-  (prophet, spray-and-focus);
+  all eight batch-capable protocols, CR's detected community modes and the
+  non-batchable fallbacks (prophet, spray-and-focus);
 * hypothesis-generated contact/traffic scripts — messages arriving at
   random ticks, mid-contact included, over fast and slow links and roomy
   and evicting buffers — agree outcome-for-outcome with the reference, and
   the sweep's ticked/batched/skipped split always accounts for every router
   the reference ticks;
-* a loaded stateless row sleeps through a quiet contact and wakes exactly
-  on a buffer change, a due TTL or a router rebind; a subclass that does
-  not redeclare the batch contract runs every tick;
+* a loaded batchable row (epidemic, EER) sleeps through a quiet contact
+  and wakes exactly on a buffer change, a due TTL or a router rebind — its
+  own or a live peer's; a subclass that does not redeclare the batch
+  contract runs every tick;
+* the quiet-tick guard never passes a tick on which the full masks would
+  wake a row, and its summaries match the columns whenever no link event
+  is pending;
 * the batched/ticked/skipped counters sum to ``nodes × updates``, surface on
   :class:`SimulationReport` and stay out of the canonical serialisation;
 * the store itself: registration order, growth, dirty-buffer mirrors,
@@ -26,12 +30,15 @@ The contract: **same decisions, same bytes, just faster**.  Pinned here:
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.checkpoint import load_checkpoint_bytes, save_checkpoint_bytes
+from repro.core.eer import EERRouter
+from repro.experiments.builder import build_scenario
 from repro.experiments.catalog import make_scenario
-from repro.experiments.runner import run_scenario
+from repro.experiments.runner import finalize_report, run_scenario
 from repro.experiments.scenario import ScenarioConfig
 from repro.net.message import Message
 from repro.routing.epidemic import EpidemicRouter
@@ -41,6 +48,7 @@ from repro.routing.spray_and_focus import SprayAndFocusRouter
 from repro.routing.spray_and_wait import SprayAndWaitRouter
 from repro.testing import (
     assert_resume_equality,
+    canonical_report_bytes,
     inject_message,
     make_contact_plan,
     make_trace,
@@ -49,7 +57,8 @@ from repro.testing import (
 from repro.traces.replay import build_trace_world
 
 #: the batch-capable protocols (Router.supports_batch_update = True)
-BATCHABLE = ["direct", "epidemic", "first-contact", "spray-and-wait"]
+BATCHABLE = ["direct", "epidemic", "maxprop", "first-contact",
+             "spray-and-wait", "ebr", "eer", "cr"]
 
 
 # --------------------------------------------------- full-scenario pins
@@ -69,6 +78,17 @@ def test_soa_report_byte_identical_to_skip_scan(protocol):
     counters, which differ by construction)."""
     assert scenario_payload(protocol, reference=False) \
         == scenario_payload(protocol, reference=True)
+
+
+@pytest.mark.parametrize("mode", ["kclique", "newman"])
+def test_soa_report_byte_identical_for_detected_cr(mode):
+    """CR's detected community modes query the world-shared provider, whose
+    re-detection runs on a staleness budget, only behind the per-meeting
+    gate: sleeping CR rows leave the detection schedule unchanged."""
+    overrides = {"router.community_mode": mode,
+                 "router.detection_staleness": 30.0}
+    assert scenario_payload("cr", reference=False, **overrides) \
+        == scenario_payload("cr", reference=True, **overrides)
 
 
 @pytest.mark.parametrize("protocol", ["prophet", "spray-and-focus"])
@@ -126,10 +146,13 @@ def run_script(protocol, num_nodes, contacts, messages, speed, *, reference,
                buffer_capacity=ROOMY_BUFFER):
     plan = make_contact_plan(
         [(float(s), float(s + d), a, b) for s, d, a, b in contacts if a != b])
+    # two communities, so CR runs both its inter- and intra-community steps
     simulator, world = build_trace_world(plan, protocol=protocol,
                                          num_nodes=num_nodes,
                                          buffer_capacity=buffer_capacity,
                                          transmit_speed=speed,
+                                         communities={node: node % 2 for node
+                                                      in range(num_nodes)},
                                          reference=reference)
     for index, (source, destination, ttl, copies, tick, size) in \
             enumerate(messages):
@@ -222,10 +245,10 @@ def test_gated_rows_execute_on_link_events():
     assert world.routers_batched == 0
 
 
-def record_updates(router):
+def record_updates(router, log=None):
     """Log the simulated time of every executed ``update`` of *router*
     (wrapped on the instance, so the class keeps its batch contract)."""
-    log = []
+    log = [] if log is None else log
     update = router.update
 
     def logged(now):
@@ -236,12 +259,12 @@ def record_updates(router):
     return log
 
 
-def quiet_contact_world(protocol="epidemic", **message):
+def quiet_contact_world(protocol="epidemic", *, reference=False, **message):
     """Nodes 0 and 1 in contact over [1, 40) s; node 2 never met.  Node 0
     holds one message for node 2, so every replica stays buffered."""
     plan = make_contact_plan([(1.0, 40.0, 0, 1)])
     simulator, world = build_trace_world(plan, protocol=protocol,
-                                         num_nodes=3)
+                                         num_nodes=3, reference=reference)
     inject_message(world, 0, 2, **message)
     return simulator, world
 
@@ -301,6 +324,87 @@ def test_router_rebind_wakes_a_sleeping_row():
     assert world.get_node(1).buffer.message_ids() == ["M1"]
 
 
+def swap_router(world, node_id, router):
+    node = world.get_node(node_id)
+    node.router = None
+    router.attach(node, world)
+    return router
+
+
+def eer_quiet_contact(*, reference, ttl=10_000.0, arrival=None,
+                      rebind_at=None, peer_swap_at=None):
+    """The quiet contact under EER, node 0 holding four replicas for node 2:
+    the link-up tick splits them with node 1, and nothing else is due.
+
+    Optionally a second message arrives at node 0 mid-contact, node 0's
+    router is replaced mid-contact, or node 1 starts as a direct-delivery
+    router and becomes an EER router mid-contact.  Returns the run's
+    outcome fingerprint and node 0's executed update times.
+    """
+    simulator, world = quiet_contact_world("eer", reference=reference,
+                                           ttl=ttl, copies=4)
+    if peer_swap_at is not None:
+        swap_router(world, 1, create_router("direct"))
+        simulator.schedule_at(peer_swap_at, lambda sim: swap_router(
+            world, 1, EERRouter()), priority=20)
+    if arrival is not None:
+        schedule_injection(simulator, world, arrival, 0, 2, copies=4,
+                           message_id="M2")
+    sender = record_updates(world.get_node(0).router)
+    if rebind_at is not None:
+        def rebind(sim):
+            sender.append(("rebind", sim.now))
+            record_updates(swap_router(world, 0, EERRouter()), sender)
+        simulator.schedule_at(rebind_at, rebind, priority=20)
+    simulator.run(until=30.0)
+    return outcome_fingerprint(world), sender, world
+
+
+def assert_eer_quiet_contact(expected_sender, **kwargs):
+    soa, sender, world = eer_quiet_contact(reference=False, **kwargs)
+    ref, _, _ = eer_quiet_contact(reference=True, **kwargs)
+    assert soa == ref
+    assert sender == expected_sender
+    return world
+
+
+def test_loaded_eer_row_sleeps_through_a_quiet_contact():
+    """The link-up tick splits the replicas (node 1's copy arrives and
+    wakes it once); past the consumed gate the loaded row sleeps."""
+    world = assert_eer_quiet_contact([1.0])
+    assert world.routers_ticked == 3            # node 0 at 1, node 1 at 1, 2
+    assert world.get_node(1).buffer.message_ids() == ["M1"]
+
+
+def test_mid_contact_arrival_wakes_a_loaded_eer_row_once():
+    """The arrival changes the buffer: the row runs once, its gate already
+    consumed, so the new message waits for the next meeting."""
+    world = assert_eer_quiet_contact([1.0, 10.0], arrival=9.5)
+    assert world.get_node(1).buffer.message_ids() == ["M1"]
+
+
+def test_due_ttl_wakes_a_sleeping_eer_row():
+    world = assert_eer_quiet_contact([1.0, 15.0], ttl=15.0)
+    assert [(r.node, r.time, r.reason)
+            for r in world.stats.dropped_records] \
+        == [(0, 15.0, "expired"), (1, 15.0, "expired")]
+
+
+def test_router_rebind_wakes_a_sleeping_eer_row():
+    """A new router has unconsumed gates: its fresh row runs at the next
+    tick and evaluates the live contact as a new meeting."""
+    assert_eer_quiet_contact([1.0, ("rebind", 9.5), 10.0], rebind_at=9.5)
+
+
+def test_peer_rebind_wakes_a_sleeping_eer_row():
+    """EER evaluates only EER peers, so the link-up tick left the contact
+    with a direct-delivery peer unevaluated; when the peer becomes an EER
+    router the sleeping row must run and evaluate it, as the reference
+    loop does on its next tick."""
+    world = assert_eer_quiet_contact([1.0, 10.0], peer_swap_at=9.5)
+    assert world.stats.relayed == 1
+
+
 def test_subclass_without_batch_contract_runs_every_tick():
     class Logging(EpidemicRouter):
         pass
@@ -330,6 +434,97 @@ def test_report_surfaces_counters_outside_canonical_payload():
     assert timed["routers_batched"] == report.routers_batched
     assert timed["routers_ticked"] == report.routers_ticked
     assert timed["routers_skipped"] == report.routers_skipped
+
+
+# ------------------------------------------------- the quiet-tick guard
+def sleeping_loaded_rows(store):
+    """Loaded rows on a live link that the next sweep lets sleep: batchable,
+    not fresh, buffer unchanged."""
+    rows = slice(0, len(store))
+    mask = ((store._count[rows] > 0) & (store._conns[rows] > 0)
+            & store._batchable[rows] & ~store._fresh[rows])
+    mask[list(store._dirty)] = False
+    return mask
+
+
+def assert_summaries(store):
+    """The quiet-tick summaries equal their definitions over the columns."""
+    rows = slice(0, len(store))
+    assert store._unsafe == np.count_nonzero(~store._idle_safe[rows])
+    assert store._forced == np.count_nonzero(store._forced_mask(rows))
+    assert store._next_due <= store._expiry[rows].min()
+
+
+@pytest.mark.parametrize("protocol", ["eer", "epidemic"])
+def test_quiet_guard_agrees_with_the_full_masks(protocol):
+    """On every tick of a parity scenario without link events the guard's
+    summaries equal their definitions over the columns, and whenever the
+    guard passes a tick the full masks wake no row.  The run stays
+    byte-identical to the reference."""
+    config = make_scenario("bench", {
+        "mobility": "random_waypoint", "protocol": protocol,
+        "num_nodes": 40, "sim_time": 300.0, "name": f"soa-pin-{protocol}"})
+    built = build_scenario(config)
+    world = built.world
+    store = world.router_store
+    sweep = store.sweep
+    quiet_ticks = []
+    asleep_on_links = []
+
+    def audited(world, now):
+        if not world._router_events:
+            # a link change leaves the forced count for the sweep it forces
+            assert_summaries(store)
+        if store.quiet(world, now):
+            awake, _ = store._wake_masks(world, now, [])
+            assert not awake.any()
+            quiet_ticks.append(now)
+            asleep_on_links.append(sleeping_loaded_rows(store).any())
+        return sweep(world, now)
+
+    store.sweep = audited
+    try:
+        built.run()
+    finally:
+        world.stop()
+    assert quiet_ticks
+    assert any(asleep_on_links)         # loaded rows slept on live links
+    assert canonical_report_bytes(finalize_report(built.stats, config)) \
+        == canonical_report_bytes(run_report(config, reference=True))
+
+
+def test_quiet_guard_holds_off_for_forced_rows_and_due_ttls():
+    """A non-batchable loaded row on a live link and a due TTL each keep
+    the guard from passing; once neither holds, quiet ticks skip every
+    row."""
+    simulator, world = quiet_contact_world(ttl=15.0)
+    store = world.router_store
+    simulator.run(until=5.0)
+    assert store.quiet(world, 5.5)
+    assert not store.quiet(world, 15.0)         # M1's TTL is due
+    # a rebind makes the row and its loaded live peer fresh
+    swap_router(world, 0, create_router("prophet"))
+    assert (store._unsafe, store._forced) == (1, 2)
+    assert not store.quiet(world, 5.5)
+    swap_router(world, 0, EpidemicRouter())
+    assert (store._unsafe, store._forced) == (0, 2)
+    assert store.sweep(world, 6.0) == (2, 0, 1)     # both fresh rows run
+    assert store._forced == 0
+    assert store.quiet(world, 7.0)
+    assert store.sweep(world, 7.0) == (0, 0, 3)
+
+
+def test_registration_counts_loaded_live_rows_as_forced():
+    """Rows registered while loaded and on a live link start fresh, so they
+    count as forced until they run; prophet rows count as unsafe."""
+    simulator, world = quiet_contact_world(ttl=15.0)
+    simulator.run(until=5.0)
+    swap_router(world, 2, create_router("prophet"))
+    store = RouterStateStore()
+    store.register_many(world.nodes[:2])
+    store.register(world.get_node(2))
+    assert_summaries(store)
+    assert (store._unsafe, store._forced, store._next_due) == (1, 2, 15.0)
 
 
 # ------------------------------------------------- the store itself
@@ -445,6 +640,32 @@ def test_checkpoint_restores_store_and_buffer_mirrors():
     restored.simulator.run(until=60.0)
     assert restored.stats.delivered == 1
     restored.stop()
+
+
+def test_checkpoint_while_loaded_eer_rows_sleep_on_live_links():
+    """A snapshot taken while loaded EER rows sleep on live links resumes
+    byte-identically; the quiet-tick summaries are not pickled but derived
+    from the restored columns."""
+    config = ScenarioConfig.bench_scale(
+        protocol="eer", num_nodes=16, seed=3, sim_time=240.0)
+    at = 157.0
+    built = build_scenario(config)
+    try:
+        built.simulator.run(until=at)
+        store = built.world.router_store
+        assert sleeping_loaded_rows(store).any()
+        state = store.__getstate__()
+        assert not set(RouterStateStore._SUMMARIES) & set(state)
+        blob = save_checkpoint_bytes(built.world, config=config)
+    finally:
+        built.world.stop()
+    restored = load_checkpoint_bytes(blob).world
+    copy = restored.router_store
+    rows = slice(0, len(copy))
+    assert (copy._unsafe, copy._forced) == (store._unsafe, store._forced)
+    assert store._next_due <= copy._next_due == copy._expiry[rows].min()
+    restored.stop()
+    assert_resume_equality(config, checkpoint_times=[at])
 
 
 @pytest.mark.parametrize("protocol", ["first-contact", "spray-and-wait"])

@@ -83,3 +83,26 @@ def test_ev_exchange_overhead_counted(two_node_trace):
     simulator, world = make_world(two_node_trace, protocol="ebr")
     simulator.run(until=250.0)
     assert world.stats.control_rows_exchanged >= 2
+
+
+def test_skipped_folds_catch_up_exactly():
+    """A router asleep through window boundaries replays the skipped folds
+    on its next call as the same float operations: folding on every 0.1 s
+    tick and folding only at contacts and at the end leave bit-equal
+    state (the idle router contract's proof for EBR's gated tier)."""
+    eager = EBRRouter(window=30.0)
+    lazy = EBRRouter(window=30.0)
+    contacts = {35, 36, 400, 1234, 1235, 1236, 9000, 14000}   # tick numbers
+    for tick in range(1, 20_001):
+        now = tick * 0.1
+        eager._fold_windows(now)
+        if tick in contacts:
+            for router in (eager, lazy):
+                router._fold_windows(now)            # as on_contact_recorded
+                router._current_window_count += 1
+    lazy._fold_windows(20_000 * 0.1)
+    assert lazy._encounter_value > 0.0
+    assert (lazy._encounter_value, lazy._window_end,
+            lazy._current_window_count) == (
+        eager._encounter_value, eager._window_end,
+        eager._current_window_count)

@@ -48,6 +48,19 @@ def test_config_hash_stable_across_explicit_defaults():
     assert base.config_hash() == explicit.config_hash()
 
 
+def test_config_hash_of_default_configs_is_pinned():
+    """Literal hashes: a change to the fields, their defaults or the payload
+    normalisation shows here (and would orphan every stored row).  Retiring
+    a field whose value is its default leaves these unchanged, because
+    default-valued fields drop out of the identity payload."""
+    assert ScenarioConfig().config_hash() == (
+        "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a")
+    assert tiny_config().config_hash() == (
+        "1aa903296ec40dd77033f499749696cdeb49a5ca2506638b062081506f8a58c8")
+    assert ScenarioConfig.paper_scale(protocol="eer", seed=1).config_hash() \
+        == "1b0e3d591c65797be30ef12c72d44f0908b7bc0ef6630096d3012f78ff66a9cf"
+
+
 def test_config_hash_ignores_name_and_seed():
     base = tiny_config()
     assert base.with_overrides(seed=99).config_hash() == base.config_hash()

@@ -169,3 +169,35 @@ def test_duplicate_arrivals_at_destination_count_one_delivery():
                 if rec.to_node == 2 and rec.final_delivery]
     assert len(arrivals) == 2
     assert world.stats.duplicate_deliveries == 1
+
+
+def test_unchanged_link_set_skips_the_diff(monkeypatch):
+    """Ticks whose packed link codes repeat the previous tick's diff
+    nothing; a node joining with a new link brings the diff back for one
+    tick."""
+    import repro.world.world as world_module
+
+    diffs = []
+    sorted_diff = world_module._sorted_diff
+
+    def counted(a, b):
+        diffs.append(len(a))
+        return sorted_diff(a, b)
+
+    monkeypatch.setattr(world_module, "_sorted_diff", counted)
+    simulator, world = build_world([
+        StationaryMovement((0.0, 0.0)),
+        StationaryMovement((5.0, 0.0)),
+    ])
+    simulator.run(until=5.0)
+    assert len(diffs) == 2                      # the first tick only
+    node = DTNNode(2, StationaryMovement((0.0, 5.0)),
+                   simulator.random.python("n2"),
+                   interface=world.get_node(0).interface)
+    EpidemicRouter().attach(node, world)
+    world.add_node(node)
+    simulator.run(until=10.0)
+    assert len(diffs) == 4
+    assert world.connection_between(0, 2) is not None
+    assert world.stats.contacts == 3
+
