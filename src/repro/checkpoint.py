@@ -67,7 +67,11 @@ MAGIC = "repro-checkpoint"
 #: 5: MaxProp keeps its known likelihood vectors in a dense cost table, and
 #: the stats collector gained the knowledge-layer split (``kernel_runs``,
 #: ``memd_hits``)
-FORMAT_VERSION = 5
+#: 6: per-contact routing state (considered sets, first-evaluation flags)
+#: moved from the routers onto the connections, the router store gained
+#: its link-listener column and link-event rows, and the transfer engine
+#: its endpoint-row columns
+FORMAT_VERSION = 6
 #: arrays with at least this many elements move to their own NPY entry
 ARRAY_EXTERNALIZE_THRESHOLD = 32
 

@@ -50,8 +50,8 @@ class MovementModel(abc.ABC):
         per-follower ``move`` loop.  A model should only opt in if its paths
         are plain constant-speed :class:`~repro.mobility.path.Path` objects
         driven exclusively through the follower (no external path mutation).
-        Opted in: random waypoint, community, HCMM and map-route (bus)
-        movement.  Stationary and shortest-path movement keep the loop.
+        Opted in: random waypoint, community, HCMM, map-route (bus) and
+        shortest-path movement.  Stationary movement keeps the loop.
         """
         return False
 

@@ -39,12 +39,13 @@ the unchanged per-follower loop, so the kernel never changes behaviour, only
 cost.  The models that opt in are
 :class:`~repro.mobility.random_waypoint.RandomWaypointMovement`,
 :class:`~repro.mobility.community.CommunityMovement`,
-:class:`~repro.mobility.hcmm.HomeCellMovement` and the paper's bus lines,
-:class:`~repro.mobility.map_route.MapRouteMovement`.  Bus legs are
-multi-segment road paths ending in a stop pause (a stop listed twice in a
-row gives a leg with no segment, only the pause); every segment, pause or
-leg boundary is one scalar-fallback tick, and the kernel carries the ticks
-in between.
+:class:`~repro.mobility.hcmm.HomeCellMovement`, the paper's bus lines,
+:class:`~repro.mobility.map_route.MapRouteMovement`, and
+:class:`~repro.mobility.shortest_path.ShortestPathMapBasedMovement`.  Bus
+legs and shortest-path trips are multi-segment road paths ending in a
+pause (a stop listed twice in a row gives a leg with no segment, only the
+pause); every segment, pause or leg boundary is one scalar-fallback tick,
+and the kernel carries the ticks in between.
 
 The plain per-follower loop the kernel must reproduce is not a mode of
 this class: it is the reference world's movement

@@ -112,11 +112,22 @@ class Connection:
         allocating one per link-up; a reset connection is indistinguishable
         from a newly constructed one (``established_seq`` and
         ``activity_sink`` are world-owned and reassigned at establishment).
+        Both endpoints' per-contact routing state starts empty.
         """
         if bitrate <= 0:
             raise ValueError(f"bitrate must be positive, got {bitrate}")
         self.node_a = node_a
         self.node_b = node_b
+        a, b = node_a.node_id, node_b.node_id
+        #: canonical (min_id, max_id) pair identifying the link
+        self.key = (a, b) if a <= b else (b, a)
+        # per-endpoint routing state of this contact (see
+        # Router.considered_on / Router.is_first_evaluation): one lazily
+        # created considered-id set per side, and a bit per side (1 = node
+        # a, 2 = node b) recording its first evaluation
+        self._considered_a: Optional[set] = None
+        self._considered_b: Optional[set] = None
+        self._evaluated = 0
         self.bitrate = float(bitrate)
         self.established_at = float(established_at)
         self.is_up = True
@@ -128,12 +139,6 @@ class Connection:
         self.aborted_transfers = 0
 
     # ------------------------------------------------------------- endpoints
-    @property
-    def key(self) -> tuple:
-        """Canonical (min_id, max_id) pair identifying the link."""
-        a, b = self.node_a.node_id, self.node_b.node_id
-        return (a, b) if a <= b else (b, a)
-
     def other(self, node: "DTNNode") -> "DTNNode":
         """Return the peer of *node* on this connection."""
         if node is self.node_a or node.node_id == self.node_a.node_id:
@@ -145,6 +150,45 @@ class Connection:
     def involves(self, node: "DTNNode") -> bool:
         """Whether *node* is one of the endpoints."""
         return node.node_id in (self.node_a.node_id, self.node_b.node_id)
+
+    # ------------------------------------------------ per-contact routing state
+    def _side_a(self, node: "DTNNode") -> bool:
+        """Whether *node* is endpoint a (as :meth:`other` tells them apart)."""
+        if node is self.node_a or node.node_id == self.node_a.node_id:
+            return True
+        if node is self.node_b or node.node_id == self.node_b.node_id:
+            return False
+        raise ValueError(f"node {node.node_id} is not an endpoint of {self!r}")
+
+    def considered_by(self, node: "DTNNode") -> set:
+        """*node*'s set of message ids already evaluated on this contact,
+        created on first use."""
+        if self._side_a(node):
+            considered = self._considered_a
+            if considered is None:
+                considered = self._considered_a = set()
+        else:
+            considered = self._considered_b
+            if considered is None:
+                considered = self._considered_b = set()
+        return considered
+
+    def first_evaluation_by(self, node: "DTNNode") -> bool:
+        """``True`` on *node*'s first call for this contact, then ``False``."""
+        bit = 1 if self._side_a(node) else 2
+        if self._evaluated & bit:
+            return False
+        self._evaluated |= bit
+        return True
+
+    def clear_side(self, node: "DTNNode") -> None:
+        """Forget *node*'s per-contact routing state (its router changed)."""
+        if self._side_a(node):
+            self._considered_a = None
+            self._evaluated &= ~1
+        else:
+            self._considered_b = None
+            self._evaluated &= ~2
 
     # ------------------------------------------------------------- transfers
     @property
@@ -242,13 +286,17 @@ class Connection:
 
         Returns the aborted transfers so the world can notify routers/stats.
         """
+        self.is_up = False
+        self.torn_down_at = float(now)
+        if not self._queue:
+            # nothing queued: no transfer to abort and no engine row (the
+            # engine holds rows only for non-empty queues)
+            return []
         if self.engine is not None:
             # flush the head's authoritative byte count out of the engine
             # columns *before* building the abort list: the stats record
             # reads transfer.bytes_left
             self.engine.detach(self)
-        self.is_up = False
-        self.torn_down_at = float(now)
         aborted = list(self._queue)
         for transfer in aborted:
             transfer.state = TransferState.ABORTED

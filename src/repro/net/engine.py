@@ -18,7 +18,10 @@ columns, one row per connection that currently holds queued transfers:
 ``seq``
     the connection's ``established_seq`` (the historical processing order),
 ``depth``
-    the queue length (observability; maintained by the enqueue seam).
+    the queue length (observability; maintained by the enqueue seam),
+``row_a`` / ``row_b``
+    the endpoints' rows in the world's router store, filled at attach (the
+    routers sweep wakes the endpoints of busy connections from them).
 
 The sweep is then one vectorized subtraction::
 
@@ -64,7 +67,7 @@ unlike object ids) and is covered by the resume-equality contract — see
 
 from __future__ import annotations
 
-from typing import Dict, List, TYPE_CHECKING
+from typing import Dict, List, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -107,6 +110,9 @@ class TransferEngine:
         #: queue length (head included); enqueue seam increments, replay
         #: reloads
         self._depth = np.zeros(capacity, dtype=np.int64)
+        #: router-store rows of the connection's node_a and node_b
+        self._row_a = np.zeros(capacity, dtype=np.int64)
+        self._row_b = np.zeros(capacity, dtype=np.int64)
         #: sequence numbers whose head transfer is still PENDING and must be
         #: marked IN_PROGRESS at the start of the next sweep — exactly when
         #: the reference loop's next ``advance`` call would mark it
@@ -128,6 +134,12 @@ class TransferEngine:
         """
         return list(self._conns)
 
+    def endpoint_rows(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Router-store rows of the busy connections' ``node_a`` and
+        ``node_b`` endpoints (views, one entry per active row)."""
+        n = len(self._conns)
+        return self._row_a[:n], self._row_b[:n]
+
     def head_bytes_left(self, connection: Connection) -> float:
         """Authoritative remaining bytes of *connection*'s head transfer.
 
@@ -138,14 +150,17 @@ class TransferEngine:
     # ------------------------------------------------------------- row seams
     def _grow(self) -> None:
         capacity = max(2 * len(self._bytes_left), _INITIAL_CAPACITY)
-        for name in ("_bytes_left", "_bitrate", "_seq", "_depth"):
+        for name in ("_bytes_left", "_bitrate", "_seq", "_depth", "_row_a",
+                     "_row_b"):
             old = getattr(self, name)
             grown = np.zeros(capacity, dtype=old.dtype)
             grown[:len(old)] = old
             setattr(self, name, grown)
 
-    def _attach(self, connection: Connection) -> None:
-        """Add a row for *connection* (its queue is non-empty)."""
+    def _attach(self, connection: Connection,
+                store_rows: Dict[int, int]) -> None:
+        """Add a row for *connection* (its queue is non-empty); *store_rows*
+        maps node ids to router-store rows."""
         row = len(self._conns)
         if row == len(self._bytes_left):
             self._grow()
@@ -157,6 +172,8 @@ class TransferEngine:
         self._bitrate[row] = connection.bitrate
         self._seq[row] = seq
         self._depth[row] = len(queue)
+        self._row_a[row] = store_rows[connection.node_a.node_id]
+        self._row_b[row] = store_rows[connection.node_b.node_id]
         self._fresh.append(seq)
         self.rows_attached += 1
 
@@ -170,6 +187,8 @@ class TransferEngine:
             self._bitrate[row] = self._bitrate[last]
             self._seq[row] = self._seq[last]
             self._depth[row] = self._depth[last]
+            self._row_a[row] = self._row_a[last]
+            self._row_b[row] = self._row_b[last]
             self._row[int(self._seq[row])] = row
         self._conns.pop()
         del self._row[seq]
@@ -224,12 +243,13 @@ class TransferEngine:
         pending = world._newly_active
         if pending:
             row_of = self._row
+            store_rows = world.router_store._row
             for connection in pending:
                 # stale announcements: torn down or drained since the
                 # enqueue, or re-announced while already holding a row
                 if (connection.is_up and connection.has_queued
                         and connection.established_seq not in row_of):
-                    self._attach(connection)
+                    self._attach(connection, store_rows)
             pending.clear()
         n = len(self._conns)
         if n == 0 or dt <= 0:

@@ -4,7 +4,9 @@ A :class:`Router` instance is attached to exactly one node.  The world calls
 four entry points on it:
 
 * :meth:`create_message` — a new application message originates here,
-* :meth:`changed_connection` — a link to a peer came up or went down,
+* :meth:`batch_changed_connections` / :meth:`changed_connection` — links
+  to peers came up or went down (only for routers that listen, see
+  :attr:`Router.link_listener`),
 * :meth:`update` — one world tick (TTL expiry + protocol-specific sending),
 * :meth:`receive_message` / :meth:`transfer_completed` /
   :meth:`transfer_aborted` — transfer plumbing.
@@ -83,6 +85,15 @@ class Router:
     #: see :attr:`supports_batch_update`; consulted only where that is True
     batch_update_gated = False
 
+    #: Whether the world hands this router its link events.  Derived, never
+    #: declared: ``True`` exactly when the class overrides one of
+    #: :data:`LINK_HOOKS`.  A router without a link hook has nothing to do
+    #: on a link change (its per-contact state lives on the
+    #: :class:`~repro.net.connection.Connection`, which starts empty), so
+    #: the world skips its dispatch; its row still wakes in the routers
+    #: sweep.
+    link_listener = False
+
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         if "supports_batch_update" not in cls.__dict__:
@@ -90,19 +101,14 @@ class Router:
             # a subclass overriding on_update (e.g. a test double logging
             # tick times) silently falls back to the exact per-router loop
             cls.supports_batch_update = False
+        cls.link_listener = any(getattr(cls, hook) is not getattr(Router, hook)
+                                for hook in LINK_HOOKS)
 
     def __init__(self) -> None:
         self.node: Optional["DTNNode"] = None
         self.world: Optional["World"] = None
         #: message ids delivered to this node (it was the final destination)
         self._delivered_here: Dict[str, float] = {}
-        #: per-contact sets of message ids already evaluated on a connection
-        #: (one routing decision per message per contact, as in Algorithm 1/2
-        #: of the paper, which runs "when ui meets uj")
-        self._considered_per_contact: Dict[tuple, set] = {}
-        #: contacts on which this router has already run its per-meeting
-        #: routing evaluation (see :meth:`is_first_evaluation`)
-        self._evaluated_contacts: set = set()
 
     # ------------------------------------------------------------------ wiring
     def attach(self, node: "DTNNode", world: "World") -> None:
@@ -196,12 +202,15 @@ class Router:
     def considered_on(self, connection: Connection) -> set:
         """The set of message ids already evaluated during this contact.
 
-        The set is cleared automatically when the contact ends.  Flooding
+        One routing decision per message per contact, as in Algorithm 1/2
+        of the paper, which runs "when ui meets uj".  The set lives on this
+        node's side of *connection*, so it ends with the contact.  Flooding
         routers (epidemic, MaxProp) use it so a long-lived contact keeps
         replicating only *new* messages instead of rescanning the whole buffer
         every tick.
         """
-        return self._considered_per_contact.setdefault(connection.key, set())
+        assert self.node is not None
+        return connection.considered_by(self.node)
 
     def is_first_evaluation(self, connection: Connection) -> bool:
         """``True`` exactly once per contact, at the first tick after link-up.
@@ -211,12 +220,10 @@ class Router:
         later in the same contact wait for the next meeting event.  Quota and
         utility protocols (Spray-and-*, EBR, EER, CR) gate their per-message
         decisions on this; deliverable messages are still sent every tick.
+        The flag lives on this node's side of *connection*.
         """
-        key = connection.key
-        if key in self._evaluated_contacts:
-            return False
-        self._evaluated_contacts.add(key)
-        return True
+        assert self.node is not None
+        return connection.first_evaluation_by(self.node)
 
     # ----------------------------------------------------------- message entry
     def create_message(self, message: Message) -> bool:
@@ -304,13 +311,9 @@ class Router:
         assert self.node is not None
         peer = connection.other(self.node)
         if up:
-            self._considered_per_contact.pop(connection.key, None)
-            self._evaluated_contacts.discard(connection.key)
             self.on_contact_up(connection, peer)
         else:
             self.on_contact_down(connection, peer)
-            self._considered_per_contact.pop(connection.key, None)
-            self._evaluated_contacts.discard(connection.key)
 
     def batch_changed_connections(self, events: List[tuple]) -> None:
         """One tick's worth of link changes for this node, in one call.
@@ -372,3 +375,9 @@ class Router:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         where = "detached" if self.node is None else f"node {self.node.node_id}"
         return f"<{type(self).__name__} ({self.name}) on {where}>"
+
+
+#: the link-event entry points; overriding any makes a router a
+#: :attr:`~Router.link_listener`
+LINK_HOOKS = ("on_contact_up", "on_contact_down", "changed_connection",
+              "batch_changed_connections")

@@ -16,7 +16,7 @@ from repro.core.replication import split_replicas
 from repro.net.connection import Connection
 from repro.routing.active import ContactAwareRouter
 
-from typing import TYPE_CHECKING
+from typing import Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.world.node import DTNNode
@@ -60,17 +60,31 @@ class EBRRouter(ContactAwareRouter):
     # --------------------------------------------------------------------- EV
     @property
     def encounter_value(self) -> float:
-        """The current (already folded) encounter value."""
-        return self._encounter_value
+        """The encounter value as of now: every window that has ended is
+        folded in, whether or not this router ran since (reading it changes
+        nothing)."""
+        if self.world is None:
+            return self._encounter_value
+        return self._folded(self.now)[0]
+
+    def _folded(self, now: float) -> Tuple[float, int, float]:
+        """``(encounter value, window count, window end)`` after folding
+        every window that ended by *now*."""
+        value = self._encounter_value
+        count = self._current_window_count
+        window_end = self._window_end
+        if window_end == 0.0:
+            window_end = self.window
+        while now >= window_end:
+            value = (self.ewma_alpha * count
+                     + (1.0 - self.ewma_alpha) * value)
+            count = 0
+            window_end += self.window
+        return value, count, window_end
 
     def _fold_windows(self, now: float) -> None:
-        if self._window_end == 0.0:
-            self._window_end = self.window
-        while now >= self._window_end:
-            self._encounter_value = (self.ewma_alpha * self._current_window_count
-                                     + (1.0 - self.ewma_alpha) * self._encounter_value)
-            self._current_window_count = 0
-            self._window_end += self.window
+        (self._encounter_value, self._current_window_count,
+         self._window_end) = self._folded(now)
 
     # ----------------------------------------------------------------- contacts
     def on_contact_recorded(self, connection: Connection, peer: "DTNNode") -> None:

@@ -53,14 +53,16 @@ Synchronisation seams (no polling, no per-tick rebuild):
   start, which is exact because buffers are static between the transfers
   phase and the routers phase; they are also the sweep's ``changed``
   rows;
-* live-connection counts are maintained incrementally by the world's
-  ``_establish_link`` / ``_teardown_link``;
-* router-derived columns (skip safety, batchability tier) refresh on
-  ``Router.attach`` through ``World.router_rebound``.
+* the world hands every tick's link diff over in bulk
+  (:meth:`RouterStateStore.apply_link_diff`): one ``np.add.at`` per side
+  of the diff on the live-connection counts, and the diff's endpoint rows
+  become the sweep's ``event`` rows;
+* router-derived columns (skip safety, batchability tier, link listening)
+  refresh on ``Router.attach`` through ``World.router_rebound``.
 
 The store pickles with the world and is covered by the resume-equality
 contract (see ``repro.checkpoint``): its arrays, dirty set and row maps are
-plain state, the quiet-tick summaries are re-derived from the columns on
+plain state, the quiet-tick summaries and the id index are re-derived on
 restore, and the buffer mirrors survive the round trip because they are
 ordinary attributes on the buffer objects.
 """
@@ -68,7 +70,7 @@ ordinary attributes on the buffer objects.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -81,12 +83,20 @@ __all__ = ["RouterStateStore"]
 #: initial rows per column; doubled on demand
 _INITIAL_CAPACITY = 64
 
+#: the empty event-row set (never written to)
+_NO_ROWS = np.empty(0, dtype=np.int64)
+#: a live-connection count step, typed like the column (an untyped Python
+#: int costs ``ufunc.at`` a conversion per call)
+_ONE = np.int32(1)
 
-def _router_flags(router) -> Tuple[bool, bool, bool]:
-    """The router-derived columns: skip safety, batchability, gating."""
+
+def _router_flags(router) -> Tuple[bool, bool, bool, bool]:
+    """The router-derived columns: skip safety, batchability, gating and
+    link listening."""
     return (bool(router.idle_skip_safe),
             bool(getattr(router, "supports_batch_update", False)),
-            bool(getattr(router, "batch_update_gated", False)))
+            bool(getattr(router, "batch_update_gated", False)),
+            bool(getattr(router, "link_listener", True)))
 
 
 class RouterStateStore:
@@ -117,6 +127,8 @@ class RouterStateStore:
         self._batchable = np.zeros(capacity, dtype=bool)
         #: Router.batch_update_gated (meaningful only where batchable)
         self._gated = np.zeros(capacity, dtype=bool)
+        #: Router.link_listener: the world dispatches link events to the row
+        self._listens = np.zeros(capacity, dtype=bool)
         #: row has never executed a Python update since its router, or the
         #: router of a live peer, was (re)attached: per-contact gates may be
         #: unconsumed and live contacts unscanned, so neither the gated
@@ -124,6 +136,12 @@ class RouterStateStore:
         self._fresh = np.zeros(capacity, dtype=bool)
         #: rows whose buffer mutated since the last sweep refresh
         self._dirty: set = set()
+        #: endpoint rows of the link events since the last sweep (a wake
+        #: condition; repeats allowed)
+        self._event_rows = _NO_ROWS
+        #: ``(ids in ascending order, their rows)``: the id -> row gather of
+        #: the link diff; derived, rebuilt on first use after registration
+        self._id_index: Optional[Tuple[np.ndarray, np.ndarray]] = None
         #: quiet-tick summary: rows whose router opts out of skipping
         self._unsafe = 0
         #: quiet-tick summary: rows of _forced_mask
@@ -132,15 +150,18 @@ class RouterStateStore:
         #: deadline (lowered as refreshed rows report earlier deadlines,
         #: recomputed by the full sweep once it has passed)
         self._next_due = np.inf
+        #: rows whose router listens to link events (all or none spares
+        #: the link dispatch its listener mask)
+        self.listeners = 0
 
-    # ------------------------------------------------ quiet-tick summaries
+    # ---------------------------------------------------------- summaries
     # Derived from the columns and never pickled (``__setstate__``
     # re-derives them).  Registration and rebinds keep them exact, and so
     # does every full sweep: it re-reads the dirty rows (lowering
     # ``_next_due``), re-derives ``_forced`` from its mask and clears fresh
-    # bits.  Link deltas leave ``_forced`` stale until that next full
-    # sweep, which a link change always forces (see ``link_delta``).
-    _SUMMARIES = ("_unsafe", "_forced", "_next_due")
+    # bits.  Link diffs leave ``_forced`` stale until that next full
+    # sweep, which a link change always forces (see ``apply_link_diff``).
+    _SUMMARIES = ("_unsafe", "_forced", "_next_due", "listeners")
 
     def _forced_mask(self, rows: slice) -> np.ndarray:
         """Loaded rows on a live link that wake with no event: not batchable,
@@ -154,9 +175,10 @@ class RouterStateStore:
                     and (self._fresh[row] or not self._batchable[row]))
 
     def _derive_summaries(self) -> None:
-        """Recompute every quiet-tick summary from the columns."""
+        """Recompute every summary from the columns."""
         rows = slice(0, len(self._nodes))
         self._unsafe = int(np.count_nonzero(~self._idle_safe[rows]))
+        self.listeners = int(np.count_nonzero(self._listens[rows]))
         self._forced = int(np.count_nonzero(self._forced_mask(rows)))
         self._next_due = (float(self._expiry[rows].min()) if self._nodes
                           else np.inf)
@@ -165,6 +187,7 @@ class RouterStateStore:
         state = self.__dict__.copy()
         for name in self._SUMMARIES:
             state.pop(name, None)
+        state["_id_index"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -179,7 +202,8 @@ class RouterStateStore:
         """Make every column hold at least *rows* rows (at least doubling)."""
         capacity = max(rows, 2 * len(self._count), _INITIAL_CAPACITY)
         for name in ("_count", "_occupancy", "_expiry", "_conns",
-                     "_idle_safe", "_batchable", "_gated", "_fresh"):
+                     "_idle_safe", "_batchable", "_gated", "_listens",
+                     "_fresh"):
             old = getattr(self, name)
             grown = np.zeros(capacity, dtype=old.dtype)
             if name == "_expiry":
@@ -232,12 +256,14 @@ class RouterStateStore:
             (self._count[rows], self._occupancy[rows], self._expiry[rows],
              self._conns[rows]) = zip(*buffers)
             (self._idle_safe[rows], self._batchable[rows],
-             self._gated[rows]) = zip(*flags)
+             self._gated[rows], self._listens[rows]) = zip(*flags)
             self._fresh[rows] = True
             self._unsafe += len(nodes) - int(
                 np.count_nonzero(self._idle_safe[rows]))
+            self.listeners += int(np.count_nonzero(self._listens[rows]))
             self._forced += forced
             self._next_due = next_due
+            self._id_index = None
         return start
 
     def _mark_fresh(self, row: int) -> None:
@@ -248,10 +274,12 @@ class RouterStateStore:
     def _refresh_router(self, row: int, router) -> None:
         forced = self._forces(row)
         unsafe = not self._idle_safe[row]
-        (self._idle_safe[row], self._batchable[row],
-         self._gated[row]) = _router_flags(router)
+        listens = self._listens[row]
+        (self._idle_safe[row], self._batchable[row], self._gated[row],
+         self._listens[row]) = _router_flags(router)
         self._fresh[row] = True
         self._unsafe += (not self._idle_safe[row]) - unsafe
+        self.listeners += int(self._listens[row]) - int(listens)
         self._forced += self._forces(row) - forced
 
     def rebind(self, node: "DTNNode") -> None:
@@ -280,19 +308,43 @@ class RouterStateStore:
         """Buffer mutation hook: re-read this row's buffer columns next sweep."""
         self._dirty.add(row)
 
-    def link_delta(self, id_a: int, id_b: int, delta: int) -> None:
-        """Apply a live-connection count change to both endpoints.
+    def rows_of(self, ids: np.ndarray) -> np.ndarray:
+        """The store rows of the registered node *ids* (any shape), through
+        one gather over the id-sorted index (ids need not equal rows).
 
-        Leaves ``_forced`` stale: every link change also wakes both
-        endpoints (``World._router_events``), so the next sweep takes the
-        full path, which re-derives it before anything reads it.
+        Every id must be registered: the world passes only ids of its own
+        nodes, and a check would add three array calls to every tick's
+        link diff.
         """
-        row = self._row.get(id_a)
-        if row is not None:
-            self._conns[row] += delta
-        row = self._row.get(id_b)
-        if row is not None:
-            self._conns[row] += delta
+        index = self._id_index
+        if index is None:
+            by_row = np.fromiter((node.node_id for node in self._nodes),
+                                 dtype=np.int64, count=len(self._nodes))
+            order = np.argsort(by_row, kind="stable")
+            index = self._id_index = (by_row[order], order)
+        sorted_ids, rows = index
+        return rows[sorted_ids.searchsorted(ids)]
+
+    def apply_link_diff(self, rows: np.ndarray, downs: int) -> None:
+        """Book one link diff: *rows* holds the ``(2, k)`` endpoint rows of
+        its links, the first *downs* of them torn down, the rest new.
+
+        Moves the live-connection counts with one ``np.add.at`` per side of
+        the diff and adds every endpoint to the next sweep's event rows.
+        Leaves ``_forced`` stale: the event rows force the next sweep onto
+        the full path, which re-derives it before anything reads it.
+        """
+        if downs:
+            np.subtract.at(self._conns, rows[:, :downs], _ONE)
+        if downs < rows.shape[1]:
+            np.add.at(self._conns, rows[:, downs:], _ONE)
+        endpoints = rows.ravel()
+        self._event_rows = (np.concatenate((self._event_rows, endpoints))
+                            if len(self._event_rows) else endpoints)
+
+    def listening(self, rows: np.ndarray) -> np.ndarray:
+        """Whether the routers of *rows* listen to link events."""
+        return self._listens[rows]
 
     def _refresh_dirty(self) -> List[int]:
         """Re-read the dirty rows' buffer columns and clear the dirty set.
@@ -334,7 +386,7 @@ class RouterStateStore:
         batchable or fresh) and no buffered TTL is due.  Every term of the
         ``awake`` mask is then false on every row.
         """
-        return (not world._router_events and not self._dirty
+        return (not len(self._event_rows) and not self._dirty
                 and not self._unsafe and not self._forced
                 and self._next_due > now
                 and not world._newly_active and not len(world.transfer_engine))
@@ -352,29 +404,25 @@ class RouterStateStore:
         gated = self._gated[rows]
 
         event = np.zeros(n, dtype=bool)
-        row_of = self._row
-        for node_id in world._router_events:
-            row = row_of.get(node_id)
-            if row is not None:
-                event[row] = True
+        if len(self._event_rows):
+            event[self._event_rows] = True
 
         # endpoints of connections with queued transfers: the serial
         # predicate's defensive wake for empty-buffer routers.  Every such
         # connection holds a transfer-engine row (up with a non-empty queue
-        # by invariant) or announced itself through activity_sink since the
-        # transfers phase, so this is the complete set — stale announcements
-        # are filtered exactly like the engine's ingest filters them.
+        # by invariant; the engine keeps its endpoint rows) or announced
+        # itself through activity_sink since the transfers phase, so this is
+        # the complete set — stale announcements are filtered exactly like
+        # the engine's ingest filters them.
         queued = np.zeros(n, dtype=bool)
-        engine = world.transfer_engine
-        busy = engine.connections() if len(engine) else []
-        busy += [c for c in world._newly_active if c.is_up and c.has_queued]
-        for connection in busy:
-            row = row_of.get(connection.node_a.node_id)
-            if row is not None:
-                queued[row] = True
-            row = row_of.get(connection.node_b.node_id)
-            if row is not None:
-                queued[row] = True
+        if len(world.transfer_engine):
+            for endpoints in world.transfer_engine.endpoint_rows():
+                queued[endpoints] = True
+        row_of = self._row
+        for connection in world._newly_active:
+            if connection.is_up and connection.has_queued:
+                queued[row_of[connection.node_a.node_id]] = True
+                queued[row_of[connection.node_b.node_id]] = True
 
         # a loaded batchable row on a live link sleeps unless it is fresh or
         # its buffer changed: its last executed update already decided every
@@ -416,6 +464,7 @@ class RouterStateStore:
             # tighten it so the following quiet ticks can pass the guard
             self._next_due = float(self._expiry[:n].min())
         awake, noop = self._wake_masks(world, now, changed)
+        self._event_rows = _NO_ROWS
         batched = int(np.count_nonzero(noop))
         run_rows = np.flatnonzero(awake & ~noop).tolist()
 

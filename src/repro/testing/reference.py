@@ -83,7 +83,7 @@ from repro.routing.active import ContactAwareRouter
 from repro.traces.replay import TraceReplayWorld
 from repro.world.connectivity import ConnectivityDetector, _empty_pairs
 from repro.world.node import DTNNode
-from repro.world.world import World
+from repro.world.world import World, _decode_codes
 
 __all__ = ["ReferenceTick", "ReferenceWorld", "ReferenceTraceReplayWorld",
            "ReferenceMovement", "BruteForceConnectivity",
@@ -115,13 +115,15 @@ class ReferenceTick:
                                                          router.window_size)
         return nodes
 
-    def _apply_link_changes(self, down_keys: List[Tuple[int, int]],
-                            up_keys: List[Tuple[int, int]],
-                            now: float) -> None:
-        # same event order and router dispatch contract as the production
-        # world: tear-downs then establishments, each in ascending pair
-        # order, then one batch notification per router in ascending id order
+    def _apply_link_changes(self, down_codes: np.ndarray,
+                            up_codes: np.ndarray, now: float) -> None:
+        # same event order as the production world: tear-downs then
+        # establishments, each in ascending pair order, then one batch
+        # notification per endpoint in ascending id order — to every
+        # router, whether or not it listens
         events_by_node: Dict[int, List[Tuple[Connection, bool]]] = {}
+        down_keys = _decode_codes(down_codes)
+        up_keys = _decode_codes(up_codes)
         for key in down_keys:
             event = (self._teardown_link(key, now), False)
             events_by_node.setdefault(key[0], []).append(event)

@@ -19,7 +19,7 @@ from repro.sim.engine import Simulator
 from repro.traces.contact_trace import ContactTrace
 from repro.world.interface import Interface
 from repro.world.node import DTNNode
-from repro.world.world import World
+from repro.world.world import World, _pack_keys
 
 
 class TraceReplayWorld(World):
@@ -78,7 +78,8 @@ class TraceReplayWorld(World):
         down_keys = sorted(previous - current)
         up_keys = sorted(current - previous)
         if down_keys or up_keys:
-            self._apply_link_changes(down_keys, up_keys, now)
+            self._apply_link_changes(_pack_keys(down_keys),
+                                     _pack_keys(up_keys), now)
 
 
 def build_trace_world(trace: ContactTrace, protocol: str = "epidemic",

@@ -52,6 +52,10 @@ from repro.world.positions import PositionStore
 
 #: node ids are packed two-per-int64 for the sorted link diff
 _MAX_NODE_ID = 2 ** 31 - 1
+#: the unpacking operands, pre-typed (untyped Python ints cost every
+#: small-array ufunc call a conversion)
+_SHIFT = np.int64(32)
+_MASK = np.int64(0xFFFFFFFF)
 
 
 def _empty_codes() -> np.ndarray:
@@ -70,6 +74,48 @@ def _sorted_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     idx = np.searchsorted(b, a)
     idx[idx == len(b)] = len(b) - 1
     return a[b[idx] != a]
+
+
+def _pack_keys(keys: List[Tuple[int, int]]) -> np.ndarray:
+    """Pack ``(id_lo, id_hi)`` key tuples into link codes (order kept: sorted
+    keys pack to sorted codes)."""
+    if not keys:
+        return _empty_codes()
+    pairs = np.array(keys, dtype=np.int64).reshape(len(keys), 2)
+    return (pairs[:, 0] << 32) | pairs[:, 1]
+
+
+def _bucket_events(buckets: Dict[int, List[Tuple[Connection, bool]]],
+                   keys: List[Tuple[int, int]],
+                   listening: Optional[np.ndarray],
+                   connections: List[Connection], downs: int) -> None:
+    """Append ``(connection, up)`` to the bucket of every listening endpoint.
+
+    *keys* and *connections* list one diff's links, its *downs* tear-downs
+    first, each group in ascending pair order; *listening* is the ``(2, k)``
+    listener mask of their smaller and larger endpoints, or ``None`` when
+    every endpoint listens.  Each bucket receives its events in that order.
+    """
+    bucket = buckets.setdefault
+    if listening is None:
+        for i, (a, b) in enumerate(keys):
+            event = (connections[i], i >= downs)
+            bucket(a, []).append(event)
+            bucket(b, []).append(event)
+        return
+    lo, hi = listening
+    links = (lo | hi).nonzero()[0].tolist()
+    if not links:
+        return
+    lo = lo.tolist()
+    hi = hi.tolist()
+    for i in links:
+        event = (connections[i], i >= downs)
+        a, b = keys[i]
+        if lo[i]:
+            bucket(a, []).append(event)
+        if hi[i]:
+            bucket(b, []).append(event)
 
 
 def _decode_codes(codes: np.ndarray) -> List[Tuple[int, int]]:
@@ -129,10 +175,6 @@ class World:
         self._connections: Dict[Tuple[int, int], Connection] = {}
         #: sorted int64 codes (id_lo << 32 | id_hi) of the live links
         self._link_codes = _empty_codes()
-        #: node ids that received a link event since their last routers phase
-        #: (a wake condition of the routers sweep; cleared at the end of
-        #: every routers phase)
-        self._router_events: set = set()
         # connection pooling: a connection released by a tear-down becomes
         # reusable only from the *next* link-diff application onward —
         # routers are handed the torn-down object in the same tick's batch
@@ -359,27 +401,31 @@ class World:
         previous = self._link_codes
         if len(codes) == len(previous) and codes.tobytes() == previous.tobytes():
             return  # the same links as last tick: nothing to diff
-        down_keys = _decode_codes(_sorted_diff(previous, codes))
-        up_keys = _decode_codes(_sorted_diff(codes, previous))
+        down_codes = _sorted_diff(previous, codes)
+        up_codes = _sorted_diff(codes, previous)
         self._link_codes = codes
-        if down_keys or up_keys:
-            self._apply_link_changes(down_keys, up_keys, now)
+        self._apply_link_changes(down_codes, up_codes, now)
 
-    def _apply_link_changes(self, down_keys: List[Tuple[int, int]],
-                            up_keys: List[Tuple[int, int]], now: float) -> None:
-        """Apply one tick's sorted link diff and notify routers in batches.
+    def _apply_link_changes(self, down_codes: np.ndarray,
+                            up_codes: np.ndarray, now: float) -> None:
+        """Apply one tick's sorted link diff and notify listening routers.
 
-        Phase 1 performs all world-side bookkeeping in the deterministic
-        event order (tear-downs in ascending pair order — aborting transfers
-        and closing contacts — then establishments in ascending pair order).
-        Phase 2 hands every affected router *all* of its link changes in one
-        :meth:`~repro.routing.base.Router.batch_changed_connections` call,
-        in ascending node-id order.  Ascending dispatch preserves the
-        contact-state exchange invariant (see
-        :meth:`~repro.routing.active.ContactAwareRouter.is_exchange_initiator`):
-        the larger-id endpoint of every new contact — the exchange initiator —
-        is always notified after the smaller-id endpoint has folded the
-        contact into its own state.
+        *down_codes* and *up_codes* are ascending link codes.  Phase 1
+        performs the world-side bookkeeping in the deterministic event order
+        (tear-downs in ascending pair order — aborting transfers and closing
+        contacts — then establishments in ascending pair order); only the
+        objects that change (connections, the link table, the endpoints'
+        connection maps) are touched per link, and the router store takes
+        the whole diff in bulk (:meth:`~repro.routing.soa.RouterStateStore.
+        apply_link_diff`).  Phase 2 hands every endpoint whose router is a
+        :attr:`~repro.routing.base.Router.link_listener` *all* of its link
+        changes in one :meth:`~repro.routing.base.Router.
+        batch_changed_connections` call, in ascending node-id order.
+        Ascending dispatch preserves the contact-state exchange invariant
+        (see :meth:`~repro.routing.active.ContactAwareRouter.
+        is_exchange_initiator`): the larger-id endpoint of every new
+        contact — the exchange initiator — is always notified after the
+        smaller-id endpoint has folded the contact into its own state.
         """
         # connections released by the *previous* diff application become
         # reusable now: routers saw those objects in that tick's batch
@@ -387,66 +433,71 @@ class World:
         if self._released_connections:
             self._connection_pool.extend(self._released_connections)
             self._released_connections = []
-        events_by_node: Dict[int, List[Tuple[Connection, bool]]] = {}
-        bucket = events_by_node.setdefault
-        teardown = self._teardown_link
+        codes = (np.concatenate((down_codes, up_codes))
+                 if len(down_codes) and len(up_codes)
+                 else down_codes if len(down_codes) else up_codes)
+        ids = np.empty((2, len(codes)), dtype=np.int64)
+        np.right_shift(codes, _SHIFT, out=ids[0])
+        np.bitwise_and(codes, _MASK, out=ids[1])
+        store = self.router_store
+        rows = store.rows_of(ids)
+        downs = len(down_codes)
+        keys = list(zip(*ids.tolist()))
+        down_keys = keys[:downs]
+        up_keys = keys[downs:]
+        table = self._connections
+        down_connections = []
         for key in down_keys:
-            connection = teardown(key, now)
-            event = (connection, False)
-            bucket(key[0], []).append(event)
-            bucket(key[1], []).append(event)
+            connection = table.pop(key)
+            self._abort_transfers(connection, now)
+            node_a = connection.node_a
+            node_b = connection.node_b
+            node_a.connections.pop(node_b.node_id, None)
+            node_b.connections.pop(node_a.node_id, None)
+            down_connections.append(connection)
+        self._released_connections = down_connections
         if down_keys:
             self.stats.contact_down_batch(down_keys, now)
-        establish = self._establish_link
+        nodes = self._nodes
+        pool = self._connection_pool
+        sink = self._newly_active
+        engine = self.transfer_engine
+        seq = self._conn_seq
+        up_connections = []
         for key in up_keys:
-            connection = establish(key, now)
-            event = (connection, True)
-            bucket(key[0], []).append(event)
-            bucket(key[1], []).append(event)
+            node_a = nodes[key[0]]
+            node_b = nodes[key[1]]
+            bitrate = node_a.interface.link_bitrate(node_b.interface)
+            if pool:
+                connection = pool.pop()
+                connection.reset(node_a, node_b, bitrate, now)
+            else:
+                connection = Connection(node_a, node_b, bitrate, now)
+            seq += 1
+            connection.established_seq = seq
+            connection.activity_sink = sink
+            connection.engine = engine
+            table[key] = connection
+            node_a.connections[key[1]] = connection
+            node_b.connections[key[0]] = connection
+            up_connections.append(connection)
+        self._conn_seq = seq
         if up_keys:
             self.stats.contact_up_batch(up_keys, now)
-        # every endpoint that saw a link event must run its next routers
-        # phase (per-meeting evaluation gates are consumed on that tick)
-        self._router_events.update(events_by_node)
-        nodes = self._nodes
+        # every endpoint wakes in the next routers phase (per-meeting
+        # evaluation gates are consumed on that tick)
+        store.apply_link_diff(rows, downs)
+        events_by_node: Dict[int, List[Tuple[Connection, bool]]] = {}
+        if store.listeners:
+            _bucket_events(events_by_node, keys,
+                           None if store.listeners == len(store)
+                           else store.listening(rows),
+                           down_connections + up_connections, downs)
         for node_id in sorted(events_by_node):
             router = nodes[node_id].router
             assert router is not None
-            router.batch_changed_connections(events_by_node[node_id])
-
-    def _establish_link(self, key: Tuple[int, int], now: float) -> Connection:
-        """World-side bookkeeping for a new link (no router notification;
-        contact stats are recorded in batch by the caller)."""
-        node_a = self._nodes[key[0]]
-        node_b = self._nodes[key[1]]
-        bitrate = node_a.interface.link_bitrate(node_b.interface)
-        if self._connection_pool:
-            connection = self._connection_pool.pop()
-            connection.reset(node_a, node_b, bitrate, now)
-        else:
-            connection = Connection(node_a, node_b, bitrate, now)
-        self._conn_seq += 1
-        connection.established_seq = self._conn_seq
-        connection.activity_sink = self._newly_active
-        connection.engine = self.transfer_engine
-        self._connections[key] = connection
-        node_a.connections[node_b.node_id] = connection
-        node_b.connections[node_a.node_id] = connection
-        self.router_store.link_delta(key[0], key[1], 1)
-        return connection
-
-    def _teardown_link(self, key: Tuple[int, int], now: float) -> Connection:
-        """World-side bookkeeping for a lost link (no router notification;
-        contact stats are recorded in batch by the caller)."""
-        connection = self._connections.pop(key)
-        self._abort_transfers(connection, now)
-        node_a = connection.node_a
-        node_b = connection.node_b
-        node_a.connections.pop(node_b.node_id, None)
-        node_b.connections.pop(node_a.node_id, None)
-        self.router_store.link_delta(key[0], key[1], -1)
-        self._released_connections.append(connection)
-        return connection
+            if router.link_listener:
+                router.batch_changed_connections(events_by_node[node_id])
 
     def _abort_transfers(self, connection: Connection, now: float) -> None:
         """Tear *connection* down and report every transfer it aborted."""
@@ -459,11 +510,11 @@ class World:
 
     def _link_up(self, key: Tuple[int, int], now: float) -> None:
         """Establish one link and notify both routers (single-event path)."""
-        self._apply_link_changes([], [key], now)
+        self._apply_link_changes(_empty_codes(), _pack_keys([key]), now)
 
     def _link_down(self, key: Tuple[int, int], now: float) -> None:
         """Tear down one link and notify both routers (single-event path)."""
-        self._apply_link_changes([key], [], now)
+        self._apply_link_changes(_pack_keys([key]), _empty_codes(), now)
 
     def _advance_transfers(self, now: float, dt: float) -> None:
         """Progress in-flight transfers on every connection that has any.
@@ -504,9 +555,12 @@ class World:
         node's SoA row so router-derived columns (skip safety, batch
         capability) never go stale across mid-run router swaps.  No-op when
         the node is not registered yet (the builders attach routers before
-        ``add_nodes``).
+        ``add_nodes``).  The node's side of each live connection loses its
+        per-contact routing state: the new router has evaluated nothing yet.
         """
         self.router_store.rebind(node)
+        for connection in node.connections.values():
+            connection.clear_side(node)
 
     def _update_routers(self, now: float) -> None:
         ticked, batched, skipped = self.router_store.sweep(self, now)
@@ -514,7 +568,6 @@ class World:
         self.routers_batched += batched
         self.routers_skipped += skipped
         self.stats.router_sweep(ticked, skipped, batched)
-        self._router_events.clear()
 
     # ------------------------------------------------------------ checkpoints
     def save_checkpoint(self, path: str, *, config=None, metadata=None):

@@ -336,6 +336,16 @@ def test_version_4_container_is_rejected(world_blob):
         load_checkpoint_bytes(v4)
 
 
+def test_version_5_container_is_rejected(world_blob):
+    # a version-5 snapshot pickles routers holding per-contact dicts, and
+    # connections, router stores and transfer engines without the
+    # per-contact slots, listener column and endpoint-row columns
+    v5 = _rewrite_manifest(world_blob, format_version=5)
+    with pytest.raises(CheckpointError,
+                       match=r"^unsupported checkpoint format version 5 "):
+        load_checkpoint_bytes(v5)
+
+
 def test_missing_entries_and_garbage_raise_checkpoint_error(world_blob,
                                                             tmp_path):
     source = zipfile.ZipFile(io.BytesIO(world_blob))

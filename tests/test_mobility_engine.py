@@ -360,3 +360,71 @@ def test_bench_scale_bus_world_moves_on_the_kernel():
     share = _bus_world_fast_share("bench", {"num_nodes": 20,
                                             "sim_time": 1_500.0})
     assert share >= 0.95, share
+
+
+# ------------------------------------------------- shortest-path pedestrians
+SPM_MAP = generate_downtown_map(width=1200, height=900, spacing=150, seed=8)
+
+
+def spm_factory(wait=(0.0, 20.0), districts=None):
+    from repro.mobility.shortest_path import ShortestPathMapBasedMovement
+
+    by_district = {}
+    if districts:
+        for vertex, district in assign_districts(SPM_MAP, districts).items():
+            by_district.setdefault(district, []).append(vertex)
+
+    def factory(index):
+        allowed = by_district.get(index % districts) if districts else None
+        return ShortestPathMapBasedMovement(SPM_MAP, min_speed=0.8,
+                                            max_speed=1.4, wait=wait,
+                                            allowed_vertices=allowed)
+    return factory
+
+
+def test_shortest_path_walkers_opt_into_the_kernel():
+    assert spm_factory()(0).supports_batch_advance
+
+
+def test_shortest_path_batch_is_bit_identical_at_paper_ticks():
+    batch_engine, _ = assert_bit_identical_trajectories(
+        spm_factory(), count=12, ticks=3_000, dt=0.1, seed=21)
+    assert batch_engine.fast_moves > batch_engine.loop_moves * 20
+
+
+def test_shortest_path_batch_is_bit_identical_at_one_second_ticks():
+    batch_engine, _ = assert_bit_identical_trajectories(
+        spm_factory(), count=12, ticks=1_500, dt=1.0, seed=22)
+    assert batch_engine.fast_moves > batch_engine.loop_moves * 5
+
+
+def test_shortest_path_without_pauses_is_bit_identical():
+    for dt in (0.1, 1.0):
+        assert_bit_identical_trajectories(
+            spm_factory(wait=(0.0, 0.0)), count=10, ticks=800, dt=dt,
+            seed=23)
+
+
+def test_shortest_path_within_districts_is_bit_identical():
+    # trips restricted to one district's vertices still cross the others
+    assert_bit_identical_trajectories(
+        spm_factory(districts=3), count=9, ticks=1_200, dt=0.5, seed=24)
+
+
+def test_shortest_path_teleport_is_bit_identical():
+    seed, count, dt = 25, 6, 0.1
+    batch_store, batch_engine, batch_followers = make_population(
+        spm_factory(), count, seed, batch=True)
+    loop_store, loop_engine, loop_followers = make_population(
+        spm_factory(), count, seed, batch=False)
+    now = 0.0
+    for tick in range(1_500):
+        now += dt
+        if tick == 400:
+            # off the road: the next trip starts from here
+            batch_followers[1].teleport((3.0, 4.0))
+            loop_followers[1].teleport((3.0, 4.0))
+        batch_engine.advance(dt, now)
+        loop_engine.advance(dt, now)
+        assert np.array_equal(batch_store.view(), loop_store.view()), tick
+    assert batch_engine.fast_moves > 0

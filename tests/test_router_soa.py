@@ -218,6 +218,75 @@ def test_hypothesis_outcome_parity_small_buffers(protocol, script):
     assert_script_parity(protocol, script, buffer_capacity=SMALL_BUFFER)
 
 
+#: routers that override a link hook (the world dispatches link events to
+#: them) and routers that do not (their rows only wake)
+LISTENERS = ["eer", "cr", "ebr", "maxprop", "prophet", "spray-and-focus"]
+NON_LISTENERS = ["direct", "epidemic", "spray-and-wait", "first-contact"]
+
+
+@st.composite
+def mixed_script(draw):
+    """A contact script whose nodes run different protocols: at least one
+    link listener and one router without link hooks share the world."""
+    script = draw(contact_script())
+    num_nodes = script[0]
+    protocols = [draw(st.sampled_from(LISTENERS)),
+                 draw(st.sampled_from(NON_LISTENERS))]
+    protocols += [draw(st.sampled_from(LISTENERS + NON_LISTENERS))
+                  for _ in range(num_nodes - 2)]
+    protocols = draw(st.permutations(protocols))
+    if num_nodes == 2 and draw(st.booleans()):
+        # two nodes: a third sits out every contact with a listener
+        protocols.append(draw(st.sampled_from(LISTENERS)))
+        script = (3,) + script[1:]
+    return protocols, script
+
+
+def run_mixed_script(protocols, script, *, reference):
+    """:func:`run_script` with node *i* running ``protocols[i]``."""
+    from repro.routing.active import ContactAwareRouter
+    from repro.testing.reference import ContactHistoryReference
+
+    num_nodes, contacts, messages, speed = script
+    plan = make_contact_plan(
+        [(float(s), float(s + d), a, b) for s, d, a, b in contacts if a != b])
+    simulator, world = build_trace_world(plan, protocol="direct",
+                                         num_nodes=num_nodes,
+                                         transmit_speed=speed,
+                                         communities={node: node % 2 for node
+                                                      in range(num_nodes)},
+                                         reference=reference)
+    for node_id, protocol in enumerate(protocols):
+        router = swap_router(world, node_id, create_router(protocol))
+        if reference and isinstance(router, ContactAwareRouter):
+            # as ReferenceTick.add_nodes does at registration
+            router.history = ContactHistoryReference(router.node_id,
+                                                     router.window_size)
+    for index, (source, destination, ttl, copies, tick, size) in \
+            enumerate(messages):
+        if source == destination:
+            continue
+        schedule_injection(simulator, world, float(tick), source, destination,
+                           ttl=float(ttl), copies=copies, size=size,
+                           message_id=f"M{index}")
+    simulator.run(until=max(s + d for s, d, _, _ in contacts) + 45.0)
+    return world
+
+
+@given(mixed=mixed_script())
+@settings(max_examples=100, deadline=None)
+def test_hypothesis_outcome_parity_mixed_listeners(mixed):
+    """Listening and non-listening routers in one world: only listeners
+    receive link events, yet every outcome matches the reference world,
+    which hands every router every event."""
+    protocols, script = mixed
+    soa = run_mixed_script(protocols, script, reference=False)
+    ref = run_mixed_script(protocols, script, reference=True)
+    assert outcome_fingerprint(soa) == outcome_fingerprint(ref)
+    assert (soa.routers_ticked + soa.routers_batched
+            + soa.routers_skipped) == ref.routers_ticked
+
+
 # ------------------------------------------------- counter semantics
 def test_stateless_empty_rows_batch_on_link_events():
     """direct/epidemic resolve empty-buffer link-event ticks in batch — the
@@ -405,6 +474,78 @@ def test_peer_rebind_wakes_a_sleeping_eer_row():
     assert world.stats.relayed == 1
 
 
+def listener_rebind_contact(*, reference):
+    """Nodes 0 and 1 in contact over [1, 40) s, node 1 an EER router
+    throughout.  Node 0 starts epidemic and floods M1; it becomes an EER
+    router at 9.5 s, when M2 (four replicas) arrives, and an epidemic
+    router again at 19.5 s, when M3 arrives.  Returns the outcome, node
+    0's side of the connection (side a) right before and right after each
+    rebind, and the world."""
+    simulator, world = quiet_contact_world(reference=reference, copies=4)
+    swap_router(world, 1, EERRouter())
+    seen = []
+
+    def rebind(router, message_id):
+        def fire(sim):
+            conn = world.connection_between(0, 1)
+            considered = conn._considered_a
+            before = (None if considered is None else set(considered),
+                      conn._evaluated)
+            inject_message(world, 0, 2, copies=4, now=sim.now,
+                           message_id=message_id)
+            swap_router(world, 0, router)
+            seen.append((before, conn._considered_a, conn._evaluated))
+        return fire
+
+    simulator.schedule_at(9.5, rebind(EERRouter(), "M2"), priority=20)
+    simulator.schedule_at(19.5, rebind(EpidemicRouter(), "M3"), priority=20)
+    simulator.run(until=30.0)
+    return outcome_fingerprint(world), seen, world
+
+
+def test_mid_contact_rebind_between_listening_and_silent_routers():
+    """epidemic -> EER -> epidemic on a live contact: the rebound node's
+    side of the connection starts empty each time (the peer's side is
+    kept), and the outcome equals the reference world's."""
+    soa, seen, world = listener_rebind_contact(reference=False)
+    ref, ref_seen, _ = listener_rebind_contact(reference=True)
+    assert soa == ref
+    assert seen == ref_seen
+    (first_before, first_set, first_bits), \
+        (second_before, second_set, second_bits) = seen
+    # the epidemic router had considered M1; the EER router starts clean
+    assert first_before == ({"M1"}, 0)
+    assert first_set is None and first_bits == 0
+    # the EER router consumed its gate at 10 s, and so did its EER peer
+    # once node 0 became an EER router; only node 0's bit is dropped
+    assert second_before == (None, 3)
+    assert second_set is None and second_bits == 2
+    node_1 = world.get_node(1)
+    assert {"M1", "M2", "M3"} <= set(node_1.buffer.message_ids())
+    assert node_1.buffer.get("M2").copies > 1   # EER split the replicas
+
+
+def test_rebound_epidemic_router_re_offers_what_the_peer_lost():
+    """A new router starts with no per-contact state: after an epidemic ->
+    epidemic rebind the message the peer dropped is offered again, which
+    the old router (whose considered set holds it) never does."""
+    outcomes = []
+    for rebind in (False, True):
+        for reference in (False, True):
+            simulator, world = quiet_contact_world(reference=reference)
+            simulator.schedule_at(14.5, lambda sim: world.get_node(1).buffer
+                                  .remove("M1"), priority=20)
+            if rebind:
+                simulator.schedule_at(19.5, lambda sim: swap_router(
+                    world, 0, EpidemicRouter()), priority=20)
+            simulator.run(until=30.0)
+            outcomes.append(outcome_fingerprint(world))
+            held = world.get_node(1).buffer.message_ids()
+            assert held == (["M1"] if rebind else [])
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[2] == outcomes[3]
+
+
 def test_subclass_without_batch_contract_runs_every_tick():
     class Logging(EpidemicRouter):
         pass
@@ -450,6 +591,7 @@ def sleeping_loaded_rows(store):
 def assert_summaries(store):
     """The quiet-tick summaries equal their definitions over the columns."""
     rows = slice(0, len(store))
+    assert store.listeners == np.count_nonzero(store._listens[rows])
     assert store._unsafe == np.count_nonzero(~store._idle_safe[rows])
     assert store._forced == np.count_nonzero(store._forced_mask(rows))
     assert store._next_due <= store._expiry[rows].min()
@@ -472,7 +614,7 @@ def test_quiet_guard_agrees_with_the_full_masks(protocol):
     asleep_on_links = []
 
     def audited(world, now):
-        if not world._router_events:
+        if not len(store._event_rows):
             # a link change leaves the forced count for the sweep it forces
             assert_summaries(store)
         if store.quiet(world, now):
@@ -542,7 +684,9 @@ def test_store_registration_order_growth_and_mirrors():
     assert store._expiry[64:100].max() == float("inf")  # growth defaults
     with pytest.raises(ValueError):
         store.register(world.get_node(0))       # duplicate registration
-    store.link_delta(999, 1000, 1)              # unknown ids: no-op
+    assert store.rows_of(np.array([[5, 99], [0, 64]])).tolist() \
+        == [[5, 99], [0, 64]]
+    assert store.listeners == 0                 # epidemic has no link hook
 
 
 def test_buffer_mutations_mark_rows_dirty():
@@ -664,6 +808,31 @@ def test_checkpoint_while_loaded_eer_rows_sleep_on_live_links():
     rows = slice(0, len(copy))
     assert (copy._unsafe, copy._forced) == (store._unsafe, store._forced)
     assert store._next_due <= copy._next_due == copy._expiry[rows].min()
+    restored.stop()
+    assert_resume_equality(config, checkpoint_times=[at])
+
+
+def test_checkpoint_while_live_contacts_hold_considered_sets():
+    """Per-contact state travels with the connections: a snapshot taken
+    while live epidemic contacts hold considered sets restores them and
+    resumes byte-identically."""
+    config = ScenarioConfig.bench_scale(
+        protocol="epidemic", num_nodes=16, seed=3, sim_time=240.0)
+    at = 157.0
+    built = build_scenario(config)
+    try:
+        built.simulator.run(until=at)
+        held = {key: (conn._considered_a, conn._considered_b)
+                for key, conn in built.world._connections.items()
+                if conn._considered_a or conn._considered_b}
+        assert held
+        blob = save_checkpoint_bytes(built.world, config=config)
+    finally:
+        built.world.stop()
+    restored = load_checkpoint_bytes(blob).world
+    assert {key: (conn._considered_a, conn._considered_b)
+            for key, conn in restored._connections.items()
+            if conn._considered_a or conn._considered_b} == held
     restored.stop()
     assert_resume_equality(config, checkpoint_times=[at])
 

@@ -106,3 +106,26 @@ def test_skipped_folds_catch_up_exactly():
             lazy._current_window_count) == (
         eager._encounter_value, eager._window_end,
         eager._current_window_count)
+
+
+def test_encounter_value_reads_as_of_now_without_folding():
+    """A router the sweep lets sleep still reads the encounter value folded
+    to the current time, as the reference world (which ticks every router
+    on every update) does; reading it mutates nothing."""
+    from repro.traces.replay import build_trace_world
+
+    trace = make_contact_plan([(10.0, 15.0, 0, 1)])
+    values = []
+    for reference in (False, True):
+        simulator, world = build_trace_world(trace, protocol="ebr",
+                                             num_nodes=2, reference=reference)
+        simulator.run(until=200.0)
+        router = world.get_node(0).router
+        state = (router._encounter_value, router._current_window_count,
+                 router._window_end)
+        values.append(router.encounter_value)
+        assert (router._encounter_value, router._current_window_count,
+                router._window_end) == state
+    production, reference = values
+    assert production == reference
+    assert production == pytest.approx(0.85 * 0.15 ** 5)    # 6.45e-05

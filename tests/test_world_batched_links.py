@@ -97,3 +97,122 @@ def test_single_event_paths_still_work():
     assert world.connection_between(0, 1) is None
     world._link_up((0, 1), 7.0)
     assert world.connection_between(0, 1) is not None
+
+
+# ------------------------------------------------- who receives link events
+def test_link_listener_is_derived_from_the_link_hooks():
+    from repro.routing.base import Router
+    from repro.routing.registry import create_router
+
+    for name in ("direct", "epidemic", "spray-and-wait", "first-contact"):
+        assert not create_router(name).link_listener, name
+    for name in ("eer", "cr", "ebr", "prophet", "maxprop",
+                 "spray-and-focus"):
+        assert create_router(name).link_listener, name
+    assert not Router.link_listener
+    assert RecordingRouter.link_listener        # batch_changed_connections
+
+    class Silent(EpidemicRouter):
+        def on_update(self, now):
+            super().on_update(now)
+
+    class DownOnly(Silent):
+        def on_contact_down(self, connection, peer):
+            pass
+
+    class PerEvent(EpidemicRouter):
+        def changed_connection(self, connection, up):
+            super().changed_connection(connection, up)
+
+    assert not Silent.link_listener
+    assert DownOnly.link_listener
+    assert PerEvent.link_listener
+
+
+def test_non_listening_router_gets_no_events_but_its_row_wakes():
+    """An epidemic router (no link hook) is never handed a batch — the spy
+    sits on the instance, so the class stays silent — while its row wakes
+    on both link events; its listening peer gets both batches."""
+    trace = make_trace([(1.0, 3.0, 0, 1)])
+    simulator, world = build_trace_world(trace, protocol="epidemic",
+                                         num_nodes=2)
+    silent = world.get_node(0).router
+    calls = []
+    silent.batch_changed_connections = calls.append
+    silent.changed_connection = lambda connection, up: calls.append(up)
+    listener = RecordingRouter()
+    node = world.get_node(1)
+    node.router = None
+    listener.attach(node, world)
+    store = world.router_store
+    masks = store._wake_masks
+    woke = []
+
+    def spy(world, now, changed):
+        awake, noop = masks(world, now, changed)
+        woke.append((now, bool(awake[0]), bool(awake[1])))
+        return awake, noop
+
+    store._wake_masks = spy
+    simulator.run(until=5.0)
+    assert calls == []
+    assert listener.batches == [[((0, 1), True)], [((0, 1), False)]]
+    assert woke[0] == (1.0, True, True)
+    assert (3.0, True, True) in woke
+
+
+def test_dispatch_reads_the_current_router():
+    """Rebinding a node swaps its listening column: a listener swapped in
+    for an epidemic router receives the next link events."""
+    trace = make_trace([(1.0, 3.0, 0, 1), (5.0, 7.0, 0, 1)])
+    simulator, world = build_trace_world(trace, protocol="epidemic",
+                                         num_nodes=2)
+    simulator.run(until=4.0)
+    store = world.router_store
+    assert not store._listens[0] and store.listeners == 0
+    listener = RecordingRouter()
+    node = world.get_node(0)
+    node.router = None
+    listener.attach(node, world)
+    assert store._listens[0] and store.listeners == 1
+    simulator.run(until=8.0)
+    assert listener.batches == [[((0, 1), True)], [((0, 1), False)]]
+
+
+def test_bulk_bookkeeping_when_ids_are_not_rows():
+    """Nodes registered out of id order (with gaps): the id -> row gather
+    books live-connection counts and event rows on the right rows, and
+    batches still go out in ascending node-id order."""
+    from repro.mobility.stationary import StationaryMovement
+    from repro.sim.engine import Simulator
+    from repro.traces.replay import TraceReplayWorld
+    from repro.world.node import DTNNode
+
+    ids = [7, 3, 11, 5]
+    simulator = Simulator(seed=1)
+    world = TraceReplayWorld(simulator, make_trace([]))
+    order = []
+    nodes = []
+    for node_id in ids:
+        node = DTNNode(node_id, StationaryMovement((float(node_id), 0.0)),
+                       simulator.random.python(f"n{node_id}"))
+
+        class Logged(RecordingRouter):
+            def batch_changed_connections(self, events, _id=node_id):
+                order.append(_id)
+                super().batch_changed_connections(events)
+
+        Logged().attach(node, world)
+        nodes.append(node)
+    world.add_nodes(nodes)
+    store = world.router_store
+    world._link_up((3, 11), 1.0)
+    assert store._conns[:4].tolist() == [0, 1, 1, 0]
+    assert sorted(store._event_rows.tolist()) == [1, 2]
+    assert order == [3, 11]
+    world._link_up((5, 7), 1.0)
+    world._link_down((3, 11), 2.0)
+    assert store._conns[:4].tolist() == [1, 0, 0, 1]
+    assert order == [3, 11, 5, 7, 3, 11]
+    # the routers phase has not run since the first diff: both diffs wake
+    assert sorted(store._event_rows.tolist()) == [0, 1, 1, 2, 2, 3]
