@@ -70,7 +70,7 @@ ordinary attributes on the buffer objects.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, List, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -139,9 +139,6 @@ class RouterStateStore:
         #: endpoint rows of the link events since the last sweep (a wake
         #: condition; repeats allowed)
         self._event_rows = _NO_ROWS
-        #: ``(ids in ascending order, their rows)``: the id -> row gather of
-        #: the link diff; derived, rebuilt on first use after registration
-        self._id_index: Optional[Tuple[np.ndarray, np.ndarray]] = None
         #: quiet-tick summary: rows whose router opts out of skipping
         self._unsafe = 0
         #: quiet-tick summary: rows of _forced_mask
@@ -150,8 +147,8 @@ class RouterStateStore:
         #: deadline (lowered as refreshed rows report earlier deadlines,
         #: recomputed by the full sweep once it has passed)
         self._next_due = np.inf
-        #: rows whose router listens to link events (all or none spares
-        #: the link dispatch its listener mask)
+        #: rows whose router listens to link events (none spares the link
+        #: dispatch its event buckets)
         self.listeners = 0
 
     # ---------------------------------------------------------- summaries
@@ -187,7 +184,6 @@ class RouterStateStore:
         state = self.__dict__.copy()
         for name in self._SUMMARIES:
             state.pop(name, None)
-        state["_id_index"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -263,7 +259,6 @@ class RouterStateStore:
             self.listeners += int(np.count_nonzero(self._listens[rows]))
             self._forced += forced
             self._next_due = next_due
-            self._id_index = None
         return start
 
     def _mark_fresh(self, row: int) -> None:
@@ -308,23 +303,6 @@ class RouterStateStore:
         """Buffer mutation hook: re-read this row's buffer columns next sweep."""
         self._dirty.add(row)
 
-    def rows_of(self, ids: np.ndarray) -> np.ndarray:
-        """The store rows of the registered node *ids* (any shape), through
-        one gather over the id-sorted index (ids need not equal rows).
-
-        Every id must be registered: the world passes only ids of its own
-        nodes, and a check would add three array calls to every tick's
-        link diff.
-        """
-        index = self._id_index
-        if index is None:
-            by_row = np.fromiter((node.node_id for node in self._nodes),
-                                 dtype=np.int64, count=len(self._nodes))
-            order = np.argsort(by_row, kind="stable")
-            index = self._id_index = (by_row[order], order)
-        sorted_ids, rows = index
-        return rows[sorted_ids.searchsorted(ids)]
-
     def apply_link_diff(self, rows: np.ndarray, downs: int) -> None:
         """Book one link diff: *rows* holds the ``(2, k)`` endpoint rows of
         its links, the first *downs* of them torn down, the rest new.
@@ -341,10 +319,6 @@ class RouterStateStore:
         endpoints = rows.ravel()
         self._event_rows = (np.concatenate((self._event_rows, endpoints))
                             if len(self._event_rows) else endpoints)
-
-    def listening(self, rows: np.ndarray) -> np.ndarray:
-        """Whether the routers of *rows* listen to link events."""
-        return self._listens[rows]
 
     def _refresh_dirty(self) -> List[int]:
         """Re-read the dirty rows' buffer columns and clear the dirty set.

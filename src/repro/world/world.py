@@ -87,35 +87,18 @@ def _pack_keys(keys: List[Tuple[int, int]]) -> np.ndarray:
 
 def _bucket_events(buckets: Dict[int, List[Tuple[Connection, bool]]],
                    keys: List[Tuple[int, int]],
-                   listening: Optional[np.ndarray],
                    connections: List[Connection], downs: int) -> None:
-    """Append ``(connection, up)`` to the bucket of every listening endpoint.
+    """Append ``(connection, up)`` to the bucket of both endpoints of every link.
 
     *keys* and *connections* list one diff's links, its *downs* tear-downs
-    first, each group in ascending pair order; *listening* is the ``(2, k)``
-    listener mask of their smaller and larger endpoints, or ``None`` when
-    every endpoint listens.  Each bucket receives its events in that order.
+    first, each group in ascending pair order.  Each bucket receives its
+    events in that order.
     """
     bucket = buckets.setdefault
-    if listening is None:
-        for i, (a, b) in enumerate(keys):
-            event = (connections[i], i >= downs)
-            bucket(a, []).append(event)
-            bucket(b, []).append(event)
-        return
-    lo, hi = listening
-    links = (lo | hi).nonzero()[0].tolist()
-    if not links:
-        return
-    lo = lo.tolist()
-    hi = hi.tolist()
-    for i in links:
+    for i, (a, b) in enumerate(keys):
         event = (connections[i], i >= downs)
-        a, b = keys[i]
-        if lo[i]:
-            bucket(a, []).append(event)
-        if hi[i]:
-            bucket(b, []).append(event)
+        bucket(a, []).append(event)
+        bucket(b, []).append(event)
 
 
 def _decode_codes(codes: np.ndarray) -> List[Tuple[int, int]]:
@@ -202,6 +185,9 @@ class World:
         #: per-node caches rebuilt lazily after node registration
         self._ranges_cache: Optional[np.ndarray] = None
         self._ids_cache: Optional[np.ndarray] = None
+        #: ``(ids in ascending order, their rows)``: the id -> row gather
+        #: of the link diff
+        self._id_index: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._id_tuple: Optional[Tuple[int, ...]] = None
         self._last_update = 0.0
         self.updates = 0
@@ -265,6 +251,7 @@ class World:
         self.router_store.register_many(nodes)
         self._ranges_cache = None
         self._ids_cache = None
+        self._id_index = None
         self._id_tuple = None
         return nodes
 
@@ -332,6 +319,23 @@ class World:
             self._ids_cache = np.array(
                 [node.node_id for node in self._node_order], dtype=np.int64)
         return self._ids_cache
+
+    def _rows_of(self, ids: np.ndarray) -> np.ndarray:
+        """The rows (registration indices, == router store rows) of the
+        registered node *ids* (any shape), through one gather over the
+        id-sorted index (ids need not equal rows).
+
+        Every id must be registered: the link diff passes only ids of this
+        world's nodes, and a check would add three array calls to every
+        tick's diff.
+        """
+        index = self._id_index
+        if index is None:
+            by_row = self._node_id_array()
+            order = np.argsort(by_row, kind="stable")
+            index = self._id_index = (by_row[order], order)
+        sorted_ids, rows = index
+        return rows[sorted_ids.searchsorted(ids)]
 
     # --------------------------------------------------------------- messages
     def create_message(self, source_id: int, message: Message) -> bool:
@@ -440,7 +444,7 @@ class World:
         np.right_shift(codes, _SHIFT, out=ids[0])
         np.bitwise_and(codes, _MASK, out=ids[1])
         store = self.router_store
-        rows = store.rows_of(ids)
+        rows = self._rows_of(ids)
         downs = len(down_codes)
         keys = list(zip(*ids.tolist()))
         down_keys = keys[:downs]
@@ -489,9 +493,8 @@ class World:
         store.apply_link_diff(rows, downs)
         events_by_node: Dict[int, List[Tuple[Connection, bool]]] = {}
         if store.listeners:
+            # non-listeners in a mixed world are dropped at dispatch
             _bucket_events(events_by_node, keys,
-                           None if store.listeners == len(store)
-                           else store.listening(rows),
                            down_connections + up_connections, downs)
         for node_id in sorted(events_by_node):
             router = nodes[node_id].router

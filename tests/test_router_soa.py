@@ -684,7 +684,7 @@ def test_store_registration_order_growth_and_mirrors():
     assert store._expiry[64:100].max() == float("inf")  # growth defaults
     with pytest.raises(ValueError):
         store.register(world.get_node(0))       # duplicate registration
-    assert store.rows_of(np.array([[5, 99], [0, 64]])).tolist() \
+    assert world._rows_of(np.array([[5, 99], [0, 64]])).tolist() \
         == [[5, 99], [0, 64]]
     assert store.listeners == 0                 # epidemic has no link hook
 
