@@ -382,9 +382,9 @@ def bench_world_tick(scale: Dict[str, float], seed: int,
         "router_ticks_per_s": round(ticks / routers_seconds, 2),
         "phase_seconds": phases,
         "detector_rebuilds": getattr(world.detector, "rebuilds", None),
-        "routers_ticked": world.routers_ticked,
-        "routers_skipped": world.routers_skipped,
-        "routers_batched": world.routers_batched,
+        "routers_ticked": built.stats.routers_ticked,
+        "routers_skipped": built.stats.routers_skipped,
+        "routers_batched": built.stats.routers_batched,
         "ticks": ticks,
         "checksums": _world_checksums(built),
     }
@@ -422,9 +422,9 @@ def bench_world_tick_100k_run(scale: Dict[str, float],
             "ticks_per_s": round(ticks / seconds, 2),
             "phase_seconds": {name: round(value, 4)
                               for name, value in sorted(phases.items())},
-            "routers_ticked": world.routers_ticked,
-            "routers_skipped": world.routers_skipped,
-            "routers_batched": world.routers_batched,
+            "routers_ticked": built.stats.routers_ticked,
+            "routers_skipped": built.stats.routers_skipped,
+            "routers_batched": built.stats.routers_batched,
             "ticks": ticks,
             "checksums": _world_checksums(built),
         }

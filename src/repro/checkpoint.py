@@ -71,7 +71,10 @@ MAGIC = "repro-checkpoint"
 #: moved from the routers onto the connections, the router store gained
 #: its link-listener column and link-event rows, and the transfer engine
 #: its endpoint-row columns
-FORMAT_VERSION = 6
+#: 7: the world lost its routers-phase counters (the stats collector keeps
+#: them); a scalar telemetry meter the collector gains later starts from
+#: zero on restore (``StatsCollector.__setstate__``), so meters need no bump
+FORMAT_VERSION = 7
 #: arrays with at least this many elements move to their own NPY entry
 ARRAY_EXTERNALIZE_THRESHOLD = 32
 
@@ -242,7 +245,6 @@ def decode_state(data: bytes, arrays: List[np.ndarray]) -> Any:
 # ------------------------------------------------------------ config codec
 #: ScenarioConfig fields whose tuple values JSON flattens to lists
 _TUPLE_FIELDS = ("stop_wait", "message_interval", "trace_window")
-_RETIRED_FIELDS = ("contact_window",)
 
 
 def config_to_payload(config: Any) -> Dict[str, Any]:
@@ -261,9 +263,6 @@ def config_from_payload(payload: Dict[str, Any]) -> Any:
     from repro.experiments.scenario import ScenarioConfig
 
     data = dict(payload)
-    # retired fields that no run ever read: older manifests still carry them
-    for key in _RETIRED_FIELDS:
-        data.pop(key, None)
     for key in _TUPLE_FIELDS:
         if data.get(key) is not None:
             data[key] = tuple(data[key])

@@ -59,6 +59,15 @@ from repro.routing.registry import available_routers, router_summary
 from repro.store import StoreError, open_store, serve
 
 _HEADLINE_METRICS = ("delivery_ratio", "latency", "goodput", "overhead_ratio")
+#: the counter telemetry ``repro run`` prints: (line title, (label, meter)...)
+_COUNTER_LINES = (
+    ("router sweep", (("ticked", "routers_ticked"),
+                      ("skipped", "routers_skipped"),
+                      ("batched", "routers_batched"))),
+    ("movement", (("batched", "moves_batched"), ("loop", "moves_loop"))),
+    ("knowledge layer", (("kernel runs", "kernel_runs"),
+                         ("memd hits", "memd_hits"))),
+)
 
 
 # ----------------------------------------------------------------- arg parsing
@@ -280,10 +289,9 @@ def cmd_run(args) -> int:
         "checkpoints": written,
         "resumed_from": args.resume,
         "summary": result.as_dict(),
-        # timings stay in the JSON payload: the CI smoke uploads this as
-        # the per-phase breakdown artifact (wall seconds + tick samples
-        # per pipeline phase; excluded from determinism comparisons)
-        "reports": [report.as_dict(include_timings=True)
+        # each report's outcome plus its telemetry: the CI smoke uploads
+        # this as the per-phase breakdown artifact
+        "reports": [dict(report.as_dict(), telemetry=report.telemetry)
                     for report in result.reports],
     }
     if emit_payload(args, payload):
@@ -301,45 +309,32 @@ def cmd_run(args) -> int:
               f"{result.mean('community_detections'):10.4f} "
               f"({result.mean('community_detection_seconds'):.4f} s compute, "
               f"{result.mean('community_reassignments'):.1f} reassignments)")
-    phase_names = sorted({name for report in result.reports
-                          for name in report.tick_phase_seconds})
+    runs = len(result.reports)
+    phases = [r.telemetry.get("tick_phase_seconds", {})
+              for r in result.reports]
+    samples = [r.telemetry.get("tick_phase_samples", {})
+               for r in result.reports]
+    phase_names = sorted({name for seconds in phases for name in seconds})
     if phase_names:
-        runs = len(result.reports)
         breakdown = "  ".join(
-            f"{name} "
-            f"{sum(r.tick_phase_seconds.get(name, 0.0) for r in result.reports) / runs:.3f}s"
+            f"{name} {sum(s.get(name, 0.0) for s in phases) / runs:.3f}s"
             for name in phase_names)
         print(f"tick phases (mean wall time per run): {breakdown}")
         rates = []
         for name in phase_names:
-            seconds = sum(r.tick_phase_seconds.get(name, 0.0)
-                          for r in result.reports)
-            samples = sum(r.tick_phase_samples.get(name, 0)
-                          for r in result.reports)
-            if samples and seconds > 0:
-                rates.append(f"{name} {samples / seconds:,.0f}")
+            seconds = sum(s.get(name, 0.0) for s in phases)
+            ticks = sum(s.get(name, 0) for s in samples)
+            if ticks and seconds > 0:
+                rates.append(f"{name} {ticks / seconds:,.0f}")
         if rates:
             print(f"tick phase throughput (ticks/s): {'  '.join(rates)}")
-    if any(r.routers_ticked or r.routers_skipped or r.routers_batched
-           for r in result.reports):
-        runs = len(result.reports)
-        print("router sweep (mean per run): "
-              f"ticked {sum(r.routers_ticked for r in result.reports) / runs:,.0f}  "
-              f"skipped {sum(r.routers_skipped for r in result.reports) / runs:,.0f}  "
-              f"batched {sum(r.routers_batched for r in result.reports) / runs:,.0f}")
-    if any(r.moves_batched or r.moves_loop for r in result.reports):
-        runs = len(result.reports)
-        print("movement (mean per run): "
-              f"batched {sum(r.moves_batched for r in result.reports) / runs:,.0f}  "
-              f"loop {sum(r.moves_loop for r in result.reports) / runs:,.0f}")
-    if any(r.kernel_runs or r.memd_hits for r in result.reports):
-        runs = len(result.reports)
-        print("knowledge layer (mean per run): "
-              f"kernel runs {sum(r.kernel_runs for r in result.reports) / runs:,.0f}  "
-              f"memd hits {sum(r.memd_hits for r in result.reports) / runs:,.0f}")
+    for title, meters in _COUNTER_LINES:
+        means = {label: result.mean(meter) for label, meter in meters}
+        if any(means.values()):
+            print(f"{title} (mean per run): " + "  ".join(
+                f"{label} {value:,.0f}" for label, value in means.items()))
     if any(r.transfers_completed or r.transfers_aborted
            for r in result.reports):
-        runs = len(result.reports)
         delivered_mb = (sum(r.bytes_delivered for r in result.reports)
                         / runs / (1024 * 1024))
         print("transfers (mean per run): "

@@ -11,10 +11,7 @@ returns) and :class:`SweepPoint` (the cell type of
   (empty when the originating :class:`ScenarioConfig` is unknown, e.g. for
   hand-assembled results).
 
-Both types historically lived in :mod:`repro.experiments.runner` and
-:mod:`repro.experiments.sweep`; those import paths still work but emit a
-:class:`DeprecationWarning` — import from :mod:`repro.experiments` (or
-:mod:`repro.api`) instead.
+Import both from :mod:`repro.experiments` (or :mod:`repro.api`).
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ depend on whether records are kept.
 
 from __future__ import annotations
 
+import copy
 from collections import defaultdict
 from typing import Dict, List, Optional
 
@@ -52,6 +53,32 @@ _TABLE_SPECS = {
     "contacts": ((("node_a", "i8"), ("node_b", "i8"), ("start", "f8"),
                   ("end", "f8")), ContactRecord),
 }
+
+
+#: wall-clock meters: seconds measured on the running machine (and the
+#: per-phase sample counts that turn them into throughput)
+WALL_CLOCK_METERS = ("tick_phase_seconds", "tick_phase_samples",
+                     "community_detection_seconds")
+#: counter meters: how the run executed, which differs between execution
+#: modes (the production and the reference tick) but never changes the
+#: outcome.  The routers-phase split (see World._update_routers): real
+#: Router.update calls run, provably idle routers skipped, and awake no-ops
+#: the SoA sweep resolved in batch; the move-phase split (see
+#: MovementEngine.advance): node-ticks the batch kernel advanced vs
+#: node-ticks that ran PathFollower.move; the knowledge-layer split:
+#: shortest-path kernel runs (MEMD plus MaxProp path-cost recomputes) and
+#: MEMD lookups served from the delay-vector cache
+COUNTER_METERS = ("routers_ticked", "routers_skipped", "routers_batched",
+                  "moves_batched", "moves_loop", "kernel_runs", "memd_hits")
+#: every telemetry meter of a run: the one list of names that
+#: :func:`~repro.metrics.reports.build_report` copies into
+#: ``SimulationReport.telemetry``, apart from the canonical outcome
+TELEMETRY_METERS = WALL_CLOCK_METERS + COUNTER_METERS
+#: the zero of every scalar meter: where a fresh collector starts, and
+#: where a restored one starts a meter its snapshot predates (so a new
+#: scalar meter needs no checkpoint format bump)
+_SCALAR_METER_ZEROS = {"community_detection_seconds": 0.0,
+                       **dict.fromkeys(COUNTER_METERS, 0)}
 
 
 class StatsCollector:
@@ -99,31 +126,13 @@ class StatsCollector:
         # community-detection compute overhead (CR's detected modes; all zero
         # for oracle mode and every non-community protocol)
         self.community_detections = 0
-        self.community_detection_seconds = 0.0
         self.community_reassignments = 0
-        # per-phase wall time of the world tick pipeline (phase name ->
-        # accumulated seconds / sample count); machine-specific, kept out of
-        # the deterministic metric comparisons
+        # telemetry meters (see TELEMETRY_METERS); instance attributes, not
+        # class-level defaults: a class attribute of the same name keeps the
+        # per-tick increments off the interpreter's specialised path
         self.tick_phase_seconds: Dict[str, float] = {}
         self.tick_phase_samples: Dict[str, int] = {}
-        # routers-phase outcome split (see World._update_routers): real
-        # Router.update calls run, provably idle routers skipped, and awake
-        # no-ops the SoA sweep resolved in batch.  Mode-dependent meters
-        # like the phase timings, excluded from deterministic comparisons
-        self.routers_ticked = 0
-        self.routers_skipped = 0
-        self.routers_batched = 0
-        # move-phase split (see MovementEngine.advance): node-ticks the batch
-        # kernel advanced vs node-ticks that ran PathFollower.move.  Telemetry
-        # like the routers split: the reference world moves every node
-        # through the loop
-        self.moves_batched = 0
-        self.moves_loop = 0
-        # knowledge-layer split: shortest-path kernel runs (MEMD recomputes
-        # plus MaxProp path-cost recomputes) and MEMD lookups served from the
-        # delay-vector cache.  Telemetry like the splits above
-        self.kernel_runs = 0
-        self.memd_hits = 0
+        self.__dict__.update(_SCALAR_METER_ZEROS)
         self.latency_sum = 0.0
         self.hop_count_sum = 0
 
@@ -131,6 +140,10 @@ class StatsCollector:
         self._delivered_ids: Dict[str, float] = {}
         self._open_contacts: Dict[tuple, float] = {}
         self._per_node_drops: Dict[int, int] = defaultdict(int)
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(_SCALAR_METER_ZEROS)
+        self.__dict__.update(state)
 
     @property
     def keep_records(self) -> bool:
@@ -423,6 +436,11 @@ class StatsCollector:
             self.memd_hits += 1
 
     # ------------------------------------------------------------------ query
+    def telemetry(self) -> Dict[str, object]:
+        """A copy of every telemetry meter, keyed by :data:`TELEMETRY_METERS`."""
+        return {name: copy.copy(getattr(self, name))
+                for name in TELEMETRY_METERS}
+
     def is_delivered(self, message_id: str) -> bool:
         """Whether the bundle has reached its destination at least once."""
         return message_id in self._delivered_ids

@@ -3,18 +3,21 @@
 A :class:`SimulationReport` is a plain, serialisable snapshot of everything a
 benchmark or experiment needs from a finished run: the paper's three metrics
 plus the bookkeeping used in the ablations (overhead ratio, control-plane
-exchange volume, drops, contacts).
+exchange volume, drops, contacts).  Those fields are the run's canonical
+*outcome*; the collector's telemetry meters ride alongside in one
+``telemetry`` mapping that no canonical serialisation sees.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 from dataclasses import dataclass, field, asdict
 from typing import Dict, Optional
 
 import numpy as np
 
-from repro.metrics.collector import StatsCollector
+from repro.metrics.collector import TELEMETRY_METERS, StatsCollector
 
 
 @dataclass
@@ -43,89 +46,54 @@ class SimulationReport:
     control_rows_exchanged: int
     control_bytes_exchanged: int
 
-    # transfers-phase outcome counters.  Deterministic (identical on the
-    # production and the reference tick), so they stay in the canonical
-    # serialisation, unlike the routers split below
+    # transfers-phase outcome counters
     transfers_completed: int = 0
     transfers_aborted: int = 0
     bytes_delivered: int = 0
 
-    # online community-detection compute overhead (zero outside CR's
-    # detected modes); seconds are wall-clock and therefore machine-specific,
-    # so — like the phase timings — they are excluded from the canonical
-    # serialisation
+    # online community detection (zero outside CR's detected modes); its
+    # compute seconds are telemetry
     community_detections: int = 0
-    community_detection_seconds: float = 0.0
     community_reassignments: int = 0
-
-    # routers-phase outcome split: Router.update calls run / provably idle
-    # skipped / awake no-ops resolved in batch by the SoA sweep.  The split
-    # differs between the production and the reference tick, so — like the
-    # phase timings — it is excluded from the canonical serialisation.
-    routers_ticked: int = 0
-    routers_skipped: int = 0
-    routers_batched: int = 0
-
-    # move-phase split: node-ticks the batch movement kernel advanced /
-    # node-ticks that ran the per-follower loop.  The reference world moves
-    # everything through the loop, so the split is excluded from the
-    # canonical serialisation like the routers split.
-    moves_batched: int = 0
-    moves_loop: int = 0
-
-    # knowledge-layer split: shortest-path kernel runs (MEMD recomputes
-    # plus MaxProp path-cost recomputes) and MEMD cache hits.  Cache
-    # behaviour is an implementation detail, not an outcome, so the split is
-    # excluded from the canonical serialisation like the move-phase split.
-    kernel_runs: int = 0
-    memd_hits: int = 0
 
     latency_percentiles: Dict[str, float] = field(default_factory=dict)
     extra: Dict[str, float] = field(default_factory=dict)
 
-    # accumulated wall-clock seconds per world tick-pipeline phase
-    # (move/connectivity/transfers/routers).  Machine- and run-specific, so
-    # excluded from the canonical serialisation by default: two runs of the
-    # same seed must serialise byte-identically whatever hardware (or phase
-    # implementation — serial vs sharded) produced them.
-    tick_phase_seconds: Dict[str, float] = field(default_factory=dict)
-    # per-phase sample counts (one per executed tick); paired with the
-    # seconds above this yields phase throughput in ticks/s.  Excluded from
-    # the canonical serialisation for the same reason.
-    tick_phase_samples: Dict[str, int] = field(default_factory=dict)
+    #: the run's telemetry meters (``StatsCollector.telemetry()``): wall
+    #: clock and execution-mode counters, never part of the outcome, so
+    #: they take no part in ``==``, :meth:`as_dict` or the canonical bytes.
+    #: Each meter also reads as an attribute (``report.routers_ticked``).
+    telemetry: Dict[str, object] = field(default_factory=dict,
+                                         compare=False)
 
-    def as_dict(self, include_timings: bool = False) -> Dict[str, object]:
-        """Return a plain-dict representation (JSON-friendly).
+    def __getattr__(self, name: str) -> object:
+        # only reached when normal lookup fails; reads ``__dict__`` directly
+        # so a half-built instance (unpickling, copy) raises AttributeError
+        telemetry = self.__dict__.get("telemetry")
+        if telemetry is not None and name in telemetry:
+            return telemetry[name]
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}")
 
-        ``include_timings`` keeps the wall-clock fields
-        (``tick_phase_seconds`` / ``tick_phase_samples``,
-        ``community_detection_seconds``), the routers-phase, move-phase and
-        knowledge-layer splits in the payload; the default drops them, so the
-        payload is the canonical outcome: it compares byte-for-byte across
-        machines, runs and the production and reference worlds.
+    def as_dict(self) -> Dict[str, object]:
+        """The canonical outcome as a plain dict (JSON-friendly).
+
+        Every field but :attr:`telemetry`: the payload compares
+        byte-for-byte across machines, runs and the production and
+        reference worlds.
         """
         payload = asdict(self)
-        if not include_timings:
-            payload.pop("community_detection_seconds")
-            payload.pop("tick_phase_seconds")
-            payload.pop("tick_phase_samples")
-            payload.pop("routers_ticked")
-            payload.pop("routers_skipped")
-            payload.pop("routers_batched")
-            payload.pop("moves_batched")
-            payload.pop("moves_loop")
-            payload.pop("kernel_runs")
-            payload.pop("memd_hits")
+        del payload["telemetry"]
         return payload
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "SimulationReport":
         """Rebuild a report from an :meth:`as_dict` payload.
 
-        Accepts both the canonical payload (timings dropped — what the
-        results store persists) and the ``include_timings=True`` form;
-        missing fields fall back to their dataclass defaults, so payloads
-        written before a field existed still load.
+        The payload may carry a ``"telemetry"`` mapping too (the
+        ``repro run --json`` form); missing fields fall back to their
+        dataclass defaults, so payloads written before a field existed
+        still load.
 
         ``from_dict(json.loads(json.dumps(report.as_dict())))`` reproduces
         the canonical payload byte for byte — floats survive a JSON round
@@ -137,19 +105,24 @@ class SimulationReport:
         if unknown:
             raise ValueError(
                 f"report payload has unknown fields: {sorted(unknown)}")
-        return cls(**{key: value for key, value in payload.items()})
+        return cls(**payload)
 
     def phase_ticks_per_second(self) -> Dict[str, float]:
         """Per-phase throughput (ticks per wall-second), from the timings."""
+        samples = self.telemetry.get("tick_phase_samples", {})
         rates: Dict[str, float] = {}
-        for name, seconds in self.tick_phase_seconds.items():
-            samples = self.tick_phase_samples.get(name, 0)
-            if samples and seconds > 0:
-                rates[name] = samples / seconds
+        for name, seconds in self.telemetry.get(
+                "tick_phase_seconds", {}).items():
+            if samples.get(name) and seconds > 0:
+                rates[name] = samples[name] / seconds
         return rates
 
     def metric(self, name: str) -> float:
-        """Look up a metric by name (``delivery_ratio``/``latency``/``goodput``...)."""
+        """Look up a metric by name (``delivery_ratio``/``latency``/``goodput``...).
+
+        Telemetry meters count too; a report rebuilt from its canonical
+        payload carries none, and reads each scalar meter as 0.
+        """
         aliases = {
             "latency": "average_latency",
             "hops": "average_hop_count",
@@ -160,7 +133,20 @@ class SimulationReport:
             return float(getattr(self, name))
         if name in self.extra:
             return float(self.extra[name])
+        if name in TELEMETRY_METERS:
+            return 0.0
         raise KeyError(f"unknown metric {name!r}")
+
+
+def canonical_report_json(report: SimulationReport) -> str:
+    """The canonical JSON form of a report: its outcome with sorted keys.
+
+    The one canonical serialisation: the results store persists these
+    bytes, the golden-digest lockfile hashes them, and two runs are
+    behaviourally identical iff they are equal.  Round-trips exactly
+    through :meth:`SimulationReport.from_dict`.
+    """
+    return json.dumps(report.as_dict(), sort_keys=True)
 
 
 def _latency_percentiles(collector: StatsCollector) -> Dict[str, float]:
@@ -202,17 +188,8 @@ def build_report(collector: StatsCollector, *, protocol: str, num_nodes: int,
         transfers_aborted=collector.transfers_aborted,
         bytes_delivered=collector.bytes_delivered,
         community_detections=collector.community_detections,
-        community_detection_seconds=collector.community_detection_seconds,
         community_reassignments=collector.community_reassignments,
-        routers_ticked=collector.routers_ticked,
-        routers_skipped=collector.routers_skipped,
-        routers_batched=collector.routers_batched,
-        moves_batched=collector.moves_batched,
-        moves_loop=collector.moves_loop,
-        kernel_runs=collector.kernel_runs,
-        memd_hits=collector.memd_hits,
         latency_percentiles=_latency_percentiles(collector),
         extra=dict(extra or {}),
-        tick_phase_seconds=dict(collector.tick_phase_seconds),
-        tick_phase_samples=dict(collector.tick_phase_samples),
+        telemetry=collector.telemetry(),
     )

@@ -23,7 +23,7 @@ file — safe without coordination (WAL journal + busy timeout).
 Each row carries provenance: the repro version that produced it, a UTC
 timestamp and the wall-clock seconds the run took.  The payloads are the
 *canonical* serialisations — ``ScenarioConfig.canonical_payload()`` and
-``SimulationReport.as_dict()`` (timings excluded) with sorted keys — so a
+the report's outcome (``canonical_report_json``, telemetry excluded) — so a
 report loaded from the store compares byte-identical to a fresh run of the
 same cell.  See ``docs/results-store.md``.
 """
@@ -38,7 +38,7 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.scenario import ScenarioConfig
-from repro.metrics.reports import SimulationReport
+from repro.metrics.reports import SimulationReport, canonical_report_json
 from repro.version import __version__
 
 #: results-store schema version (bumped on incompatible layout changes)
@@ -71,16 +71,6 @@ class StoreError(Exception):
 def _utc_now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat(
         timespec="seconds")
-
-
-def canonical_report_json(report: SimulationReport) -> str:
-    """The canonical JSON form of a report (sorted keys, wall-clock fields
-    excluded, so a stored row is byte-reproducible).
-
-    This is the stored byte form; it round-trips exactly through
-    :meth:`SimulationReport.from_dict`.
-    """
-    return json.dumps(report.as_dict(), sort_keys=True)
 
 
 class ResultsStore:

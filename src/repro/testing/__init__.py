@@ -16,9 +16,10 @@ world tick.  Neither is imported by production code.
 
 from __future__ import annotations
 
-import json
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.metrics.collector import COUNTER_METERS
+from repro.metrics.reports import canonical_report_json
 from repro.net.message import Message
 from repro.sim.engine import Simulator
 from repro.traces.contact_trace import ContactEvent, ContactTrace
@@ -85,15 +86,12 @@ def run_report(config, *, reference: bool = False):
 def canonical_report_bytes(report) -> bytes:
     """The canonical byte form of a :class:`SimulationReport`.
 
-    The canonical :meth:`~repro.metrics.reports.SimulationReport.as_dict`
-    payload (wall-clock fields excluded: they measure the machine, not the
-    simulation) serialized with sorted keys, so two runs are behaviourally
-    identical iff their canonical bytes are equal.  These are the bytes the
-    results store persists and the golden-digest lockfile pins, and the
+    :func:`~repro.metrics.reports.canonical_report_json` encoded: the bytes
+    the results store persists and the golden-digest lockfile pins, and the
     ones compared between production and reference worlds, serial and
     process-pool backends, and resumed and straight runs.
     """
-    return json.dumps(report.as_dict(), sort_keys=True).encode()
+    return canonical_report_json(report).encode()
 
 
 def admissible_checkpoint_times(config, *, stride: int = 1) -> List[float]:
@@ -119,10 +117,11 @@ def assert_resume_equality(config,
     Runs the scenario straight through, then — for every checkpoint time —
     re-runs it with a full save/restore cycle at that boundary (serialize
     the world to container bytes, tear the original down, deserialize,
-    resume) and requires the resumed run's canonical report bytes to equal
-    the straight-through run's exactly.  ``checkpoint_times`` defaults to
-    :func:`admissible_checkpoint_times` with *stride*; ``reference=True``
-    runs both on the reference tick (:mod:`repro.testing.reference`).
+    resume) and requires the resumed run's canonical report bytes and
+    counter telemetry to equal the straight-through run's exactly.
+    ``checkpoint_times`` defaults to :func:`admissible_checkpoint_times`
+    with *stride*; ``reference=True`` runs both on the reference tick
+    (:mod:`repro.testing.reference`).
 
     Raises ``AssertionError`` naming the first diverging checkpoint time.
     """
@@ -132,7 +131,9 @@ def assert_resume_equality(config,
 
     if checkpoint_times is None:
         checkpoint_times = admissible_checkpoint_times(config, stride=stride)
-    baseline = canonical_report_bytes(run_report(config, reference=reference))
+    straight = run_report(config, reference=reference)
+    baseline = canonical_report_bytes(straight)
+    counters = _counter_meters(straight)
     for at in checkpoint_times:
         if not 0.0 < at < config.sim_time:
             raise ValueError(
@@ -146,11 +147,19 @@ def assert_resume_equality(config,
         restored = load_checkpoint_bytes(blob)
         try:
             restored.world.simulator.run(until=config.sim_time)
-            resumed = canonical_report_bytes(
-                finalize_report(restored.world.stats, config))
+            resumed = finalize_report(restored.world.stats, config)
         finally:
             restored.world.stop()
-        if resumed != baseline:
+        if canonical_report_bytes(resumed) != baseline:
             raise AssertionError(
                 f"resumed report diverged from the straight-through run "
                 f"(scenario {config.name!r}, checkpoint at t={at:g})")
+        if _counter_meters(resumed) != counters:
+            raise AssertionError(
+                f"resumed counter telemetry diverged from the straight-through "
+                f"run (scenario {config.name!r}, checkpoint at t={at:g}): "
+                f"{_counter_meters(resumed)} != {counters}")
+
+
+def _counter_meters(report) -> Dict[str, object]:
+    return {name: report.telemetry[name] for name in COUNTER_METERS}

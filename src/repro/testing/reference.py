@@ -168,7 +168,6 @@ class ReferenceTick:
         for node in self._node_order:
             assert node.router is not None
             node.router.update(now)
-        self.routers_ticked += len(self._node_order)
         self.stats.router_sweep(len(self._node_order), 0, 0)
 
 

@@ -168,13 +168,6 @@ class World:
         #: connections whose queue went empty -> non-empty since the last
         #: transfers phase (fed by Connection.activity_sink)
         self._newly_active: List[Connection] = []
-        # routers-phase observability (surfaced on SimulationReport, the
-        # CI smoke and the benchmarks): ticked = real Router.update calls,
-        # skipped = provably asleep, batched = awake no-ops the SoA sweep
-        # resolved without executing
-        self.routers_ticked = 0
-        self.routers_skipped = 0
-        self.routers_batched = 0
         #: columnar per-router state behind the routers phase (see
         #: repro.routing.soa)
         self.router_store = RouterStateStore()
@@ -567,9 +560,6 @@ class World:
 
     def _update_routers(self, now: float) -> None:
         ticked, batched, skipped = self.router_store.sweep(self, now)
-        self.routers_ticked += ticked
-        self.routers_batched += batched
-        self.routers_skipped += skipped
         self.stats.router_sweep(ticked, skipped, batched)
 
     # ------------------------------------------------------------ checkpoints
@@ -601,8 +591,6 @@ class World:
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        # snapshots written before the id tuple cache existed
-        self.__dict__.setdefault("_id_tuple", None)
         # Pickling broke the one load-bearing aliasing relationship in the
         # graph: each follower's position was a row *view* of the position
         # matrix and came back as an independent copy.  Re-bind every

@@ -3,7 +3,8 @@
 ``assert_resume_equality`` runs a scenario straight through, then replays it
 with a full serialize → tear down → deserialize → resume cycle at each
 checkpoint time and requires the canonical report bytes (metrics, counters,
-per-protocol extras — everything but wall-clock timings) to match exactly.
+per-protocol extras) and the counter telemetry to match exactly; only the
+wall-clock meters may differ.
 Covered here: the four headline protocols and MaxProp, every admissible tick boundary of
 a short run, the reference tick (repro.testing.reference), columnar and disabled
 collectors, the sharded detector of a 1 000-node world, file trace replay,
@@ -12,10 +13,22 @@ and online community detection (CR with the Newman tracker).
 
 import pytest
 
-from repro.experiments.builder import SHARDED_MIN_NODES, build_detector
+from repro.checkpoint import load_checkpoint_bytes, save_checkpoint_bytes
+from repro.experiments.builder import (
+    SHARDED_MIN_NODES,
+    build_detector,
+    build_scenario,
+)
 from repro.experiments.catalog import make_scenario
+from repro.experiments.runner import finalize_report
 from repro.experiments.scenario import ScenarioConfig
-from repro.testing import admissible_checkpoint_times, assert_resume_equality
+from repro.metrics.collector import COUNTER_METERS
+from repro.testing import (
+    admissible_checkpoint_times,
+    assert_resume_equality,
+    canonical_report_bytes,
+    run_report,
+)
 from repro.world.sharded import ShardedConnectivity
 
 
@@ -77,3 +90,33 @@ def test_resume_equality_online_community_detection():
     config = make_scenario("community-detect",
                            {"protocol": "cr-newman", "sim_time": 600.0})
     assert_resume_equality(config, checkpoint_times=[300.0])
+
+
+def test_restored_collector_without_a_meter_counts_it_from_zero():
+    """A snapshot whose collector lacks a scalar meter (as one taken before
+    the meter existed would) restores and resumes to the straight run's
+    outcome, and reports that meter counted from 0 at the restore; every
+    other counter meter resumes where it stopped."""
+    config = bench("eer")
+    straight = run_report(config)
+    built = build_scenario(config)
+    try:
+        built.simulator.run(until=180.0)
+        at_save = built.stats.routers_skipped
+        del built.stats.routers_skipped
+        blob = save_checkpoint_bytes(built.world, config=config)
+    finally:
+        built.world.stop()
+    restored = load_checkpoint_bytes(blob)
+    assert restored.world.stats.routers_skipped == 0
+    try:
+        restored.world.simulator.run(until=config.sim_time)
+    finally:
+        restored.world.stop()
+    resumed = finalize_report(restored.world.stats, config)
+    assert canonical_report_bytes(resumed) == canonical_report_bytes(straight)
+    assert 0 < at_save < straight.routers_skipped
+    assert resumed.routers_skipped == straight.routers_skipped - at_save
+    for name in COUNTER_METERS:
+        if name != "routers_skipped":
+            assert resumed.telemetry[name] == straight.telemetry[name], name

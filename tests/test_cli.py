@@ -11,6 +11,12 @@ from repro.cli import (
     parse_seeds,
     parse_value,
 )
+from repro.metrics.collector import (
+    COUNTER_METERS,
+    TELEMETRY_METERS,
+    WALL_CLOCK_METERS,
+)
+from repro.metrics.reports import SimulationReport
 
 
 # ------------------------------------------------------------------- parsing
@@ -74,6 +80,25 @@ def test_run_json_smoke(capsys):
     assert 0.0 <= payload["summary"]["delivery_ratio"] <= 1.0
 
 
+def test_run_json_report_rebuilds_to_the_same_canonical_bytes(capsys):
+    """Each ``--json`` report is its outcome plus a ``telemetry`` key;
+    ``from_dict`` takes that form back to the run's canonical bytes."""
+    from repro.experiments.catalog import make_scenario
+    from repro.testing import canonical_report_bytes, run_report
+
+    assert main(["run", "trace-csv", "--protocol", "epidemic", "--seeds", "2",
+                 "--set", "sim_time=400", "--json"]) == 0
+    (emitted,) = json.loads(capsys.readouterr().out)["reports"]
+    assert set(emitted["telemetry"]) == set(TELEMETRY_METERS)
+    assert emitted["telemetry"]["routers_ticked"] \
+        + emitted["telemetry"]["routers_skipped"] > 0
+    rebuilt = SimulationReport.from_dict(emitted)
+    assert rebuilt.telemetry == emitted["telemetry"]
+    direct = run_report(make_scenario(
+        "trace-csv", {"protocol": "epidemic", "sim_time": 400, "seed": 2}))
+    assert canonical_report_bytes(rebuilt) == canonical_report_bytes(direct)
+
+
 def test_run_human_smoke(capsys):
     code = main(["run", "trace-csv", "--seeds", "1",
                  "--set", "sim_time=600"])
@@ -84,6 +109,7 @@ def test_run_human_smoke(capsys):
     # per-phase wall time and the per-phase throughput line
     assert "tick phases (mean wall time per run):" in out
     assert "tick phase throughput (ticks/s):" in out
+    assert "router sweep (mean per run): ticked " in out
 
 
 def test_run_unknown_scenario_fails_with_usage_error(capsys):
@@ -125,10 +151,15 @@ def test_sweep_json_smoke(capsys):
 
 # ------------------------------------------------------- checkpoint / resume
 def strip_timings(payload):
-    """Drop the machine-timing fields from a run's JSON payload in place."""
+    """Drop the wall-clock meters from a run's JSON payload in place.
+
+    The counter telemetry stays: a resumed run must count its routers
+    sweep, moves and knowledge-layer work exactly as the straight run.
+    """
     for report in payload["reports"]:
-        report.pop("tick_phase_seconds", None)
-        report.pop("tick_phase_samples", None)
+        for name in WALL_CLOCK_METERS:
+            del report["telemetry"][name]
+        assert set(report["telemetry"]) == set(COUNTER_METERS)
     return payload
 
 

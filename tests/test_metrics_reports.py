@@ -73,19 +73,17 @@ def test_phase_ticks_per_second():
     assert rates["move"] == pytest.approx(4 / 2.0)
     # zero-second phases can't produce a finite rate and are omitted
     assert "routers" not in rates
-    # both timing breakdowns are observability, stripped from the
-    # deterministic payload together
-    data = report.as_dict(include_timings=True)
-    assert data["tick_phase_samples"] == {"move": 4, "routers": 1}
+    # both timing breakdowns are telemetry, absent from the outcome
+    assert report.telemetry["tick_phase_samples"] == {"move": 4, "routers": 1}
     stripped = report.as_dict()
     assert "tick_phase_samples" not in stripped
     assert "tick_phase_seconds" not in stripped
 
 
 def test_transfer_counters_are_canonical():
-    """The transfer counters ride the canonical report: present with
-    ``include_timings=False`` (the resume-equality surface) and wired from
-    the collector aggregates."""
+    """The transfer counters ride the canonical report: present in the
+    outcome payload (the resume-equality surface) and wired from the
+    collector aggregates."""
     stats = populated_collector()
     for i in range(2):
         message = Message(f"M{i}", 0, 1, 4096, float(i), 500.0)
@@ -97,14 +95,14 @@ def test_transfer_counters_are_canonical():
     assert report.transfers_completed == 2
     assert report.transfers_aborted == 1
     assert report.bytes_delivered == 2 * 4096
-    data = report.as_dict(include_timings=False)
+    data = report.as_dict()
     assert data["transfers_completed"] == 2
     assert data["transfers_aborted"] == 1
     assert data["bytes_delivered"] == 2 * 4096
 
 
 def test_movement_split_is_telemetry_not_outcome():
-    """The move-phase split rides the timed payload only: a report whose
+    """The move-phase split is telemetry only: a report whose
     nodes moved on the batch kernel and one whose nodes moved through the
     loop serialise to the same canonical bytes."""
     from repro.testing import canonical_report_bytes
@@ -123,8 +121,8 @@ def test_movement_split_is_telemetry_not_outcome():
     for report in reports:
         assert "moves_batched" not in report.as_dict()
         assert "moves_loop" not in report.as_dict()
-    timed = reports[0].as_dict(include_timings=True)
-    assert (timed["moves_batched"], timed["moves_loop"]) == (114, 6)
+    telemetry = reports[0].telemetry
+    assert (telemetry["moves_batched"], telemetry["moves_loop"]) == (114, 6)
 
 
 def test_bus_run_reports_its_movement_split():
@@ -143,8 +141,8 @@ def test_bus_run_reports_its_movement_split():
 
 
 def test_knowledge_split_is_telemetry_not_outcome():
-    """Kernel runs and MEMD cache hits ride the timed payload only: how
-    often a cache was hit is not an outcome."""
+    """Kernel runs and MEMD cache hits are telemetry only: how often a
+    cache was hit is not an outcome."""
     from repro.testing import canonical_report_bytes
 
     cached, uncached = populated_collector(), populated_collector()
@@ -162,8 +160,8 @@ def test_knowledge_split_is_telemetry_not_outcome():
     for report in reports:
         assert "kernel_runs" not in report.as_dict()
         assert "memd_hits" not in report.as_dict()
-    timed = reports[0].as_dict(include_timings=True)
-    assert (timed["kernel_runs"], timed["memd_hits"]) == (1, 3)
+    telemetry = reports[0].telemetry
+    assert (telemetry["kernel_runs"], telemetry["memd_hits"]) == (1, 3)
 
 
 @pytest.mark.parametrize("protocol", ["eer", "cr", "maxprop", "epidemic"])
@@ -192,3 +190,89 @@ def test_runs_report_their_knowledge_split(protocol):
     else:
         assert report.kernel_runs == recomputes > 0
         assert report.memd_hits == hits > 0
+
+
+#: the canonical outcome: every field of the canonical payload, and the
+#: only fields of the report besides its telemetry
+OUTCOME_FIELDS = {
+    "protocol", "num_nodes", "sim_time", "seed",
+    "created", "delivered", "relayed", "dropped", "expired", "aborted",
+    "contacts", "delivery_ratio", "average_latency", "goodput",
+    "overhead_ratio", "average_hop_count", "control_rows_exchanged",
+    "control_bytes_exchanged", "transfers_completed", "transfers_aborted",
+    "bytes_delivered", "community_detections", "community_reassignments",
+    "latency_percentiles", "extra",
+}
+
+
+def test_canonical_payload_is_exactly_the_outcome_fields():
+    import dataclasses
+    import json
+
+    from repro.metrics.reports import SimulationReport
+    from repro.testing import canonical_report_bytes
+
+    report = build_report(populated_collector(), protocol="eer", num_nodes=10,
+                          sim_time=1000.0, seed=3)
+    fields = {f.name for f in dataclasses.fields(SimulationReport)}
+    assert fields - {"telemetry"} == OUTCOME_FIELDS
+    assert set(report.as_dict()) == OUTCOME_FIELDS
+    assert set(json.loads(canonical_report_bytes(report))) == OUTCOME_FIELDS
+
+
+def test_telemetry_is_every_meter_and_never_canonical():
+    """The report copies the collector's one telemetry mapping; adding or
+    changing any key of it leaves the canonical bytes unchanged."""
+    from repro.metrics.collector import TELEMETRY_METERS
+    from repro.testing import canonical_report_bytes
+
+    stats = populated_collector()
+    stats.tick_phase("move", 0.25)
+    stats.router_sweep(2, 5, 3)
+    stats.community_detection(0.5)
+    report = build_report(stats, protocol="eer", num_nodes=10,
+                          sim_time=1000.0, seed=3)
+    assert tuple(report.telemetry) == TELEMETRY_METERS
+    assert report.telemetry == stats.telemetry()
+    # a copy: later meter updates do not leak into a finished report
+    stats.tick_phase("move", 1.0)
+    assert report.telemetry["tick_phase_samples"] == {"move": 1}
+
+    before = canonical_report_bytes(report)
+    for name in TELEMETRY_METERS:
+        report.telemetry[name] = 12345
+    report.telemetry["a_meter_added_later"] = 7
+    assert canonical_report_bytes(report) == before
+    report.telemetry.clear()
+    assert canonical_report_bytes(report) == before
+
+
+def test_telemetry_meters_read_as_attributes():
+    import copy
+    import json
+    import pickle
+
+    from repro.metrics.reports import SimulationReport
+
+    stats = populated_collector()
+    stats.router_sweep(2, 5, 3)
+    stats.community_detection(0.5)
+    report = build_report(stats, protocol="eer", num_nodes=10,
+                          sim_time=1000.0, seed=3)
+    assert (report.routers_ticked, report.routers_skipped,
+            report.routers_batched) == (2, 5, 3)
+    assert report.metric("community_detection_seconds") == 0.5
+    with pytest.raises(AttributeError):
+        report.no_such_meter
+    for clone in (copy.copy(report), copy.deepcopy(report),
+                  pickle.loads(pickle.dumps(report))):
+        assert clone == report
+        assert clone.routers_batched == 3
+    # a report rebuilt from its canonical payload carries no telemetry:
+    # the attribute is absent, and the metric reads the meter as 0
+    served = SimulationReport.from_dict(json.loads(json.dumps(
+        report.as_dict())))
+    assert served == report and served.telemetry == {}
+    with pytest.raises(AttributeError):
+        served.routers_batched
+    assert served.metric("community_detection_seconds") == 0.0

@@ -195,11 +195,11 @@ def assert_script_parity(protocol, script, **world):
     assert outcome_fingerprint(soa) == outcome_fingerprint(ref)
     # every router the reference ticks is accounted for exactly once by the
     # sweep: executed, resolved as a batched no-op, or provably asleep
-    assert ref.routers_ticked == num_nodes * ref.updates
-    assert ref.routers_skipped == ref.routers_batched == 0
-    assert (soa.routers_ticked + soa.routers_batched
-            + soa.routers_skipped) == ref.routers_ticked
-    assert soa.routers_ticked <= ref.routers_ticked
+    assert ref.stats.routers_ticked == num_nodes * ref.updates
+    assert ref.stats.routers_skipped == ref.stats.routers_batched == 0
+    assert (soa.stats.routers_ticked + soa.stats.routers_batched
+            + soa.stats.routers_skipped) == ref.stats.routers_ticked
+    assert soa.stats.routers_ticked <= ref.stats.routers_ticked
 
 
 @pytest.mark.parametrize("protocol", BATCHABLE)
@@ -283,8 +283,8 @@ def test_hypothesis_outcome_parity_mixed_listeners(mixed):
     soa = run_mixed_script(protocols, script, reference=False)
     ref = run_mixed_script(protocols, script, reference=True)
     assert outcome_fingerprint(soa) == outcome_fingerprint(ref)
-    assert (soa.routers_ticked + soa.routers_batched
-            + soa.routers_skipped) == ref.routers_ticked
+    assert (soa.stats.routers_ticked + soa.stats.routers_batched
+            + soa.stats.routers_skipped) == ref.stats.routers_ticked
 
 
 # ------------------------------------------------- counter semantics
@@ -296,11 +296,10 @@ def test_stateless_empty_rows_batch_on_link_events():
     simulator, world = build_trace_world(trace, protocol="direct",
                                         num_nodes=2)
     simulator.run(until=5.0)
-    assert world.routers_ticked == 0
-    assert world.routers_batched == 4
-    total = world.routers_ticked + world.routers_skipped + world.routers_batched
+    assert world.stats.routers_ticked == 0
+    assert world.stats.routers_batched == 4
+    total = world.stats.routers_ticked + world.stats.routers_skipped + world.stats.routers_batched
     assert total == 2 * world.updates
-    assert world.stats.routers_batched == world.routers_batched
 
 
 def test_gated_rows_execute_on_link_events():
@@ -310,8 +309,8 @@ def test_gated_rows_execute_on_link_events():
     simulator, world = build_trace_world(trace, protocol="first-contact",
                                         num_nodes=2)
     simulator.run(until=5.0)
-    assert world.routers_ticked == 4
-    assert world.routers_batched == 0
+    assert world.stats.routers_ticked == 4
+    assert world.stats.routers_batched == 0
 
 
 def record_updates(router, log=None):
@@ -348,7 +347,7 @@ def test_loaded_stateless_row_sleeps_through_a_quiet_contact():
     simulator.run(until=30.0)
     assert sender == [1.0]
     assert receiver == [2.0]
-    assert world.routers_ticked == 2
+    assert world.stats.routers_ticked == 2
     assert world.get_node(1).buffer.message_ids() == ["M1"]
 
 
@@ -441,7 +440,7 @@ def test_loaded_eer_row_sleeps_through_a_quiet_contact():
     """The link-up tick splits the replicas (node 1's copy arrives and
     wakes it once); past the consumed gate the loaded row sleeps."""
     world = assert_eer_quiet_contact([1.0])
-    assert world.routers_ticked == 3            # node 0 at 1, node 1 at 1, 2
+    assert world.stats.routers_ticked == 3            # node 0 at 1, node 1 at 1, 2
     assert world.get_node(1).buffer.message_ids() == ["M1"]
 
 
@@ -565,16 +564,13 @@ def test_report_surfaces_counters_outside_canonical_payload():
         "num_nodes": 30, "sim_time": 120.0, "name": "soa-counters"})
     report = run_scenario(config)
     assert report.routers_batched > 0          # the CI smoke's assertion
-    ticks = report.tick_phase_samples["routers"]
+    ticks = report.telemetry["tick_phase_samples"]["routers"]
     assert (report.routers_ticked + report.routers_skipped
             + report.routers_batched) == 30 * ticks
     canonical = report.as_dict()
     for key in ("routers_ticked", "routers_skipped", "routers_batched"):
         assert key not in canonical
-    timed = report.as_dict(include_timings=True)
-    assert timed["routers_batched"] == report.routers_batched
-    assert timed["routers_ticked"] == report.routers_ticked
-    assert timed["routers_skipped"] == report.routers_skipped
+        assert report.telemetry[key] == getattr(report, key)
 
 
 # ------------------------------------------------- the quiet-tick guard

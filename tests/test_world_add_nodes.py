@@ -179,15 +179,3 @@ def test_node_id_tuple_is_shared_until_the_next_registration():
     world.add_node(nodes[3])
     assert world.node_id_tuple == (0, 1, 2, 3)
     assert world.node_ids() == [0, 1, 2, 3]
-
-
-def test_snapshot_without_id_tuple_restores():
-    """Snapshots written before the id tuple cache existed restore with the
-    cache unset, and the tuple is rebuilt on first read."""
-    _, world, nodes = make_world()
-    world.add_nodes(nodes)
-    state = dict(world.__dict__)
-    del state["_id_tuple"]
-    restored = World.__new__(World)
-    restored.__setstate__(state)
-    assert restored.node_id_tuple == tuple(range(NUM_NODES))

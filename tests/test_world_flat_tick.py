@@ -124,13 +124,13 @@ def test_idle_loaded_router_wakes_exactly_at_ttl_expiry():
     assert 6.0 in routers[1].tick_times
     # after the drop the buffer is empty and the router sleeps again
     assert [t for t in routers[1].tick_times if t > 6.0] == []
-    assert world.routers_skipped > 0
+    assert world.stats.routers_skipped > 0
 
 
 def test_ttl_expiry_outcomes_match_always_tick_reference():
     skiplist, _ = run_ttl_expiry_world()
     reference, _ = run_ttl_expiry_world(reference=True)
-    assert reference.routers_skipped == 0
+    assert reference.stats.routers_skipped == 0
     assert_same_outcomes(skiplist, reference)
 
 
@@ -168,13 +168,13 @@ def test_receiver_stays_hot_mid_transfer_and_sleeps_after_abort():
     # second contact's link event at t=8
     assert [t for t in times if 4.0 < t < 8.0] == []
     assert 8.0 in times
-    assert world.routers_skipped > 0
+    assert world.stats.routers_skipped > 0
 
 
 def test_mid_transfer_abort_outcomes_match_always_tick_reference():
     skiplist, _ = run_mid_transfer_abort_world()
     reference, _ = run_mid_transfer_abort_world(reference=True)
-    assert reference.routers_skipped == 0
+    assert reference.stats.routers_skipped == 0
     assert_same_outcomes(skiplist, reference)
     # identical delivery time, not just identical counts
     latency = lambda w: w.stats.delivered_latencies().tolist()  # noqa: E731
