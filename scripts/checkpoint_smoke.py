@@ -6,8 +6,9 @@ Drives the resume-equality contract at the scale tentpole: run the
 a checkpoint at the cut point, resume that snapshot in a *fresh interpreter*
 (the cross-process restore users actually rely on), and require the resumed
 canonical report bytes to equal the straight run's.  Writes a JSON artifact
-with the snapshot size, the save and restore times and the equality
-verdict; exits non-zero on mismatch.
+with the live links at the snapshot, the snapshot size (total and per
+node), the save and restore times and the equality verdict; exits non-zero
+on mismatch.
 
 Usage (CI)::
 
@@ -84,6 +85,7 @@ def main(argv=None) -> int:
     built = build_scenario(config)
     try:
         built.simulator.run(until=args.checkpoint_at)
+        live_links = len(built.world.connections)
         started = time.perf_counter()
         built.world.save_checkpoint(str(snapshot_path), config=config)
         save_seconds = time.perf_counter() - started
@@ -113,7 +115,9 @@ def main(argv=None) -> int:
         "sim_time": config.sim_time,
         "checkpoint_at": args.checkpoint_at,
         "seed": config.seed,
+        "live_links": live_links,
         "snapshot_bytes": snapshot_bytes,
+        "snapshot_bytes_per_node": round(snapshot_bytes / config.num_nodes, 1),
         "straight_run_seconds": round(straight_seconds, 3),
         "save_seconds": round(save_seconds, 3),
         "restore_seconds": round(child_result["restore_seconds"], 3),

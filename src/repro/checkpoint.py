@@ -36,10 +36,8 @@ import hashlib
 import io
 import json
 import pickle
-import sys
-import threading
 import zipfile
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -74,7 +72,12 @@ MAGIC = "repro-checkpoint"
 #: 7: the world lost its routers-phase counters (the stats collector keeps
 #: them); a scalar telemetry meter the collector gains later starts from
 #: zero on restore (``StatsCollector.__setstate__``), so meters need no bump
-FORMAT_VERSION = 7
+#: 8: nodes pickle their connection maps empty (the world rebuilds them from
+#: its link table), connections lost their engine link and create their
+#: transfer queue on first use, the transfer engine lost its depth column,
+#: the router store its occupancy column and the stats collector its
+#: open-contact table (contact records read ``Connection.established_at``)
+FORMAT_VERSION = 8
 #: arrays with at least this many elements move to their own NPY entry
 ARRAY_EXTERNALIZE_THRESHOLD = 32
 
@@ -177,51 +180,11 @@ class _StateUnpickler(pickle.Unpickler):
         raise CheckpointError(f"unresolvable persistent id {pid!r}")
 
 
-#: worker-thread stack for the state codec.  Virtual reservation — only the
-#: pages the pickler actually touches are committed
-_CODEC_STACK_BYTES = 512 * 1024 * 1024
-_CODEC_RECURSION_LIMIT = 4_000_000
-
-
-def _call_with_deep_stack(fn: Callable[[], Any]) -> Any:
-    """Run *fn* on a thread with a large stack and recursion limit.
-
-    Pickling a world recurses through the live link graph — node →
-    connection → peer node → … — so the required depth scales with the
-    largest connected component, tens of thousands of frames on the 10k/100k
-    scenarios.  Rather than cap the snapshotable world size at the default
-    interpreter limits, the codec runs on its own thread with room to spare.
-    """
-    outcome: List[Any] = []
-
-    def runner() -> None:
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(limit, _CODEC_RECURSION_LIMIT))
-        try:
-            outcome.append((True, fn()))
-        except BaseException as error:  # re-raised on the calling thread
-            outcome.append((False, error))
-        finally:
-            sys.setrecursionlimit(limit)
-
-    previous = threading.stack_size(_CODEC_STACK_BYTES)
-    try:
-        thread = threading.Thread(target=runner, name="repro-checkpoint")
-        thread.start()
-    finally:
-        threading.stack_size(previous)
-    thread.join()
-    ok, value = outcome[0]
-    if not ok:
-        raise value
-    return value
-
-
 def encode_state(root: Any) -> Tuple[bytes, List[np.ndarray]]:
     """Pickle *root* with externalized arrays; returns ``(bytes, arrays)``."""
     stream = io.BytesIO()
     arrays: List[np.ndarray] = []
-    _call_with_deep_stack(lambda: _StatePickler(stream, arrays).dump(root))
+    _StatePickler(stream, arrays).dump(root)
     return stream.getvalue(), arrays
 
 
@@ -233,8 +196,7 @@ def decode_state(data: bytes, arrays: List[np.ndarray]) -> Any:
     """
     try:
         with collector_paused():
-            return _call_with_deep_stack(
-                lambda: _StateUnpickler(io.BytesIO(data), arrays).load())
+            return _StateUnpickler(io.BytesIO(data), arrays).load()
     except CheckpointError:
         raise
     except Exception as error:

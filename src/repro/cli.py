@@ -310,14 +310,13 @@ def cmd_run(args) -> int:
               f"({result.mean('community_detection_seconds'):.4f} s compute, "
               f"{result.mean('community_reassignments'):.1f} reassignments)")
     runs = len(result.reports)
-    phases = [r.telemetry.get("tick_phase_seconds", {})
-              for r in result.reports]
-    samples = [r.telemetry.get("tick_phase_samples", {})
-               for r in result.reports]
+    metered = result.metered_reports()
+    phases = [r.telemetry.get("tick_phase_seconds", {}) for r in metered]
+    samples = [r.telemetry.get("tick_phase_samples", {}) for r in metered]
     phase_names = sorted({name for seconds in phases for name in seconds})
     if phase_names:
         breakdown = "  ".join(
-            f"{name} {sum(s.get(name, 0.0) for s in phases) / runs:.3f}s"
+            f"{name} {sum(s.get(name, 0.0) for s in phases) / len(metered):.3f}s"
             for name in phase_names)
         print(f"tick phases (mean wall time per run): {breakdown}")
         rates = []

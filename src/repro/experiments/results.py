@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.experiments.scenario import ScenarioConfig
+from repro.metrics.collector import TELEMETRY_METERS
 from repro.metrics.reports import SimulationReport
 
 #: one results-store identity: (scenario_name, protocol, seed, config_hash)
@@ -40,17 +41,31 @@ class AveragedResult:
     #: report pins its own); optional so hand-assembled results still work
     config: Optional[ScenarioConfig] = None
 
+    def metered_reports(self) -> List[SimulationReport]:
+        """The reports that carry telemetry: the freshly simulated runs (a
+        report served from a results store carries none)."""
+        return [report for report in self.reports if report.telemetry]
+
+    def _values(self, metric: str) -> List[float]:
+        """*metric* of every run that measured it: a telemetry meter counts
+        only the :meth:`metered_reports` (0 when there are none)."""
+        reports = self.reports
+        if metric in TELEMETRY_METERS:
+            reports = self.metered_reports()
+            if not reports:
+                return [0.0]
+        return [report.metric(metric) for report in reports]
+
     def mean(self, metric: str) -> float:
-        """Mean of *metric* over the seed runs."""
-        values = [report.metric(metric) for report in self.reports]
-        finite = [v for v in values if np.isfinite(v)]
+        """Mean of *metric* over the seed runs (see :meth:`_values`)."""
+        finite = [v for v in self._values(metric) if np.isfinite(v)]
         if not finite:
             return float("nan")
         return float(np.mean(finite))
 
     def std(self, metric: str) -> float:
         """Sample standard deviation of *metric* over the seed runs."""
-        values = [report.metric(metric) for report in self.reports]
+        values = self._values(metric)
         finite = [v for v in values if np.isfinite(v)]
         if len(finite) < 2:
             return 0.0

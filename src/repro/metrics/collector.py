@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import copy
 from collections import defaultdict
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from repro.metrics.events import (
     MessageRelayed,
     TransferAborted,
 )
+from repro.net.connection import Connection
 from repro.net.message import Message
 
 
@@ -138,7 +139,6 @@ class StatsCollector:
 
         self._creation_time: Dict[str, float] = {}
         self._delivered_ids: Dict[str, float] = {}
-        self._open_contacts: Dict[tuple, float] = {}
         self._per_node_drops: Dict[int, int] = defaultdict(int)
 
     def __setstate__(self, state: dict) -> None:
@@ -309,59 +309,25 @@ class StatsCollector:
                 message.message_id, from_node, to_node, time, bytes_left)
 
     # --------------------------------------------------------------- contacts
-    def contact_up(self, node_a: int, node_b: int, time: float) -> None:
-        """Record a link coming up between two nodes."""
-        key = (min(node_a, node_b), max(node_a, node_b))
-        self._open_contacts[key] = time
-        self.contacts += 1
+    def contacts_opened(self, connections: Sequence[Connection]) -> None:
+        """Record links coming up (one call per link diff)."""
+        self.contacts += len(connections)
 
-    def contact_down(self, node_a: int, node_b: int, time: float) -> None:
-        """Record a link going down; closes the matching open contact."""
-        key = (min(node_a, node_b), max(node_a, node_b))
-        start = self._open_contacts.pop(key, None)
-        if start is None:
-            return
-        table = self._tables.get("contacts")
-        if table is not None:
-            table.append(key[0], key[1], start, time)
+    def contacts_closed(self, connections: Sequence[Connection],
+                        time: float) -> None:
+        """Record torn-down links as contact records.
 
-    def contact_up_batch(self, keys: List[tuple], time: float) -> None:
-        """Record one tick's batch of link-ups (already canonical pairs).
-
-        *keys* are ``(id_lo, id_hi)`` tuples in the world's sorted event
-        order.  Equivalent to calling :meth:`contact_up` per pair; the batch
-        form exists so the world's link bookkeeping makes one collector call
-        per tick instead of one per link.
+        Each connection closes one record ``(key, established_at, time)``,
+        in the given order; the records land in the column store as one
+        ``extend`` per column.
         """
-        open_contacts = self._open_contacts
-        for key in keys:
-            open_contacts[key] = time
-        self.contacts += len(keys)
-
-    def contact_down_batch(self, keys: List[tuple], time: float) -> None:
-        """Record one tick's batch of link-downs (already canonical pairs).
-
-        Equivalent to calling :meth:`contact_down` per pair in order —
-        unmatched pairs are skipped the same way — but the surviving records
-        land in the column store via one vectorized ``extend`` per column
-        instead of a per-event append.
-        """
-        open_contacts = self._open_contacts
         table = self._tables.get("contacts")
-        if table is None:
-            for key in keys:
-                open_contacts.pop(key, None)
+        if table is None or not connections:
             return
-        closed: List[tuple] = []
-        starts: List[float] = []
-        for key in keys:
-            start = open_contacts.pop(key, None)
-            if start is not None:
-                closed.append(key)
-                starts.append(start)
-        if closed:
-            table.extend([key[0] for key in closed], [key[1] for key in closed],
-                         starts, [time] * len(closed))
+        lo, hi = zip(*[connection.key for connection in connections])
+        table.extend(lo, hi,
+                     [connection.established_at for connection in connections],
+                     [time] * len(connections))
 
     # ---------------------------------------------------------------- control
     def control_exchange(self, rows: int, size_bytes: int = 0) -> None:

@@ -107,16 +107,6 @@ class SimulationReport:
                 f"report payload has unknown fields: {sorted(unknown)}")
         return cls(**payload)
 
-    def phase_ticks_per_second(self) -> Dict[str, float]:
-        """Per-phase throughput (ticks per wall-second), from the timings."""
-        samples = self.telemetry.get("tick_phase_samples", {})
-        rates: Dict[str, float] = {}
-        for name, seconds in self.telemetry.get(
-                "tick_phase_seconds", {}).items():
-            if samples.get(name) and seconds > 0:
-                rates[name] = samples[name] / seconds
-        return rates
-
     def metric(self, name: str) -> float:
         """Look up a metric by name (``delivery_ratio``/``latency``/``goodput``...).
 

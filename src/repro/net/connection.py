@@ -1,8 +1,11 @@
 """Bandwidth-limited connections between nodes in range.
 
 A :class:`Connection` exists while two nodes are within radio range of each
-other.  Routers enqueue :class:`Transfer` objects on it; the world update loop
-calls :meth:`Connection.advance` every step, which drains bytes at the link
+other: the world builds a new one at every link-up and keeps it in its link
+table, the one owner of the link's state (start time, bitrate, transfer
+queue and each endpoint's per-contact routing state).  Routers enqueue
+:class:`Transfer` objects on it; the world update loop calls
+:meth:`Connection.advance` every step, which drains bytes at the link
 bitrate and completes transfers in FIFO order (one in flight at a time, as in
 the ONE simulator's default link model).
 """
@@ -16,7 +19,6 @@ from typing import Deque, Dict, List, Optional, Tuple, TYPE_CHECKING
 from repro.net.message import Message
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
-    from repro.net.engine import TransferEngine
     from repro.world.node import DTNNode
 
 
@@ -83,44 +85,26 @@ class Connection:
 
     def __init__(self, node_a: "DTNNode", node_b: "DTNNode", bitrate: float,
                  established_at: float) -> None:
-        self._queue: Deque[Transfer] = deque()
-        #: reference counts of queued message ids and (message id, receiver)
-        #: pairs, kept in sync by enqueue/advance/tear_down so
-        #: ``is_transferring`` is O(1) instead of a queue scan (routers call
-        #: it once per candidate message per contact)
-        self._queued_ids: Dict[str, int] = {}
-        self._queued_pairs: Dict[Tuple[str, int], int] = {}
-        #: world-assigned monotonic establishment number; sorting live
-        #: connections by it reproduces the world's link-table insertion
-        #: order exactly (the transfer-phase processing order)
-        self.established_seq = 0
-        #: optional list the connection appends itself to when its queue goes
-        #: empty -> non-empty (the world's O(active) transfer-phase feed)
-        self.activity_sink: Optional[List["Connection"]] = None
-        #: the world's columnar transfer engine (None outside a production
-        #: world); world-owned like ``activity_sink``, assigned at
-        #: establishment.  enqueue/tear_down push depth updates and row
-        #: detach through it — see repro.net.engine
-        self.engine: Optional["TransferEngine"] = None
-        self.reset(node_a, node_b, bitrate, established_at)
-
-    def reset(self, node_a: "DTNNode", node_b: "DTNNode", bitrate: float,
-              established_at: float) -> None:
-        """Re-initialise this object for a fresh link (connection pooling).
-
-        The world recycles torn-down ``Connection`` objects instead of
-        allocating one per link-up; a reset connection is indistinguishable
-        from a newly constructed one (``established_seq`` and
-        ``activity_sink`` are world-owned and reassigned at establishment).
-        Both endpoints' per-contact routing state starts empty.
-        """
         if bitrate <= 0:
             raise ValueError(f"bitrate must be positive, got {bitrate}")
         self.node_a = node_a
         self.node_b = node_b
-        a, b = node_a.node_id, node_b.node_id
-        #: canonical (min_id, max_id) pair identifying the link
-        self.key = (a, b) if a <= b else (b, a)
+        self.bitrate = float(bitrate)
+        self.established_at = float(established_at)
+        self.is_up = True
+        self.torn_down_at: Optional[float] = None
+        #: the transfer queue and its index, created by the first
+        #: :meth:`enqueue` (most links never carry a transfer)
+        self._queue: Optional[Deque[Transfer]] = None
+        #: reference counts of queued message ids and (message id, receiver)
+        #: pairs, kept in sync by enqueue/advance/tear_down so
+        #: ``is_transferring`` is O(1) instead of a queue scan (routers call
+        #: it once per candidate message per contact); empty whenever the
+        #: queue is
+        self._queued_ids: Optional[Dict[str, int]] = None
+        self._queued_pairs: Optional[Dict[Tuple[str, int], int]] = None
+        self.completed_transfers = 0
+        self.aborted_transfers = 0
         # per-endpoint routing state of this contact (see
         # Router.considered_on / Router.is_first_evaluation): one lazily
         # created considered-id set per side, and a bit per side (1 = node
@@ -128,17 +112,21 @@ class Connection:
         self._considered_a: Optional[set] = None
         self._considered_b: Optional[set] = None
         self._evaluated = 0
-        self.bitrate = float(bitrate)
-        self.established_at = float(established_at)
-        self.is_up = True
-        self.torn_down_at: Optional[float] = None
-        self._queue.clear()
-        self._queued_ids.clear()
-        self._queued_pairs.clear()
-        self.completed_transfers = 0
-        self.aborted_transfers = 0
+        #: world-assigned monotonic establishment number; sorting live
+        #: connections by it reproduces the world's link-table insertion
+        #: order exactly (the transfer-phase processing order)
+        self.established_seq = 0
+        #: optional list the connection appends itself to when its queue goes
+        #: empty -> non-empty (the world's O(active) transfer-phase feed)
+        self.activity_sink: Optional[List["Connection"]] = None
 
     # ------------------------------------------------------------- endpoints
+    @property
+    def key(self) -> Tuple[int, int]:
+        """The canonical ``(min_id, max_id)`` pair identifying the link."""
+        a, b = self.node_a.node_id, self.node_b.node_id
+        return (a, b) if a <= b else (b, a)
+
     def other(self, node: "DTNNode") -> "DTNNode":
         """Return the peer of *node* on this connection."""
         if node is self.node_a or node.node_id == self.node_a.node_id:
@@ -194,7 +182,7 @@ class Connection:
     @property
     def queued_transfers(self) -> List[Transfer]:
         """Snapshot of pending/in-progress transfers (FIFO order)."""
-        return list(self._queue)
+        return list(self._queue or ())
 
     def is_transferring(self, message_id: str, to_node_id: Optional[int] = None) -> bool:
         """Whether *message_id* is already queued (optionally to a given node).
@@ -202,6 +190,8 @@ class Connection:
         O(1): answered from the reference-count index maintained by
         ``enqueue``/``advance``/``tear_down``, not by scanning the queue.
         """
+        if not self._queue:
+            return False
         if to_node_id is None:
             return message_id in self._queued_ids
         return (message_id, to_node_id) in self._queued_pairs
@@ -241,12 +231,15 @@ class Connection:
             raise ConnectionDownError("cannot enqueue a transfer on a torn-down link")
         if not (self.involves(transfer.sender) and self.involves(transfer.receiver)):
             raise ValueError("transfer endpoints do not match the connection")
-        if not self._queue and self.activity_sink is not None:
+        queue = self._queue
+        if queue is None:
+            queue = self._queue = deque()
+            self._queued_ids = {}
+            self._queued_pairs = {}
+        if not queue and self.activity_sink is not None:
             self.activity_sink.append(self)
-        self._queue.append(transfer)
+        queue.append(transfer)
         self._track(transfer)
-        if self.engine is not None:
-            self.engine.notify_enqueue(self)
         return transfer
 
     def advance(self, now: float, dt: float) -> List[Transfer]:
@@ -285,18 +278,14 @@ class Connection:
         """Mark the link down and abort all queued transfers.
 
         Returns the aborted transfers so the world can notify routers/stats.
+        A world running the columnar transfers phase detaches the connection
+        from its :class:`~repro.net.engine.TransferEngine` first, so the
+        head transfer carries its authoritative byte count.
         """
         self.is_up = False
         self.torn_down_at = float(now)
         if not self._queue:
-            # nothing queued: no transfer to abort and no engine row (the
-            # engine holds rows only for non-empty queues)
             return []
-        if self.engine is not None:
-            # flush the head's authoritative byte count out of the engine
-            # columns *before* building the abort list: the stats record
-            # reads transfer.bytes_left
-            self.engine.detach(self)
         aborted = list(self._queue)
         for transfer in aborted:
             transfer.state = TransferState.ABORTED
@@ -309,7 +298,7 @@ class Connection:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "up" if self.is_up else "down"
         return (f"Connection({self.node_a.node_id}<->{self.node_b.node_id}, "
-                f"{state}, queued={len(self._queue)})")
+                f"{state}, queued={len(self._queue or ())})")
 
 
 class ConnectionDownError(RuntimeError):

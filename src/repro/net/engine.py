@@ -17,8 +17,6 @@ columns, one row per connection that currently holds queued transfers:
     the link speed fixed at establishment,
 ``seq``
     the connection's ``established_seq`` (the historical processing order),
-``depth``
-    the queue length (observability; maintained by the enqueue seam),
 ``row_a`` / ``row_b``
     the endpoints' rows in the world's router store, filled at attach (the
     routers sweep wakes the endpoints of busy connections from them).
@@ -46,10 +44,8 @@ Synchronisation is push-seam, mirroring ``RouterStateStore`` (no polling):
 * a connection announces its queue going empty -> non-empty through
   ``Connection.activity_sink`` (the world's ``_newly_active`` feed); the sweep
   ingests those rows first,
-* ``Connection.enqueue`` bumps the row's depth through
-  ``Connection.engine`` when a row already exists,
-* ``Connection.tear_down`` calls :meth:`TransferEngine.detach`, which
-  flushes the head's authoritative byte count back into the ``Transfer``
+* the world calls :meth:`TransferEngine.detach` before it tears a
+  connection down, which flushes the head's authoritative byte count back into the ``Transfer``
   object *before* the abort list is built (stats record ``bytes_left``),
 * the sweep itself removes rows whose queue drained.
 
@@ -89,8 +85,8 @@ class TransferEngine:
     """Columnar per-connection state driving the vectorized transfers phase.
 
     One row per connection holding queued transfers, keyed by
-    ``established_seq`` (world-assigned, unique per establishment — pooled
-    ``Connection`` objects reuse ids, sequence numbers never do).
+    ``established_seq`` (world-assigned, unique per establishment, and
+    stable across a checkpoint round trip, unlike object ids).
     """
 
     def __init__(self) -> None:
@@ -107,9 +103,6 @@ class TransferEngine:
         #: the row's established_seq (int64 copy of the dict key, for the
         #: seq-ordered completion replay)
         self._seq = np.zeros(capacity, dtype=np.int64)
-        #: queue length (head included); enqueue seam increments, replay
-        #: reloads
-        self._depth = np.zeros(capacity, dtype=np.int64)
         #: router-store rows of the connection's node_a and node_b
         self._row_a = np.zeros(capacity, dtype=np.int64)
         self._row_b = np.zeros(capacity, dtype=np.int64)
@@ -150,8 +143,7 @@ class TransferEngine:
     # ------------------------------------------------------------- row seams
     def _grow(self) -> None:
         capacity = max(2 * len(self._bytes_left), _INITIAL_CAPACITY)
-        for name in ("_bytes_left", "_bitrate", "_seq", "_depth", "_row_a",
-                     "_row_b"):
+        for name in ("_bytes_left", "_bitrate", "_seq", "_row_a", "_row_b"):
             old = getattr(self, name)
             grown = np.zeros(capacity, dtype=old.dtype)
             grown[:len(old)] = old
@@ -171,7 +163,6 @@ class TransferEngine:
         self._bytes_left[row] = queue[0].bytes_left
         self._bitrate[row] = connection.bitrate
         self._seq[row] = seq
-        self._depth[row] = len(queue)
         self._row_a[row] = store_rows[connection.node_a.node_id]
         self._row_b[row] = store_rows[connection.node_b.node_id]
         self._fresh.append(seq)
@@ -186,31 +177,19 @@ class TransferEngine:
             self._bytes_left[row] = self._bytes_left[last]
             self._bitrate[row] = self._bitrate[last]
             self._seq[row] = self._seq[last]
-            self._depth[row] = self._depth[last]
             self._row_a[row] = self._row_a[last]
             self._row_b[row] = self._row_b[last]
             self._row[int(self._seq[row])] = row
         self._conns.pop()
         del self._row[seq]
 
-    def notify_enqueue(self, connection: Connection) -> None:
-        """Enqueue seam: bump the row's queue depth (no-op before ingestion).
-
-        A connection whose queue just went empty -> non-empty has no row yet;
-        it announced itself through ``activity_sink`` and is ingested (with
-        its actual queue length) at the next sweep.
-        """
-        row = self._row.get(connection.established_seq)
-        if row is not None:
-            self._depth[row] += 1
-
     def detach(self, connection: Connection) -> None:
         """Tear-down seam: flush the head's bytes and drop the row.
 
-        Called by ``Connection.tear_down`` *before* it drains the queue, so
-        the aborted head ``Transfer`` carries the authoritative remaining
-        byte count into the stats record.  No-op when the connection holds
-        no row (nothing was queued).
+        Called by the world *before* ``Connection.tear_down`` drains the
+        queue, so the aborted head ``Transfer`` carries the authoritative
+        remaining byte count into the stats record.  No-op when the
+        connection holds no row (nothing was queued).
         """
         row = self._row.get(connection.established_seq)
         if row is None:
@@ -228,7 +207,6 @@ class TransferEngine:
         if queue:
             head = queue[0]
             self._bytes_left[row] = head.bytes_left
-            self._depth[row] = len(queue)
             if head.state is TransferState.PENDING:
                 # the replay's budget ran out exactly at a completion
                 # boundary: the reference loop leaves the next head PENDING

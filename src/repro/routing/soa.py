@@ -115,8 +115,6 @@ class RouterStateStore:
         capacity = _INITIAL_CAPACITY
         #: buffered replica count (mirrors ``len(node.buffer)``)
         self._count = np.zeros(capacity, dtype=np.int64)
-        #: buffered bytes (mirrors ``node.buffer.occupancy``)
-        self._occupancy = np.zeros(capacity, dtype=np.int64)
         #: earliest TTL deadline of any buffered replica (inf when empty)
         self._expiry = np.full(capacity, np.inf)
         #: live connection count (maintained by the world's link bookkeeping)
@@ -197,9 +195,8 @@ class RouterStateStore:
     def _grow(self, rows: int) -> None:
         """Make every column hold at least *rows* rows (at least doubling)."""
         capacity = max(rows, 2 * len(self._count), _INITIAL_CAPACITY)
-        for name in ("_count", "_occupancy", "_expiry", "_conns",
-                     "_idle_safe", "_batchable", "_gated", "_listens",
-                     "_fresh"):
+        for name in ("_count", "_expiry", "_conns", "_idle_safe",
+                     "_batchable", "_gated", "_listens", "_fresh"):
             old = getattr(self, name)
             grown = np.zeros(capacity, dtype=old.dtype)
             if name == "_expiry":
@@ -239,7 +236,7 @@ class RouterStateStore:
             stored = len(buffer)
             due = buffer.next_expiry() if stored else np.inf
             live = len(node.connections)
-            buffers.append((stored, buffer.occupancy, due, live))
+            buffers.append((stored, due, live))
             flags.append(_router_flags(node.router))
             # every new row is fresh: loaded and live is forced
             if stored and live:
@@ -249,7 +246,7 @@ class RouterStateStore:
         self._nodes.extend(nodes)
         if nodes:
             rows = slice(start, end)
-            (self._count[rows], self._occupancy[rows], self._expiry[rows],
+            (self._count[rows], self._expiry[rows],
              self._conns[rows]) = zip(*buffers)
             (self._idle_safe[rows], self._batchable[rows],
              self._gated[rows], self._listens[rows]) = zip(*flags)
@@ -331,14 +328,12 @@ class RouterStateStore:
             return changed
         nodes = self._nodes
         count = self._count
-        occupancy = self._occupancy
         expiry = self._expiry
         next_due = self._next_due
         for row in changed:
             buffer = nodes[row].buffer
             stored = len(buffer)
             count[row] = stored
-            occupancy[row] = buffer.occupancy
             if stored:
                 due = buffer.next_expiry()
                 expiry[row] = due

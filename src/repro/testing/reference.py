@@ -1,7 +1,7 @@
 """The reference world: the naive executable specification.
 
 The production :class:`~repro.world.world.World` tick is built from
-machinery whose only job is speed — pooled connections, batched contact
+machinery whose only job is speed — bulk link diffs, batched contact
 statistics, the columnar :class:`~repro.net.engine.TransferEngine` and the
 struct-of-arrays :class:`~repro.routing.soa.RouterStateStore` — and every
 piece of it claims to leave the simulation's outcome unchanged.  This
@@ -13,7 +13,7 @@ obvious way:
   :class:`~repro.mobility.engine.MovementEngine` kernel),
 * ``connectivity`` — every link event is applied on its own: a fresh
   :class:`~repro.net.connection.Connection` per establishment and one
-  ``contact_up`` / ``contact_down`` record per event, with links found by
+  ``contacts_opened`` / ``contacts_closed`` call per event, with links found by
   the single-threaded :class:`~repro.world.connectivity.KDTreeConnectivity`
   whatever the world size,
 * ``transfers`` — every live link is scanned and advanced,
@@ -143,7 +143,7 @@ class ReferenceTick:
         connection = Connection(
             node_a, node_b, node_a.interface.link_bitrate(node_b.interface),
             now)
-        self.stats.contact_up(node_a.node_id, node_b.node_id, now)
+        self.stats.contacts_opened([connection])
         self._connections[key] = connection
         node_a.connections[node_b.node_id] = connection
         node_b.connections[node_a.node_id] = connection
@@ -156,7 +156,7 @@ class ReferenceTick:
         node_b = connection.node_b
         node_a.connections.pop(node_b.node_id, None)
         node_b.connections.pop(node_a.node_id, None)
-        self.stats.contact_down(node_a.node_id, node_b.node_id, now)
+        self.stats.contacts_closed([connection], now)
         return connection
 
     def _advance_transfers(self, now: float, dt: float) -> None:

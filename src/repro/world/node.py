@@ -59,8 +59,17 @@ class DTNNode:
         self.movement = movement
         self._community = community if community is not None else movement.community
         self.router: Optional["Router"] = None
-        #: active connections keyed by the peer's node id
+        #: active connections keyed by the peer's node id: derived state,
+        #: kept by the world's link bookkeeping from its link table (which
+        #: also rebuilds it on checkpoint restore)
         self.connections: Dict[int, "Connection"] = {}
+
+    def __getstate__(self) -> dict:
+        # pickled empty: the world rebuilds it from its link table, so
+        # pickling never follows node -> connection -> peer node chains
+        state = self.__dict__.copy()
+        state["connections"] = {}
+        return state
 
     # --------------------------------------------------------------- identity
     @property

@@ -120,7 +120,7 @@ class World:
     """Container and update driver for a set of DTN nodes.
 
     The tick is the one production path described in DESIGN.md ("The world
-    tick"): pooled connections with batched contact statistics, the
+    tick"): link diffs applied in bulk with batched contact statistics, the
     columnar :class:`~repro.net.engine.TransferEngine` transfers sweep and
     the struct-of-arrays :class:`~repro.routing.soa.RouterStateStore`
     routers sweep.  Its naive executable specification lives outside the
@@ -158,12 +158,6 @@ class World:
         self._connections: Dict[Tuple[int, int], Connection] = {}
         #: sorted int64 codes (id_lo << 32 | id_hi) of the live links
         self._link_codes = _empty_codes()
-        # connection pooling: a connection released by a tear-down becomes
-        # reusable only from the *next* link-diff application onward —
-        # routers are handed the torn-down object in the same tick's batch
-        # dispatch, so same-tick reuse would alias two links onto one object
-        self._connection_pool: List[Connection] = []
-        self._released_connections: List[Connection] = []
         self._conn_seq = 0
         #: connections whose queue went empty -> non-empty since the last
         #: transfers phase (fed by Connection.activity_sink)
@@ -424,12 +418,6 @@ class World:
         contact — the exchange initiator — is always notified after the
         smaller-id endpoint has folded the contact into its own state.
         """
-        # connections released by the *previous* diff application become
-        # reusable now: routers saw those objects in that tick's batch
-        # dispatch
-        if self._released_connections:
-            self._connection_pool.extend(self._released_connections)
-            self._released_connections = []
         codes = (np.concatenate((down_codes, up_codes))
                  if len(down_codes) and len(up_codes)
                  else down_codes if len(down_codes) else up_codes)
@@ -452,35 +440,26 @@ class World:
             node_a.connections.pop(node_b.node_id, None)
             node_b.connections.pop(node_a.node_id, None)
             down_connections.append(connection)
-        self._released_connections = down_connections
-        if down_keys:
-            self.stats.contact_down_batch(down_keys, now)
+        self.stats.contacts_closed(down_connections, now)
         nodes = self._nodes
-        pool = self._connection_pool
         sink = self._newly_active
-        engine = self.transfer_engine
         seq = self._conn_seq
         up_connections = []
         for key in up_keys:
             node_a = nodes[key[0]]
             node_b = nodes[key[1]]
-            bitrate = node_a.interface.link_bitrate(node_b.interface)
-            if pool:
-                connection = pool.pop()
-                connection.reset(node_a, node_b, bitrate, now)
-            else:
-                connection = Connection(node_a, node_b, bitrate, now)
+            connection = Connection(
+                node_a, node_b, node_a.interface.link_bitrate(node_b.interface),
+                now)
             seq += 1
             connection.established_seq = seq
             connection.activity_sink = sink
-            connection.engine = engine
             table[key] = connection
             node_a.connections[key[1]] = connection
             node_b.connections[key[0]] = connection
             up_connections.append(connection)
         self._conn_seq = seq
-        if up_keys:
-            self.stats.contact_up_batch(up_keys, now)
+        self.stats.contacts_opened(up_connections)
         # every endpoint wakes in the next routers phase (per-meeting
         # evaluation gates are consumed on that tick)
         store.apply_link_diff(rows, downs)
@@ -496,7 +475,12 @@ class World:
                 router.batch_changed_connections(events_by_node[node_id])
 
     def _abort_transfers(self, connection: Connection, now: float) -> None:
-        """Tear *connection* down and report every transfer it aborted."""
+        """Tear *connection* down and report every transfer it aborted.
+
+        The transfer engine lets go of the connection first, flushing the
+        head transfer's authoritative byte count into the abort record.
+        """
+        self.transfer_engine.detach(connection)
         for transfer in connection.tear_down(now):
             self.stats.transfer_aborted(
                 transfer.message, transfer.sender.node_id,
@@ -595,12 +579,20 @@ class World:
         # graph: each follower's position was a row *view* of the position
         # matrix and came back as an independent copy.  Re-bind every
         # follower onto its row.  This is bit-exact — the copy holds the
-        # same float64 patterns as the row — and nothing else needs fixing:
-        # the MovementEngine's fast-path mirrors are plain arrays that
-        # round-trip as-is (they may be *ahead* of the path scalars
-        # mid-flight, so they must not be re-derived from the paths).
+        # same float64 patterns as the row.  The MovementEngine's fast-path
+        # mirrors are plain arrays that round-trip as-is (they may be
+        # *ahead* of the path scalars mid-flight, so they must not be
+        # re-derived from the paths).
         for row, node in enumerate(self._node_order):
             node.follower.bind(self._positions.row(row))
+        # Nodes pickle their connection maps empty (a node -> connection ->
+        # peer node chain would make pickling recurse through the whole
+        # contact graph).  The link table's order is establishment order,
+        # so rebuilding from it gives every node its original dict order.
+        nodes = self._nodes
+        for (a, b), connection in self._connections.items():
+            nodes[a].connections[b] = connection
+            nodes[b].connections[a] = connection
 
     # ------------------------------------------------------------------ misc
     def stop(self) -> None:

@@ -23,6 +23,7 @@ import json
 import subprocess
 import sys
 import textwrap
+import threading
 import zipfile
 from pathlib import Path
 
@@ -51,6 +52,7 @@ from repro.checkpoint import (
 from repro.contacts.history import ContactHistory
 from repro.experiments.builder import build_scenario
 from repro.experiments.scenario import ScenarioConfig
+from repro.metrics.reports import build_report, canonical_report_json
 from repro.net.buffer import MessageBuffer
 from repro.net.message import Message
 from repro.sim.engine import Simulator
@@ -353,6 +355,77 @@ def test_version_6_container_is_rejected(world_blob):
     with pytest.raises(CheckpointError,
                        match=r"^unsupported checkpoint format version 6 "):
         load_checkpoint_bytes(v6)
+
+
+def test_version_7_container_is_rejected(world_blob):
+    # a version-7 snapshot pickles nodes holding their connection maps,
+    # connections holding an engine link, and a stats collector holding
+    # its open-contact table
+    v7 = _rewrite_manifest(world_blob, format_version=7)
+    with pytest.raises(CheckpointError,
+                       match=r"^unsupported checkpoint format version 7 "):
+        load_checkpoint_bytes(v7)
+
+
+# ------------------------------------------------------ a flat link graph
+def path_world(num_nodes):
+    """A trace world whose live links form one path through every node,
+    with one message flooding along it."""
+    trace = make_contact_plan([(1.0, 30.0, i, i + 1)
+                               for i in range(num_nodes - 1)])
+    simulator, world = make_world(trace, num_nodes=num_nodes)
+    inject_message(world, 0, num_nodes - 1, ttl=1_000.0)
+    return simulator, world
+
+
+def outcome(world):
+    stats = world.stats
+    return (canonical_report_json(build_report(
+                stats, protocol="epidemic", num_nodes=world.num_nodes,
+                sim_time=world.simulator.now, seed=1)),
+            {name: column.tolist() for name, column in
+             stats.record_columns("contacts").items()})
+
+
+def test_long_path_world_checkpoints_on_the_calling_thread(monkeypatch):
+    """3 000 nodes in one chain of live links: saving and restoring recurses
+    no deeper than the default interpreter limit, spawns no thread, and the
+    resumed run equals the straight one (contacts close after the restore)."""
+    num_nodes = 3_000
+    simulator, world = path_world(num_nodes)
+    simulator.run(until=40.0)
+    straight = outcome(world)
+    world.stop()
+
+    def no_threads(*args, **kwargs):
+        raise AssertionError("the checkpoint codec started a thread")
+
+    monkeypatch.setattr(threading, "Thread", no_threads)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1_000)
+    try:
+        simulator, world = path_world(num_nodes)
+        simulator.run(until=5.0)
+        assert len(world._connections) == num_nodes - 1
+        maps = [list(node.connections.items()) for node in world.nodes]
+        blob = save_checkpoint_bytes(world)
+        world.stop()
+        restored = load_checkpoint_bytes(blob).world
+    finally:
+        sys.setrecursionlimit(limit)
+    try:
+        # every node's connection map is rebuilt, in its original order,
+        # onto the restored link table's own objects
+        table = restored._connections
+        for node, before in zip(restored.nodes, maps):
+            after = list(node.connections.items())
+            assert [peer for peer, _ in after] == [peer for peer, _ in before]
+            for peer, connection in after:
+                assert table[connection.key] is connection
+        restored.simulator.run(until=40.0)
+        assert outcome(restored) == straight
+    finally:
+        restored.stop()
 
 
 def test_missing_entries_and_garbage_raise_checkpoint_error(world_blob,

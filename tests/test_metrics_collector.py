@@ -1,7 +1,12 @@
 """Unit tests for the statistics collector."""
 
+import random
+
 from repro.metrics.collector import StatsCollector
+from repro.mobility.stationary import StationaryMovement
+from repro.net.connection import Connection
 from repro.net.message import Message
+from repro.world.node import DTNNode
 
 
 def msg(mid="M1", src=0, dst=1, created=0.0):
@@ -66,11 +71,19 @@ def test_drop_accounting_by_reason():
     assert stats.per_node_drops() == {3: 2, 4: 1}
 
 
+def link(a, b, established_at):
+    node_a, node_b = (DTNNode(i, StationaryMovement((0.0, 0.0)),
+                              random.Random(i)) for i in (a, b))
+    return Connection(node_a, node_b, 1.0, established_at)
+
+
 def test_contact_records_are_closed_on_contact_down():
     stats = StatsCollector()
-    stats.contact_up(2, 5, time=10.0)
-    stats.contact_down(5, 2, time=35.0)
+    connection = link(5, 2, established_at=10.0)
+    stats.contacts_opened([connection])
     assert stats.contacts == 1
+    assert stats.contact_records == []      # open contacts are not records
+    stats.contacts_closed([connection], time=35.0)
     [record] = stats.contact_records
     assert record.node_a == 2 and record.node_b == 5
     assert record.duration == 25.0

@@ -6,6 +6,8 @@ across both direct event feeds and a full catalog scenario run — and the
 column store must materialize exactly the records that were fed.
 """
 
+import random
+
 import pytest
 
 from repro.experiments.builder import build_scenario
@@ -20,7 +22,10 @@ from repro.metrics.events import (
     TransferAborted,
 )
 from repro.metrics.reports import build_report
+from repro.mobility.stationary import StationaryMovement
+from repro.net.connection import Connection
 from repro.net.message import Message
+from repro.world.node import DTNNode
 
 METRICS = ("delivery_ratio", "average_latency", "goodput", "overhead_ratio",
            "average_hop_count")
@@ -31,9 +36,11 @@ def feed(collector: StatsCollector) -> None:
     b = Message("B", 2, 3, 100, 10.0, ttl=500.0, copies=4)
     collector.message_created(a)
     collector.message_created(b)
-    collector.contact_up(0, 2, 1.0)
+    link = Connection(*(DTNNode(i, StationaryMovement((0.0, 0.0)),
+                                random.Random(i)) for i in (0, 2)), 1.0, 1.0)
+    collector.contacts_opened([link])
     collector.message_relayed(a, 0, 2, 5.0, 2, False)
-    collector.contact_down(0, 2, 9.0)
+    collector.contacts_closed([link], 9.0)
     delivered = a.replicate(1, receiver=1, now=42.0)
     collector.message_relayed(delivered, 2, 1, 42.0, 1, True)
     collector.message_delivered(delivered, 42.0)

@@ -61,25 +61,6 @@ def test_empty_collector_produces_zero_report():
     assert report.latency_percentiles == {}
 
 
-def test_phase_ticks_per_second():
-    stats = populated_collector()
-    for _ in range(4):
-        stats.tick_phase("move", 0.5)
-    stats.tick_phase("routers", 0.0)  # timed below clock resolution
-    report = build_report(stats, protocol="eer", num_nodes=10,
-                          sim_time=1000.0, seed=3)
-    assert report.tick_phase_samples == {"move": 4, "routers": 1}
-    rates = report.phase_ticks_per_second()
-    assert rates["move"] == pytest.approx(4 / 2.0)
-    # zero-second phases can't produce a finite rate and are omitted
-    assert "routers" not in rates
-    # both timing breakdowns are telemetry, absent from the outcome
-    assert report.telemetry["tick_phase_samples"] == {"move": 4, "routers": 1}
-    stripped = report.as_dict()
-    assert "tick_phase_samples" not in stripped
-    assert "tick_phase_seconds" not in stripped
-
-
 def test_transfer_counters_are_canonical():
     """The transfer counters ride the canonical report: present in the
     outcome payload (the resume-equality surface) and wired from the

@@ -696,7 +696,6 @@ def test_buffer_mutations_mark_rows_dirty():
     assert store._refresh_dirty() == [1]        # this sweep's changed rows
     assert not store._dirty
     assert store._count[1] == 1
-    assert store._occupancy[1] == 500
     assert store._expiry[1] == 9.0
     node.buffer.remove("m-dirty")
     assert store._refresh_dirty() == [1]

@@ -160,13 +160,13 @@ def test_checkpoint_restore_pauses_and_restores_the_collector(
     data = save_checkpoint_bytes(built.world)
     built.world.stop()
     seen = []
-    original = checkpoint._call_with_deep_stack
 
-    def spy(fn):
-        seen.append(gc.isenabled())
-        return original(fn)
+    class Spy(checkpoint._StateUnpickler):
+        def load(self):
+            seen.append(gc.isenabled())
+            return super().load()
 
-    monkeypatch.setattr(checkpoint, "_call_with_deep_stack", spy)
+    monkeypatch.setattr(checkpoint, "_StateUnpickler", Spy)
     if not enabled:
         gc.disable()
     restored = load_checkpoint_bytes(data)

@@ -182,6 +182,34 @@ def test_run_averaged_with_store_computes_nothing_second_time(tmp_path):
     assert second.identity_keys() == first.identity_keys()
 
 
+def test_served_runs_do_not_dilute_telemetry_means(tmp_path):
+    """A report served from the store carries no telemetry: the summary
+    averages each meter over the freshly simulated runs only (0 when every
+    run was served), and every outcome metric over all runs."""
+    config = make_scenario("community-detect", {
+        "protocol": "cr-newman", "num_nodes": 12, "sim_time": 800.0})
+    counters = ("routers_ticked", "routers_skipped", "routers_batched")
+    with open_store(str(tmp_path / "r.sqlite")) as store:
+        run_averaged(config, seeds=[1], store=store)
+        mixed = run_averaged(config, seeds=[1, 2], store=store)
+        served = run_averaged(config, seeds=[1, 2], store=store)
+    fresh = run_averaged(config, seeds=[2])
+    cached, computed = mixed.reports
+    assert not cached.telemetry and computed.telemetry
+    assert mixed.metered_reports() == [computed]
+    seconds = mixed.as_dict()["community_detection_seconds"]
+    assert seconds == computed.telemetry["community_detection_seconds"] > 0
+    assert fresh.as_dict()["community_detection_seconds"] > 0
+    assert fresh.mean("routers_ticked") > 0
+    for meter in counters:
+        assert mixed.mean(meter) == fresh.mean(meter)
+        assert mixed.std(meter) == 0.0
+    for meter in ("community_detection_seconds",) + counters:
+        assert served.mean(meter) == served.std(meter) == 0.0
+    assert mixed.mean("delivery_ratio") == served.mean("delivery_ratio")
+    assert mixed.mean("delivery_ratio") != fresh.mean("delivery_ratio")
+
+
 def test_sweep_with_store_resumes_byte_identically(tmp_path):
     base = tiny_config(protocol="eer")
     grid = {"num_nodes": [8, 12], "router.alpha": [0.1, 0.5]}

@@ -196,10 +196,12 @@ def test_restored_engine_is_rewired_to_restored_connections():
         assert len(engine) > 0
         for connection in engine.connections():
             # identity, not equality: rows must point at the restored
-            # world's own connection objects, and the per-connection seams
-            # must point back at the restored engine/sink
+            # world's own connection objects (the ones both endpoints' maps
+            # hold), and the activity seam must point back at the restored
+            # world's sink
             assert restored._connections[connection.key] is connection
-            assert connection.engine is engine
+            assert connection.node_a.connections[connection.node_b.node_id] \
+                is connection
             assert connection.activity_sink is restored._newly_active
             assert engine.head_bytes_left(connection) <= \
                 connection.queued_transfers[0].message.size
@@ -222,9 +224,9 @@ def test_stale_announcement_is_ignored():
     assert not world._newly_active
 
 
-def test_pooled_reuse_under_new_sequence_number():
-    """A torn-down connection object recycled for a new link must get a
-    fresh row keyed by the new established_seq."""
+def test_re_established_link_gets_its_own_engine_row():
+    """A link re-established after a tear-down is a new connection with a
+    new established_seq, and gets a fresh row keyed by it."""
     simulator, world = empty_world(transmit_speed=100.0)
     world._link_up((0, 1), 0.0)
     first = world._connections[(0, 1)]
@@ -235,11 +237,11 @@ def test_pooled_reuse_under_new_sequence_number():
     assert len(world.transfer_engine) == 1
     world._link_down((0, 1), 1.5)
     assert len(world.transfer_engine) == 0
-    world._link_up((0, 2), 2.0)
-    second = world._connections[(0, 2)]
-    assert second is first  # pooled reuse
+    world._link_up((0, 1), 2.0)
+    second = world._connections[(0, 1)]
+    assert second is not first
     assert second.established_seq > first_seq
-    inject_message(world, 0, 2, size=1_000, message_id="MB")
+    inject_message(world, 0, 1, size=1_000, message_id="MB")
     world._update_routers(2.0)
     world._advance_transfers(3.0, 1.0)
     engine = world.transfer_engine
@@ -322,7 +324,6 @@ def test_engine_grows_past_initial_capacity():
     world.transfer_engine._bytes_left = world.transfer_engine._bytes_left[:2]
     world.transfer_engine._bitrate = world.transfer_engine._bitrate[:2]
     world.transfer_engine._seq = world.transfer_engine._seq[:2]
-    world.transfer_engine._depth = world.transfer_engine._depth[:2]
     for index in range(6):
         pair = (2 * index, 2 * index + 1)
         world._link_up(pair, 0.0)

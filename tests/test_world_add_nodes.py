@@ -23,8 +23,8 @@ from repro.world.world import World
 NUM_NODES = 150
 PROTOCOLS = ("epidemic", "direct", "spray-and-wait", "eer", "prophet")
 
-ROUTER_COLUMNS = ("_count", "_occupancy", "_expiry", "_conns", "_idle_safe",
-                  "_batchable", "_gated", "_fresh")
+ROUTER_COLUMNS = ("_count", "_expiry", "_conns", "_idle_safe", "_batchable",
+                  "_gated", "_fresh")
 
 
 def make_world():

@@ -1,9 +1,8 @@
 """The production world tick against the reference tick.
 
 The production tick skips routers with provably nothing to do (the idle
-router contract, DESIGN.md), applies link events with batched contact stats
-over pooled ``Connection`` objects, and walks only connections with queued
-traffic.  The reference tick (:mod:`repro.testing.reference`) does none of
+router contract, DESIGN.md), applies link events in bulk with batched
+contact stats, and walks only connections with queued traffic.  The reference tick (:mod:`repro.testing.reference`) does none of
 that.  Every one of those shortcuts is required to be invisible in
 simulation outcomes; these tests pin
 
@@ -20,8 +19,8 @@ simulation outcomes; these tests pin
 * the decoded link keys being plain Python ints (``np.int64`` leakage
   regression),
 * batch contact-stat recording matching the per-event calls, and
-* connection-pool recycling across diff applications (and its absence in
-  the reference).
+* a fresh ``Connection`` per link-up, the torn-down one keeping both
+  sides' per-contact state.
 """
 
 import json
@@ -268,6 +267,47 @@ def test_mid_transfer_restore_completes_like_an_uninterrupted_run():
     restored.stop()
 
 
+# ------------------------------------------------ contact records vs reference
+def contact_columns(config, *, reference=False, snapshot=False):
+    """The run's full contact-record columns; with *snapshot*, the world is
+    checkpointed and restored at the first tick past mid-run that has live
+    contacts (their records close after the restore)."""
+    built = build_scenario(config, reference=reference)
+    world = built.world
+    try:
+        if snapshot:
+            now = config.sim_time / 2
+            built.simulator.run(until=now)
+            while not world._connections:
+                now += config.update_interval
+                built.simulator.run(until=now)
+            assert now < config.sim_time
+            world = checkpoint_roundtrip(world)
+        world.simulator.run(until=config.sim_time)
+        columns = world.stats.record_columns("contacts")
+    finally:
+        world.stop()
+    columns = {name: column.tolist() for name, column in columns.items()}
+    assert columns["start"]
+    # every contact spans at least one tick, in canonical pair order
+    assert all(start < end for start, end in
+               zip(columns["start"], columns["end"]))
+    assert all(a < b for a, b in zip(columns["node_a"], columns["node_b"]))
+    return columns
+
+
+@pytest.mark.parametrize("scenario,overrides", [
+    ("bench", {"protocol": "eer", "num_nodes": 20, "sim_time": 400.0}),
+    ("trace-csv", {"protocol": "eer", "sim_time": 600.0}),
+], ids=["bus", "trace"])
+def test_contact_record_columns_match_the_reference(scenario, overrides):
+    config = make_scenario(scenario, overrides)
+    reference = contact_columns(config, reference=True)
+    assert contact_columns(config) == reference
+    assert contact_columns(config, snapshot=True) == reference
+    assert contact_columns(config, reference=True, snapshot=True) == reference
+
+
 # ------------------------------------------------------- full-scenario pins
 def full_run_payload(*, reference=False, **overrides):
     config = make_scenario("bench", {
@@ -330,48 +370,83 @@ def test_world_connection_keys_are_plain_ints_end_to_end():
 # ------------------------------------------------------- batch contact stats
 @pytest.mark.parametrize("mode", ["off", "columnar"])
 def test_contact_batches_match_per_event_calls(mode):
+    simulator, world = build_trace_world(make_trace([]), num_nodes=4)
     ups = [(0, 1), (0, 2), (1, 3)]
+    for key in ups:
+        world._link_up(key, 10.0)
+    downs = [world._connections[(0, 2)], world._connections[(1, 3)]]
     per_event = StatsCollector(keep_records=mode != "off")
     batched = StatsCollector(keep_records=mode != "off")
-    for key in ups:
-        per_event.contact_up(*key, 10.0)
-    batched.contact_up_batch(ups, 10.0)
-    # one pair goes down matched, plus one never-opened pair that both
-    # forms must skip the same way
-    downs = [(0, 2), (5, 6)]
-    for key in downs:
-        per_event.contact_down(*key, 25.0)
-    batched.contact_down_batch(downs, 25.0)
+    links = list(world._connections.values())
+    for connection in links:
+        per_event.contacts_opened([connection])
+    batched.contacts_opened(links)
+    for connection in downs:
+        per_event.contacts_closed([connection], 25.0)
+    batched.contacts_closed(downs, 25.0)
+    batched.contacts_closed([], 26.0)       # an up-only diff closes nothing
     assert batched.contacts == per_event.contacts == 3
-    assert batched._open_contacts == per_event._open_contacts
     if mode != "off":
         as_tuples = lambda s: [  # noqa: E731
             (r.node_a, r.node_b, r.start, r.end) for r in s.contact_records]
         assert as_tuples(batched) == as_tuples(per_event) \
-            == [(0, 2, 10.0, 25.0)]
+            == [(0, 2, 10.0, 25.0), (1, 3, 10.0, 25.0)]
 
 
-# --------------------------------------------------------- connection pooling
-def test_released_connections_are_recycled_on_the_next_diff():
+# ------------------------------------------------- one connection per link-up
+class ContactStateRouter(EpidemicRouter):
+    """Epidemic router that records, at each link-down dispatch, what its
+    own and its peer's side of the torn-down connection still hold."""
+
+    name = "contact-state"
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.downs = []
+
+    def on_contact_down(self, connection, peer) -> None:
+        self.downs.append((connection,
+                           set(connection.considered_by(self.node)),
+                           set(connection.considered_by(peer)),
+                           connection.first_evaluation_by(self.node)))
+
+
+def test_re_established_pair_gets_a_new_connection():
     simulator, world = build_trace_world(make_trace([]), num_nodes=3)
+    routers = {}
+    for node_id in (0, 1):
+        node = world.get_node(node_id)
+        node.router = None
+        routers[node_id] = ContactStateRouter()
+        routers[node_id].attach(node, world)
     world._link_up((0, 1), 0.0)
     first = world._connections[(0, 1)]
-    first_seq = first.established_seq
+    node_0, node_1 = world.get_node(0), world.get_node(1)
+    routers[0].considered_on(first).add("m0")
+    routers[1].considered_on(first).add("m1")
+    assert routers[0].is_first_evaluation(first)
+    assert routers[1].is_first_evaluation(first)
     world._link_down((0, 1), 1.0)
-    # released objects only become reusable on the *next* diff application:
-    # routers saw this object in the teardown batch just dispatched
-    assert first in world._released_connections
-    assert not world._connection_pool
-    world._link_up((0, 2), 2.0)
-    second = world._connections[(0, 2)]
-    assert second is first
-    assert not world._released_connections
-    # reset() re-keyed the object and the fresh sequence number supersedes
-    # any stale transfer-phase registration
-    assert second.key == (0, 2)
-    assert second.node_a.node_id == 0 and second.node_b.node_id == 2
-    assert second.established_seq > first_seq
-    assert second.is_up
+    world._link_up((0, 2), 1.0)     # a link-up between the two diffs
+    world._link_up((0, 1), 2.0)
+    second = world._connections[(0, 1)]
+    assert second is not first
+    assert node_0.connections[1] is second is node_1.connections[0]
+    assert list(node_0.connections) == [2, 1]   # establishment order
+    # the teardown dispatch saw both sides' per-contact state ...
+    assert [down[1:] for down in routers[0].downs] == [({"m0"}, {"m1"}, False)]
+    assert [down[1:] for down in routers[1].downs] == [({"m1"}, {"m0"}, False)]
+    assert routers[0].downs[0][0] is first is routers[1].downs[0][0]
+    # ... the torn-down connection keeps it after the next link-up ...
+    assert first.considered_by(node_0) == {"m0"}
+    assert first.considered_by(node_1) == {"m1"}
+    assert not first.is_up and first.torn_down_at == 1.0
+    assert first.key == (0, 1) and first.established_at == 0.0
+    # ... and the new connection starts with none
+    assert second.considered_by(node_0) == set()
+    assert second.considered_by(node_1) == set()
+    assert second.is_up and second.established_at == 2.0
+    assert second.established_seq > first.established_seq
 
 
 def test_historical_tick_allocates_fresh_connections():
@@ -380,9 +455,10 @@ def test_historical_tick_allocates_fresh_connections():
     world._link_up((0, 1), 0.0)
     first = world._connections[(0, 1)]
     world._link_down((0, 1), 1.0)
-    assert not world._released_connections
     world._link_up((0, 2), 2.0)
     assert world._connections[(0, 2)] is not first
+    world._link_up((0, 1), 3.0)
+    assert world._connections[(0, 1)] is not first
 
 
 # ------------------------------------------------------------- config guards
