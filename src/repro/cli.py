@@ -1,6 +1,6 @@
 """The ``python -m repro`` command-line interface.
 
-Six subcommands expose the scenario catalog, the experiment drivers and the
+Five subcommands expose the scenario catalog, the experiment drivers and the
 results store without writing any Python:
 
 ``list``
@@ -16,10 +16,6 @@ results store without writing any Python:
 ``serve``
     Drain a spool directory of queued run requests into a results store,
     streaming one progress line per resolved cell.
-``bench``
-    Run the paired performance benchmarks (vectorized hot path vs the
-    in-tree pure-Python reference implementations), write a ``BENCH_*.json``
-    trajectory point and optionally gate against a committed baseline.
 
 Output flags are uniform: **every** subcommand takes ``--json`` (the payload
 on stdout; the default is a human-aligned text rendering) and ``--output
@@ -423,41 +419,6 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    """``bench``: run the paired benchmarks, write/compare BENCH JSON."""
-    from repro import bench
-
-    payload = bench.run_benchmarks(scale_name=args.scale, seed=args.seed)
-    if args.output:
-        # BENCH artifacts keep their established trailing-newline format
-        bench.write_payload(payload, args.output)
-        print(f"wrote {args.output}", file=sys.stderr)
-    status = 0
-    if args.json:
-        _emit(payload)
-    else:
-        print(bench.format_summary(payload))
-    mismatched = [name for name, entry in payload["benchmarks"].items()
-                  if not entry["checksums_match"]]
-    if mismatched:
-        print(f"error: checksum mismatch in {', '.join(mismatched)} — the "
-              "vectorized path diverged from the reference implementation",
-              file=sys.stderr)
-        status = 1
-    if args.compare:
-        baseline = bench.load_payload(args.compare)
-        failures = bench.compare_to_baseline(payload, baseline,
-                                             max_regression=args.max_regression)
-        if failures:
-            for failure in failures:
-                print(f"regression: {failure}", file=sys.stderr)
-            status = 1
-        else:
-            print(f"no regression vs {args.compare} "
-                  f"(threshold {args.max_regression:.0%})", file=sys.stderr)
-    return status
-
-
 def _figure_kwargs(name: str, args) -> Dict[str, object]:
     """Driver-specific keyword arguments for one figure, from the CLI args."""
     if name == "fig2":
@@ -681,22 +642,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(serve_parser)
     serve_parser.set_defaults(func=cmd_serve)
 
-    bench_parser = sub.add_parser(
-        "bench", help="run the paired performance benchmarks")
-    bench_parser.add_argument("--scale", choices=("smoke", "quick", "full"),
-                              default="quick",
-                              help="benchmark scale (default: quick)")
-    bench_parser.add_argument("--seed", type=int, default=1,
-                              help="workload seed (default: 1)")
-    bench_parser.add_argument("--compare", default=None, metavar="FILE",
-                              help="fail when a paired speedup regresses vs "
-                                   "a committed BENCH_*.json")
-    bench_parser.add_argument("--max-regression", type=float, default=0.25,
-                              metavar="FRACTION",
-                              help="allowed speedup drop for --compare "
-                                   "(default: 0.25)")
-    _add_output_flags(bench_parser)
-    bench_parser.set_defaults(func=cmd_bench)
     return parser
 
 

@@ -15,8 +15,8 @@ The per-edge spec of the history builder,
 produce the *identical* graph — same nodes, same edges, bit-identical
 ``weight``/``mean_interval`` attributes (the vectorized mean uses a
 left-to-right ``cumsum``, matching the spec's sequential
-:func:`~repro.core.expectation.left_sum` exactly).  The parity tests and the
-paired ``community_detection`` benchmark in :mod:`repro.bench` pin this.
+:func:`~repro.core.expectation.left_sum` exactly).  The parity tests in
+``tests/test_community_graph_vectorized.py`` pin this.
 """
 
 from __future__ import annotations

@@ -226,9 +226,9 @@ def build_scenario(config: ScenarioConfig, *,
 
     ``reference=True`` builds the same scenario on the naive reference
     world of :mod:`repro.testing.reference` (an executable specification
-    of the tick and the knowledge layer, for tests and benchmark baselines,
-    imported only when requested).  It is not part of the scenario's
-    identity: both worlds produce byte-identical reports.
+    of the tick and the knowledge layer, for tests, imported only when
+    requested).  It is not part of the scenario's identity: both worlds
+    produce byte-identical reports.
 
     Construction allocates only objects that live for the whole run, so it
     runs with the cyclic garbage collector paused.

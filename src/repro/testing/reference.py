@@ -33,9 +33,10 @@ with ``build_scenario(config, reference=True)`` or
 ``build_trace_world(..., reference=True)``; both import this module only
 when asked, so it never enters the production import graph.  A reference
 run and a production run of the same configuration must produce
-byte-identical canonical reports (``tests/test_reference_tick.py``), and
-the reference is the baseline of the world-tick and ``scenario_eer`` pairs
-in ``repro bench``.
+byte-identical canonical reports: ``tests/test_reference_tick.py`` runs
+both on the headline protocols, and replays the golden-digest lockfile's
+epidemic cells (``rwp-10k`` at 200 nodes and ``rwp-100k`` at 1 000 nodes,
+on the sharded detector, among them) on the reference tick.
 
 The production world's columnar stores are still constructed and
 ``add_nodes`` still registers every node in them, but the reference tick
@@ -55,8 +56,8 @@ public per-pair functions of :mod:`repro.core.expectation` per peer:
 :func:`build_delay_matrix_reference` (the Theorem 2 MD own row) and
 :func:`contact_graph_from_history_reference` (the per-edge contact graph).
 They are the spec the batch kernels are held to bit for bit by the parity
-tests, and the baselines of the ``encounter_pipeline`` and
-``community_detection`` pairs in ``repro bench``.
+tests (``tests/test_parity_vectorized.py``,
+``tests/test_community_graph_vectorized.py``).
 """
 
 from __future__ import annotations
@@ -226,10 +227,10 @@ class ContactHistoryReference:
     """The original dict-of-deques contact history.
 
     Semantically identical to :class:`~repro.contacts.history.ContactHistory`;
-    the history of every contact-aware router in the reference world, the
-    oracle of the property-based parity tests and the pure-Python baseline
-    of the ``encounter_pipeline`` pair in ``repro bench``.  Its array views
-    are built on demand from the deques and nothing is cached.
+    the history of every contact-aware router in the reference world and
+    the oracle of the property-based parity tests
+    (``tests/test_parity_vectorized.py``).  Its array views are built on
+    demand from the deques and nothing is cached.
     """
 
     def __init__(self, owner_id: int, window_size: int = 20) -> None:
@@ -361,8 +362,7 @@ class ReferenceMessageBuffer:
 
     Behaviourally identical to :class:`~repro.net.buffer.MessageBuffer`
     (same evictions, same errors, same ordering); the oracle of the
-    randomized parity tests and the baseline of the ``buffer_churn`` pair in
-    ``repro bench``.
+    randomized parity tests (``tests/test_net_buffer_index.py``).
     """
 
     # same SoA mirror seam as MessageBuffer, so either implementation can

@@ -126,7 +126,7 @@ def build_trace_world(trace: ContactTrace, protocol: str = "epidemic",
     reference:
         Build the naive reference world of :mod:`repro.testing.reference`
         instead of the production world (an executable specification for
-        tests and benchmark baselines; imported only when requested).
+        tests; imported only when requested).
 
     Returns
     -------

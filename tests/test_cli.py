@@ -263,6 +263,15 @@ def test_every_subcommand_has_uniform_output_flags():
         assert "--output" in flags, name
 
 
+def test_bench_is_not_a_subcommand(capsys):
+    """Performance is measured by the repository benchmark (perfbench/),
+    not by a CLI harness: ``bench`` is an unknown choice."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bench"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
 def test_list_and_run_write_output_files(capsys, tmp_path):
     listed = tmp_path / "list.json"
     assert main(["list", "--output", str(listed)]) == 0

@@ -4,13 +4,15 @@
 shortcut must agree with.  Pinned here:
 
 * it never enters the production import graph — the API, the CLI and the
-  scenario builder build and run scenarios without importing it;
+  scenario builder build and run scenarios without importing it, and no
+  production module but the two ``reference=`` builders imports it;
 * selecting it is a build-time keyword, not part of a scenario's identity;
 * it reproduces the golden-digest lockfile, so the lockfile and the
   reference agree on what the simulation does, and its naive knowledge
   layer routes the contact-aware protocols exactly like production.
 """
 
+import ast
 import dataclasses
 import json
 import os
@@ -55,6 +57,53 @@ def test_reference_stays_out_of_the_production_import_graph():
         capture_output=True, text=True, check=True,
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
     assert result.stdout.strip() == "False"
+
+
+def _reference_imports(tree):
+    """The import statements of *tree* that load ``repro.testing.reference``,
+    each with the chain of nodes enclosing it."""
+    found = []
+
+    def visit(node, parents):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            names = {f"{node.module}.{alias.name}" for alias in node.names}
+            if node.module == "repro.testing.reference" \
+                    or "repro.testing.reference" in names:
+                found.append(parents)
+        elif isinstance(node, ast.Import) and any(
+                alias.name.startswith("repro.testing.reference")
+                for alias in node.names):
+            found.append(parents)
+        for child in ast.iter_child_nodes(node):
+            visit(child, parents + [node])
+
+    visit(tree, [])
+    return found
+
+
+def test_only_the_reference_builders_import_the_reference_module():
+    """Statically, over every production module: ``repro.testing.reference``
+    is imported only by the two builders, and only under ``if reference:``
+    (the keyword-only ``reference=`` switch)."""
+    package = ROOT / "src" / "repro"
+    importers = {}
+    for path in sorted(package.rglob("*.py")):
+        relative = path.relative_to(package).as_posix()
+        if relative.startswith("testing/"):
+            continue
+        imports = _reference_imports(ast.parse(path.read_text(), str(path)))
+        if imports:
+            importers[relative] = imports
+    assert sorted(importers) == ["experiments/builder.py", "traces/replay.py"]
+    for relative, imports in importers.items():
+        for parents in imports:
+            guards = [node.test for node in parents if isinstance(node, ast.If)]
+            assert any(isinstance(test, ast.Name) and test.id == "reference"
+                       for test in guards), relative
+            function = next(node for node in reversed(parents)
+                            if isinstance(node, ast.FunctionDef))
+            assert "reference" in [arg.arg for arg in function.args.kwonlyargs
+                                   + function.args.args], relative
 
 
 def test_reference_is_a_build_keyword_not_a_config_field():
