@@ -26,7 +26,6 @@ from repro.mobility.random_waypoint import RandomWaypointMovement
 from repro.routing.direct import DirectDeliveryRouter
 from repro.sim.engine import Simulator
 from repro.world.connectivity import KDTreeConnectivity
-from repro.world.sharded import ShardedConnectivity
 from repro.world.interface import Interface
 from repro.world.node import DTNNode
 from repro.world.world import World
@@ -101,27 +100,33 @@ def test_bench_mi_merge(benchmark):
     assert copied >= 0
 
 
-def test_bench_connectivity_kdtree(benchmark):
+def test_bench_connectivity_rebuild(benchmark):
+    """Cost of one candidate rebuild: snapshot, k-d tree pair query, sort."""
     rng = np.random.default_rng(0)
     positions = rng.uniform(0, 4500, size=(N, 2))
     ranges = np.full(N, 10.0)
     detector = KDTreeConnectivity()
-    pairs = benchmark(detector.find_pairs, positions, ranges)
-    assert isinstance(pairs, set)
+
+    def rebuild():
+        detector.reset()
+        return detector.update(positions, ranges)
+
+    pairs = benchmark(rebuild)
+    assert pairs.shape[1] == 2
 
 
-def test_bench_connectivity_sharded_steady_state(benchmark):
-    """Per-tick cost of the sharded detector's cached-candidate filter.
+def test_bench_connectivity_steady_state(benchmark):
+    """Per-tick cost of the detector's cached-candidate filter.
 
-    Steady state = nodes drifting below the slack margin, the common case
-    the detector optimises: one vectorized range filter over the cached
-    strip-merged candidate set, no tree query and no sort.
+    Steady state = nodes drifting below the slack, the common case the
+    detector optimises: one vectorized range filter over the cached
+    candidate set, no tree query and no sort.
     """
     rng = np.random.default_rng(0)
     positions = rng.uniform(0, 2400, size=(WORLD_TICK_NODES, 2))
     ranges = np.full(WORLD_TICK_NODES, 40.0)
     drift = rng.normal(0.0, 0.5, size=positions.shape)
-    detector = ShardedConnectivity(workers=1)
+    detector = KDTreeConnectivity()
     detector.update(positions, ranges)  # build the candidate cache
     sign = [1.0]
 
@@ -133,7 +138,7 @@ def test_bench_connectivity_sharded_steady_state(benchmark):
         return detector.update(positions, ranges)
 
     pairs = benchmark(tick)
-    detector.close()
+    assert detector.rebuilds == 1
     assert len(pairs) > 0
 
 

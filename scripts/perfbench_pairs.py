@@ -27,7 +27,7 @@ imported: each side runs its own benchmark code in a fresh process.
 Usage::
 
     python3 scripts/perfbench_pairs.py --base ../base --head . \
-        --pairs 3 --output BENCH_ci.json
+        --pairs 5 --output BENCH_ci.json
 """
 
 import argparse
@@ -153,8 +153,8 @@ def main(argv=None) -> int:
                         help="checkout of the base commit")
     parser.add_argument("--head", type=Path, required=True,
                         help="checkout of the change")
-    parser.add_argument("--pairs", type=int, default=3,
-                        help="pairs per workload, one seed each (default: 3)")
+    parser.add_argument("--pairs", type=int, default=5,
+                        help="pairs per workload, one seed each (default: 5)")
     parser.add_argument("--output", type=Path, required=True,
                         help="where to write the JSON table")
     args = parser.parse_args(argv)

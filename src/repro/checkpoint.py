@@ -77,7 +77,10 @@ MAGIC = "repro-checkpoint"
 #: transfer queue on first use, the transfer engine lost its depth column,
 #: the router store its occupancy column and the stats collector its
 #: open-contact table (contact records read ``Connection.established_at``)
-FORMAT_VERSION = 8
+#: 9: the connectivity detector lost its sharded variant and that
+#: variant's worker pool; the one detector keeps a cached candidate set
+#: (snapshot, ranges, candidate columns) instead of a k-d tree
+FORMAT_VERSION = 9
 #: arrays with at least this many elements move to their own NPY entry
 ARRAY_EXTERNALIZE_THRESHOLD = 32
 
@@ -258,8 +261,7 @@ def save_checkpoint_bytes(world: Any, *, config: Any = None,
     world:
         The live :class:`~repro.world.world.World` (or subclass).  Everything
         reachable from it — simulator, event queue, routers, stats — is
-        captured; worker pools and shared-memory segments are dropped and
-        lazily recreated on the restored side.
+        captured.
     config:
         Optional :class:`~repro.experiments.scenario.ScenarioConfig` to embed
         in the manifest; required for ``repro run --resume`` (the resumed

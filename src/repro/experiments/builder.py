@@ -24,10 +24,8 @@ from repro.traces.contact_trace import ContactTrace
 from repro.traces.generators import generate_trace
 from repro.traces.io import load_trace
 from repro.traces.replay import TraceReplayWorld
-from repro.world.connectivity import ConnectivityDetector, KDTreeConnectivity
 from repro.world.interface import Interface
 from repro.world.node import DTNNode
-from repro.world.sharded import ShardedConnectivity
 from repro.world.world import World
 
 
@@ -191,29 +189,6 @@ def _trace_movements(config: ScenarioConfig):
     return trace, movements, communities
 
 
-#: worlds of at least this many nodes detect links with the sharded
-#: detector, smaller ones with the k-d tree.  Detect time on a 2-core
-#: machine, k-d tree vs sharded: 2.9 vs 2.4 ms at 80 random-waypoint nodes
-#: (30 ticks), 789 vs 299 ms at 10 000, but 0.9 s against 2.3-3.1 s on the
-#: paper-scale 40-bus EER run.  The threshold keeps the bus-map figure
-#: worlds on the k-d tree and the 10k/100k catalog worlds on sharded.
-SHARDED_MIN_NODES = 1_000
-
-
-def build_detector(config: ScenarioConfig) -> ConnectivityDetector:
-    """The connectivity detector for *config*'s world size.
-
-    :class:`~repro.world.connectivity.KDTreeConnectivity` below
-    :data:`SHARDED_MIN_NODES` nodes, the thread-pool
-    :class:`~repro.world.sharded.ShardedConnectivity` (one worker per usable
-    CPU) at or above it.  Every detector finds the same pairs, so the choice
-    changes the cost of a run, never its outcome.
-    """
-    if config.num_nodes < SHARDED_MIN_NODES:
-        return KDTreeConnectivity()
-    return ShardedConnectivity()
-
-
 def build_scenario(config: ScenarioConfig, *,
                    reference: bool = False) -> BuiltScenario:
     """Assemble the simulator, world, nodes, routers and traffic for *config*.
@@ -271,10 +246,8 @@ def _assemble(config: ScenarioConfig, reference: bool) -> BuiltScenario:
             simulator, trace, update_interval=config.update_interval,
             stats=stats)
     else:
-        # the reference world keeps the world's default k-d tree detector
         world = world_class(
-            simulator, update_interval=config.update_interval, stats=stats,
-            detector=None if reference else build_detector(config))
+            simulator, update_interval=config.update_interval, stats=stats)
 
     interface = Interface(transmit_range=config.transmit_range,
                           transmit_speed=config.transmit_speed)

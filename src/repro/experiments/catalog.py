@@ -222,9 +222,9 @@ def _register_builtins() -> None:
             sim_time=600.0,
             min_speed=0.5, max_speed=1.5, stop_wait=(0.0, 120.0),
             message_interval=(2.0, 4.0)),
-        summary="10 000 pedestrians on the bench map: sharded strip "
+        summary="10 000 pedestrians on the bench map: cached-candidate "
                 "connectivity + batch movement (the scale tentpole)",
-        provenance="ROADMAP sharded-worlds item; repro.world.sharded")
+        provenance="ROADMAP sharded-worlds item; repro.world.connectivity")
     register_scenario(
         "rwp-10k-traffic",
         lambda: ScenarioConfig.bench_scale(
@@ -261,8 +261,8 @@ def _register_builtins() -> None:
             min_speed=0.5, max_speed=1.5, stop_wait=(0.0, 120.0),
             message_interval=(2.0, 4.0)),
         summary="100 000 pedestrians at city scale: idle-router skip-list + "
-                "batched link events + sharded connectivity",
-        provenance="ISSUE 6 scale tentpole; repro.world.sharded")
+                "batched link events + cached-candidate connectivity",
+        provenance="100k-node scale tentpole; repro.world.connectivity")
     register_scenario(
         "hcmm",
         lambda: ScenarioConfig.bench_scale(protocol="cr").with_overrides(

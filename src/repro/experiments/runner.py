@@ -52,9 +52,6 @@ def run_scenario(config: ScenarioConfig) -> SimulationReport:
     try:
         built.run()
     finally:
-        # release world-held resources (the sharded detector's worker pool)
-        # eagerly — even on a failed run — instead of waiting for a GC pass
-        # to break the world cycle
         built.world.stop()
     return finalize_report(built.stats, config)
 

@@ -16,6 +16,11 @@ class MovementModel(abc.ABC):
     A model instance is bound to a single node (so it may keep per-node state
     such as the current stop index on a bus line).  All randomness must come
     from the :class:`random.Random` passed in, so runs are reproducible.
+
+    Every follower advances through the batch kernel of
+    :class:`~repro.mobility.engine.MovementEngine`, which mirrors the
+    progress of the current :class:`~repro.mobility.path.Path`, so a model
+    must not mutate a path once it has returned it.
     """
 
     @abc.abstractmethod
@@ -38,22 +43,6 @@ class MovementModel(abc.ABC):
         their node belongs to; other models return ``None``.
         """
         return None
-
-    @property
-    def supports_batch_advance(self) -> bool:
-        """Whether followers of this model may be advanced by the batch kernel.
-
-        ``True`` opts the model's nodes into
-        :class:`~repro.mobility.engine.MovementEngine`'s vectorized
-        advance (bit-identical to the per-follower loop, see engine.py for
-        the contract); ``False`` (the default) keeps them on the exact
-        per-follower ``move`` loop.  A model should only opt in if its paths
-        are plain constant-speed :class:`~repro.mobility.path.Path` objects
-        driven exclusively through the follower (no external path mutation).
-        Opted in: random waypoint, community, HCMM, map-route (bus) and
-        shortest-path movement.  Stationary movement keeps the loop.
-        """
-        return False
 
 
 class PathFollower:

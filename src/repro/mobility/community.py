@@ -107,11 +107,6 @@ class CommunityMovement(MovementModel):
         """The node's community id."""
         return self.community_id
 
-    @property
-    def supports_batch_advance(self) -> bool:
-        """Two-waypoint constant-speed paths: safe for the batch kernel."""
-        return True
-
     def _point_in(self, bounds: Tuple[float, float, float, float], rng) -> np.ndarray:
         min_x, min_y, max_x, max_y = bounds
         return np.array([rng.uniform(min_x, max_x), rng.uniform(min_y, max_y)])

@@ -3,13 +3,12 @@
 The seed world moved nodes with a per-node Python loop —
 ``for node: node.follower.move(dt, now)`` — which at 10 000 nodes costs more
 than the connectivity detection it feeds.  :class:`MovementEngine` replaces
-the loop for the models that opt in
-(:attr:`~repro.mobility.base.MovementModel.supports_batch_advance`): nodes
-whose current tick stays *inside* their current path segment (or inside the
-end-of-path pause) are advanced with a handful of NumPy operations straight
-into the world's :class:`~repro.world.positions.PositionStore` matrix; only
-the nodes that cross a segment boundary, finish a pause, or need a fresh
-path from their model this tick fall back to the exact per-follower loop.
+the loop for every model: nodes whose current tick stays *inside* their
+current path segment (or inside the end-of-path pause) are advanced with
+a handful of NumPy operations straight into the world's
+:class:`~repro.world.positions.PositionStore` matrix; only the nodes
+that cross a segment boundary, finish a pause, or need a fresh path from
+their model this tick fall back to the exact per-follower loop.
 
 Bit-identity contract
 ---------------------
@@ -33,19 +32,16 @@ the moment the node needs the scalar loop; out-of-band state changes
 (``PathFollower.teleport``) invalidate the mirror through
 :meth:`invalidate`.
 
-Models without a batch kernel — and any follower whose state the engine
-cannot mirror (no path yet, zero-length segment, non-positive speed) — run
-the unchanged per-follower loop, so the kernel never changes behaviour, only
-cost.  The models that opt in are
-:class:`~repro.mobility.random_waypoint.RandomWaypointMovement`,
-:class:`~repro.mobility.community.CommunityMovement`,
-:class:`~repro.mobility.hcmm.HomeCellMovement`, the paper's bus lines,
-:class:`~repro.mobility.map_route.MapRouteMovement`, and
-:class:`~repro.mobility.shortest_path.ShortestPathMapBasedMovement`.  Bus
-legs and shortest-path trips are multi-segment road paths ending in a
-pause (a stop listed twice in a row gives a leg with no segment, only the
-pause); every segment, pause or leg boundary is one scalar-fallback tick,
-and the kernel carries the ticks in between.
+Any follower whose state the engine cannot mirror (no path yet,
+zero-length segment, non-positive speed) runs the unchanged per-follower
+loop, so the kernel never changes behaviour, only cost; a follower whose
+model returns no further path (stationary nodes, after their first move)
+halts and is skipped from then on.  Random waypoint, community and HCMM
+paths are single segments; bus legs and shortest-path trips are
+multi-segment road paths ending in a pause (a stop listed twice in a row
+gives a leg with no segment, only the pause); every segment, pause or leg
+boundary is one scalar-fallback tick, and the kernel carries the ticks in
+between.
 
 The plain per-follower loop the kernel must reproduce is not a mode of
 this class: it is the reference world's movement
@@ -64,7 +60,7 @@ from repro.mobility.base import PathFollower
 #: follower fast-path states
 TRAVEL = 0  #: inside a positive-length segment of the current path
 WAIT = 1  #: inside the end-of-path pause
-FALLBACK = 2  #: per-follower loop (no batch kernel, or at a boundary)
+FALLBACK = 2  #: per-follower loop (no mirrorable path, or at a boundary)
 HALTED = 3  #: model returned no further paths; skipped entirely
 
 
@@ -83,7 +79,6 @@ class MovementEngine:
     def __init__(self, positions) -> None:
         self._positions = positions
         self._followers: List[PathFollower] = []
-        self._batchable: List[bool] = []
         self._dirty: Set[int] = set()
         self._size = 0  # follower count the arrays are allocated for
         self._mode = np.empty(0, dtype=np.int64)
@@ -113,12 +108,8 @@ class MovementEngine:
         """
         start = len(self._followers)
         self._followers.extend(followers)
-        batchable = self._batchable
         for slot, follower in enumerate(followers, start):
-            fast = follower.model.supports_batch_advance
-            batchable.append(fast)
-            if fast:
-                follower.attach_engine(self, slot)
+            follower.attach_engine(self, slot)
         return start
 
     @property
@@ -162,8 +153,6 @@ class MovementEngine:
 
     def _refresh(self, slot: int) -> None:
         """Re-mirror one follower's path state into the flat arrays."""
-        if not self._batchable[slot]:
-            return
         follower = self._followers[slot]
         mode = self._mode
         self._speed[slot] = np.inf
@@ -241,19 +230,15 @@ class MovementEngine:
         for index in slow:
             slot = int(index)
             follower = self._followers[slot]
-            if self._batchable[slot]:
-                state = int(mode[slot])
-                if state in (TRAVEL, WAIT) and follower.path is not None:
-                    # hand the mirrored progress back before the scalar move
-                    follower.path.set_progress(float(self._offset[slot]),
-                                               float(self._waited[slot]))
-                if not follower.halted:
-                    follower.move(dt, now)
-                    loop += 1
-                self._refresh(slot)
-            elif not follower.halted:
+            state = int(mode[slot])
+            if state in (TRAVEL, WAIT) and follower.path is not None:
+                # hand the mirrored progress back before the scalar move
+                follower.path.set_progress(float(self._offset[slot]),
+                                           float(self._waited[slot]))
+            if not follower.halted:
                 follower.move(dt, now)
                 loop += 1
+            self._refresh(slot)
         self.loop_moves += loop
         return fast, loop
 

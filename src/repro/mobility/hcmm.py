@@ -79,11 +79,6 @@ class HomeCellMovement(MovementModel):
         """The *initial* home cell — the static label the oracle mode sees."""
         return self.initial_home
 
-    @property
-    def supports_batch_advance(self) -> bool:
-        """Two-waypoint constant-speed paths: safe for the batch kernel."""
-        return True
-
     def _point_in(self, cell: int, rng) -> np.ndarray:
         min_x, min_y, max_x, max_y = self.layout.district_bounds(cell)
         return np.array([rng.uniform(min_x, max_x), rng.uniform(min_y, max_y)])

@@ -140,13 +140,6 @@ class MapRouteMovement(MovementModel):
         """The district served by the node's line (``None`` for express lines)."""
         return self.route.district
 
-    @property
-    def supports_batch_advance(self) -> bool:
-        """Constant-speed road legs built only in :meth:`next_path`: the
-        batch kernel handles their segments and stop pauses (see
-        :mod:`repro.mobility.engine`)."""
-        return True
-
     def initial_position(self, rng) -> np.ndarray:
         if self._start_stop is None:
             self._next_leg = rng.randrange(self.route.num_stops)

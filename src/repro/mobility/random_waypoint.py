@@ -43,11 +43,6 @@ class RandomWaypointMovement(MovementModel):
         self.max_speed = float(max_speed)
         self.wait = (float(wait[0]), float(wait[1]))
 
-    @property
-    def supports_batch_advance(self) -> bool:
-        """Two-waypoint constant-speed paths: safe for the batch kernel."""
-        return True
-
     def _random_point(self, rng) -> np.ndarray:
         return np.array([
             self.origin[0] + rng.uniform(0.0, self.area[0]),

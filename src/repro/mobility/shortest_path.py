@@ -54,13 +54,6 @@ class ShortestPathMapBasedMovement(MovementModel):
                 raise ValueError("need at least two allowed vertices")
         self._current_vertex: Optional[int] = None
 
-    @property
-    def supports_batch_advance(self) -> bool:
-        """Constant-speed road paths built only in :meth:`next_path`: the
-        batch kernel handles their segments and destination pauses (see
-        :mod:`repro.mobility.engine`)."""
-        return True
-
     def initial_position(self, rng) -> np.ndarray:
         self._current_vertex = rng.choice(self.allowed)
         return self.roadmap.coordinates(self._current_vertex)

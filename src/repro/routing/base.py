@@ -79,8 +79,7 @@ class Router:
     #:
     #: Deliberately **not inherited**: a subclass must redeclare it (see
     #: ``__init_subclass__``), because any override of ``on_update`` /
-    #: ``update`` can invalidate the no-op proof.  Mirrors how
-    #: ``MovementEngine`` gates ``supports_batch_advance``.
+    #: ``update`` can invalidate the no-op proof.
     supports_batch_update = False
     #: see :attr:`supports_batch_update`; consulted only where that is True
     batch_update_gated = False

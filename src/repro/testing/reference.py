@@ -14,8 +14,9 @@ obvious way:
 * ``connectivity`` — every link event is applied on its own: a fresh
   :class:`~repro.net.connection.Connection` per establishment and one
   ``contacts_opened`` / ``contacts_closed`` call per event, with links found by
-  the single-threaded :class:`~repro.world.connectivity.KDTreeConnectivity`
-  whatever the world size,
+  the world's :class:`~repro.world.connectivity.KDTreeConnectivity` (whose
+  own spec, :class:`BruteForceConnectivity`, is pinned against it by the
+  detector tests),
 * ``transfers`` — every live link is scanned and advanced,
 * ``routers`` — every router is ticked, every update.
 
@@ -35,8 +36,8 @@ when asked, so it never enters the production import graph.  A reference
 run and a production run of the same configuration must produce
 byte-identical canonical reports: ``tests/test_reference_tick.py`` runs
 both on the headline protocols, and replays the golden-digest lockfile's
-epidemic cells (``rwp-10k`` at 200 nodes and ``rwp-100k`` at 1 000 nodes,
-on the sharded detector, among them) on the reference tick.
+epidemic cells (``rwp-10k`` at 200 nodes and ``rwp-100k`` at 1 000 nodes
+among them) on the reference tick.
 
 The production world's columnar stores are still constructed and
 ``add_nodes`` still registers every node in them, but the reference tick

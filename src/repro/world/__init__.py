@@ -5,7 +5,6 @@ from repro.world.node import DTNNode
 from repro.world.connectivity import ConnectivityDetector, KDTreeConnectivity
 from repro.world.pipeline import TickPhase, TickPipeline
 from repro.world.positions import PositionStore
-from repro.world.sharded import ShardedConnectivity
 from repro.world.world import World
 
 __all__ = [
@@ -13,7 +12,6 @@ __all__ = [
     "DTNNode",
     "ConnectivityDetector",
     "KDTreeConnectivity",
-    "ShardedConnectivity",
     "TickPhase",
     "TickPipeline",
     "PositionStore",

@@ -3,19 +3,17 @@
 :class:`TickPipeline` turns the world update from one opaque method into an
 explicit sequence of named phases — ``move``, ``connectivity``,
 ``transfers``, ``routers`` — each independently replaceable and metered.
-The pipeline is the seam the ROADMAP's sharded-world item names: a phase is
-a plain callable ``(now, dt) -> None``, so a parallel implementation (the
-batched :class:`~repro.mobility.engine.MovementEngine`, the strip-sharded
-:class:`~repro.world.sharded.ShardedConnectivity`) slots in behind the same
-phase name without the world loop changing shape.
+A phase is a plain callable ``(now, dt) -> None``, so another
+implementation of a stage slots in behind the same phase name without the
+world loop changing shape.
 
 Every phase execution is wall-clock metered through
 :meth:`~repro.metrics.collector.StatsCollector.tick_phase`; the accumulated
 per-phase seconds surface in :class:`~repro.metrics.reports.SimulationReport`
 (as a timing side channel excluded from the canonical serialisation — wall
-time is machine-specific, the simulation result is not) and in the
-``world_tick_10k`` paired benchmark, which gates the sharded detector's
-speedup per phase rather than per whole tick.
+time is machine-specific, the simulation result is not).  The repository
+benchmark (``perfbench/``) wraps each phase by name through
+:meth:`TickPipeline.replace_phase` to time it tick by tick.
 
 The metering overhead is two ``perf_counter`` calls per phase per tick
 (sub-microsecond), which is why it stays on even for benchmark runs.
@@ -79,8 +77,8 @@ class TickPipeline:
     def replace_phase(self, name: str, fn: PhaseFn) -> None:
         """Swap the implementation of phase *name* (same position, same name).
 
-        This is the extension point for parallel/sharded phase variants and
-        for tests that stub out a stage; unknown names raise ``KeyError``.
+        This is the extension point for tracers that time a stage and for
+        tests that stub one out; unknown names raise ``KeyError``.
         """
         for index, phase in enumerate(self._phases):
             if phase.name == name:

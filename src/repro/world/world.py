@@ -5,9 +5,9 @@
 :class:`~repro.world.pipeline.TickPipeline` of four named phases:
 
 1. ``move`` — advance every node along its movement model (batched through
-   :class:`~repro.mobility.engine.MovementEngine`; models with a batch
-   kernel advance in one vectorized call, the rest keep the per-follower
-   loop),
+   :class:`~repro.mobility.engine.MovementEngine`: nodes inside a path
+   segment or pause advance in one vectorized call, the rest through the
+   per-follower loop),
 2. ``connectivity`` — re-detect link pairs and raise link-up / link-down
    events,
 3. ``transfers`` — progress in-flight transfers on every connection with
@@ -17,8 +17,8 @@
    so it can expire TTLs and enqueue new transfers (one columnar sweep).
 
 Each phase is wall-clock metered through the stats collector (see
-``tick_phase_seconds``), which is how the world-tick benchmarks attribute
-cost per stage and how sharded phase implementations prove their speedups.
+``tick_phase_seconds``), which is how a run's telemetry attributes its
+cost per stage.
 
 The tick is kept allocation-free where it matters (see DESIGN.md): node
 positions live in a single preallocated
@@ -376,8 +376,8 @@ class World:
 
     def _refresh_connectivity(self, now: float) -> None:
         # sub-metered separately from the surrounding phase: the phase also
-        # applies link events (world bookkeeping + router dispatch), and the
-        # detector benchmarks compare pure detection cost across detectors
+        # applies link events (world bookkeeping + router dispatch), and
+        # ``connectivity.detect`` times the detector alone
         start = _perf_counter()
         index_pairs = self.detector.update(self.positions(), self.ranges())
         self.stats.tick_phase("connectivity.detect", _perf_counter() - start)
@@ -596,15 +596,8 @@ class World:
 
     # ------------------------------------------------------------------ misc
     def stop(self) -> None:
-        """Stop the periodic update process (used when tearing a world down).
-
-        Also releases detector-owned resources (the sharded detector's
-        worker pool) — detectors without a ``close`` are untouched.
-        """
+        """Stop the periodic update process (used when tearing a world down)."""
         self._process.stop()
-        close = getattr(self.detector, "close", None)
-        if close is not None:
-            close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"World({self.num_nodes} nodes, {len(self._connections)} links, "

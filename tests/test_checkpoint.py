@@ -367,6 +367,15 @@ def test_version_7_container_is_rejected(world_blob):
         load_checkpoint_bytes(v7)
 
 
+def test_version_8_container_is_rejected(world_blob):
+    # a version-8 snapshot pickles a k-d tree detector (or the sharded one
+    # with its dropped worker pool) instead of the cached-candidate detector
+    v8 = _rewrite_manifest(world_blob, format_version=8)
+    with pytest.raises(CheckpointError,
+                       match=r"^unsupported checkpoint format version 8 "):
+        load_checkpoint_bytes(v8)
+
+
 # ------------------------------------------------------ a flat link graph
 def path_world(num_nodes):
     """A trace world whose live links form one path through every node,

@@ -7,18 +7,15 @@ per-protocol extras) and the counter telemetry to match exactly; only the
 wall-clock meters may differ.
 Covered here: the four headline protocols and MaxProp, every admissible tick boundary of
 a short run, the reference tick (repro.testing.reference), columnar and disabled
-collectors, the sharded detector of a 1 000-node world, file trace replay,
+collectors, a 1 000-node world snapshotted while its detector holds a
+candidate cache, file trace replay,
 and online community detection (CR with the Newman tracker).
 """
 
 import pytest
 
 from repro.checkpoint import load_checkpoint_bytes, save_checkpoint_bytes
-from repro.experiments.builder import (
-    SHARDED_MIN_NODES,
-    build_detector,
-    build_scenario,
-)
+from repro.experiments.builder import build_scenario
 from repro.experiments.catalog import make_scenario
 from repro.experiments.runner import finalize_report
 from repro.experiments.scenario import ScenarioConfig
@@ -29,7 +26,6 @@ from repro.testing import (
     canonical_report_bytes,
     run_report,
 )
-from repro.world.sharded import ShardedConnectivity
 
 
 def bench(protocol, **overrides):
@@ -68,15 +64,49 @@ def test_resume_equality_collector_modes(record_mode):
                            checkpoint_times=[180.0])
 
 
-def test_resume_equality_sharded_detector():
-    """A snapshot of a world whose detector fans over a thread pool restores
-    in-process (the pool is dropped on save and lazily recreated) without
-    perturbing the rebuild schedule."""
+def rebuild_schedule(world, ticks):
+    """The detector's rebuild count after each of the next *ticks* ticks."""
+    schedule = []
+    for _ in range(ticks):
+        world.simulator.run(until=world.simulator.now + world.update_interval)
+        schedule.append(world.detector.rebuilds)
+    return schedule
+
+
+def test_resume_equality_with_a_live_candidate_cache():
+    """A 1 000-node world snapshotted while its detector holds a candidate
+    cache resumes to the straight run's outcome, and the restored detector
+    keeps the straight run's rebuild schedule: the snapshot's next tick
+    reuses the cache instead of rebuilding it."""
     config = ScenarioConfig.bench_scale(
-        protocol="epidemic", num_nodes=SHARDED_MIN_NODES, seed=2,
-        sim_time=30.0, mobility="random_waypoint")
-    assert isinstance(build_detector(config), ShardedConnectivity)
-    assert_resume_equality(config, checkpoint_times=[15.0])
+        protocol="epidemic", num_nodes=1_000, seed=2, sim_time=30.0,
+        mobility="random_waypoint")
+    at, ticks = 15.0, 14
+    assert_resume_equality(config, checkpoint_times=[at])
+
+    straight = build_scenario(config)
+    try:
+        straight.simulator.run(until=at)
+        before = straight.world.detector.rebuilds
+        expected = rebuild_schedule(straight.world, ticks)
+    finally:
+        straight.world.stop()
+    assert expected[0] == before  # the first tick after the snapshot reuses
+    assert expected[-1] > before  # and a later one rebuilds
+
+    built = build_scenario(config)
+    try:
+        built.simulator.run(until=at)
+        assert len(built.world.detector._cand_i) > 0  # the cache is live
+        blob = save_checkpoint_bytes(built.world, config=config)
+    finally:
+        built.world.stop()
+    world = load_checkpoint_bytes(blob).world
+    try:
+        assert world.detector.rebuilds == before
+        assert rebuild_schedule(world, ticks) == expected
+    finally:
+        world.stop()
 
 
 def test_resume_equality_trace_replay():

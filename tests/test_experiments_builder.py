@@ -8,7 +8,6 @@ from repro.contacts.history import ContactHistory
 from repro.experiments.builder import build_scenario
 from repro.experiments.scenario import MobilityKind, ScenarioConfig
 from repro.world.connectivity import KDTreeConnectivity
-from repro.world.sharded import ShardedConnectivity
 
 
 def tiny_config(**overrides):
@@ -29,19 +28,18 @@ def test_bus_scenario_builds_routes_and_communities():
     assert all(isinstance(node.router, CommunityRouter) for node in built.world.nodes)
 
 
-@pytest.mark.parametrize("num_nodes, detector", [
-    (999, KDTreeConnectivity), (1_000, ShardedConnectivity)])
-def test_world_size_picks_the_detector(num_nodes, detector):
+@pytest.mark.parametrize("num_nodes", [999, 1_000])
+def test_every_world_size_gets_the_one_detector(num_nodes):
     config = tiny_config(mobility=MobilityKind.RANDOM_WAYPOINT,
                          num_nodes=num_nodes, sim_time=1.0)
     built = build_scenario(config)
     try:
-        assert type(built.world.detector) is detector
+        assert type(built.world.detector) is KDTreeConnectivity
         assert type(built.world.nodes[0].router.history) is ContactHistory
     finally:
         built.world.stop()
-    # the reference world keeps the k-d tree at every size, and its
-    # contact-aware routers record into the naive history
+    # the reference world runs the same detector, and its contact-aware
+    # routers record into the naive history
     reference = build_scenario(config, reference=True)
     try:
         assert type(reference.world.detector) is KDTreeConnectivity

@@ -56,6 +56,19 @@ def test_validation():
         ScenarioConfig(num_communities=0)
 
 
+def test_scenario_config_validates_world_fields():
+    with pytest.raises(ValueError):
+        ScenarioConfig.bench_scale(num_nodes=1)
+    with pytest.raises(ValueError):
+        ScenarioConfig.bench_scale(update_interval=0.0)
+    # every world gets the one connectivity detector, so neither it, its
+    # slack nor a worker count is a scenario field
+    for field, value in (("detector", "sharded"), ("rebuild_margin", 0.5),
+                         ("world_workers", 2)):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            ScenarioConfig.bench_scale(**{field: value})
+
+
 def test_mobility_accepts_string_values():
     config = ScenarioConfig(mobility="random_waypoint")
     assert config.mobility is MobilityKind.RANDOM_WAYPOINT

@@ -7,8 +7,9 @@ These tests drive mirrored follower populations — one through the engine,
 one through the reference world's plain loop
 (:class:`repro.testing.reference.ReferenceMovement`) — from identical RNG
 streams and require exact array equality at every tick, across waypoint
-changes, pauses, teleports, halted models, mixed batchable/non-batchable
-populations, mid-run registration and the paper's bus lines.
+changes, pauses, teleports, halted models, mixed moving/stationary
+populations, a model defined outside the package, mid-run registration and
+the paper's bus lines.
 """
 
 import random
@@ -104,8 +105,10 @@ def test_mixed_population_and_stationary_nodes():
     assert batch_engine.fast_moves > 0
 
 
-def test_non_batchable_model_stays_on_the_loop():
-    class LoopOnly(MovementModel):
+def test_custom_model_is_batched_bit_identically():
+    # a model written outside the package gets the batch kernel too, and
+    # moves bit-identically to the reference loop
+    class Hops(MovementModel):
         def initial_position(self, rng):
             return np.array([0.0, 0.0])
 
@@ -113,13 +116,10 @@ def test_non_batchable_model_stays_on_the_loop():
             destination = (position[0] + rng.uniform(1.0, 5.0), position[1])
             return Path([position, destination], speed=1.0, wait_time=1.0)
 
-    store, engine, followers = make_population(
-        lambda index: LoopOnly(), 4, seed=5, batch=True)
-    for tick in range(20):
-        engine.advance(1.0, float(tick + 1))
-    assert engine.fast_moves == 0
-    assert engine.loop_moves > 0
-    assert not followers[0].model.supports_batch_advance
+    batch_engine, _ = assert_bit_identical_trajectories(
+        lambda index: Hops(), count=4, ticks=60, seed=5)
+    assert batch_engine.fast_moves > 0
+    assert batch_engine.loop_moves > 0
 
 
 def test_teleport_invalidates_the_batch_mirror():
@@ -164,7 +164,7 @@ def test_mid_run_registration_grows_the_engine():
 
 def test_world_batch_movement_toggle_is_invisible_in_results():
     # the production world batches movement, the reference tick runs the
-    # per-follower loop; covered end-to-end in test_world_sharded, here:
+    # per-follower loop; covered end-to-end in test_reference_tick, here:
     # the engine objects
     from repro.experiments.builder import build_scenario
     from repro.experiments.catalog import make_scenario
@@ -204,8 +204,18 @@ def bus_factory(stop_wait=(10.0, 30.0), start_stop=None, routes=BUS_ROUTES):
     return factory
 
 
+def assert_on_the_kernel(model_factory, ticks, dt):
+    """Every follower is attached to the engine, and the kernel moves them."""
+    _, engine, followers = make_population(model_factory, 6, seed=1,
+                                           batch=True)
+    assert all(follower._engine is engine for follower in followers)
+    for tick in range(ticks):
+        engine.advance(dt, (tick + 1) * dt)
+    assert engine.fast_moves > engine.loop_moves
+
+
 def test_bus_lines_opt_into_the_kernel():
-    assert MapRouteMovement(BUS_ROUTES[0]).supports_batch_advance
+    assert_on_the_kernel(bus_factory(), ticks=300, dt=1.0)
     # every leg of these lines crosses several road segments
     assert any(len(BUS_ROUTES[0].leg(i)) > 2
                for i in range(BUS_ROUTES[0].num_stops))
@@ -383,7 +393,7 @@ def spm_factory(wait=(0.0, 20.0), districts=None):
 
 
 def test_shortest_path_walkers_opt_into_the_kernel():
-    assert spm_factory()(0).supports_batch_advance
+    assert_on_the_kernel(spm_factory(), ticks=300, dt=1.0)
 
 
 def test_shortest_path_batch_is_bit_identical_at_paper_ticks():

@@ -89,7 +89,6 @@ def registration_state(world):
         "columns": {name: getattr(store, name)[:n].copy()
                     for name in ROUTER_COLUMNS},
         "rows": dict(store._row),
-        "batchable": list(movement._batchable),
         "slots": [follower._engine_slot for follower in movement._followers],
     }
 
@@ -99,7 +98,7 @@ def assert_same_state(left, right):
     assert np.array_equal(left["positions"], right["positions"])
     for name in ROUTER_COLUMNS:
         assert np.array_equal(left["columns"][name], right["columns"][name]), name
-    for key in ("rows", "batchable", "slots"):
+    for key in ("rows", "slots"):
         assert left[key] == right[key], key
 
 
@@ -114,9 +113,8 @@ def test_bulk_registration_matches_per_node_registration(register):
     assert_registered(other_world, other_nodes)
     bulk_state = registration_state(bulk_world)
     assert_same_state(bulk_state, registration_state(other_world))
-    assert any(bulk_state["batchable"]) and not all(bulk_state["batchable"])
-    assert bulk_state["slots"] == [
-        row if fast else -1 for row, fast in enumerate(bulk_state["batchable"])]
+    # every follower, stationary ones included, holds its engine slot
+    assert bulk_state["slots"] == list(range(len(bulk_nodes)))
 
 
 @pytest.mark.parametrize("register", [register_one_by_one, register_in_chunks])

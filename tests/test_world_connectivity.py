@@ -1,5 +1,6 @@
-"""Unit tests for connectivity detection (the k-d tree and its brute-force
-specification; the sharded detector has its own module)."""
+"""Unit tests for connectivity detection: the production detector and its
+brute-force specification on fixed layouts (the multi-tick behaviour is in
+``test_world_connectivity_stateful.py``)."""
 
 import numpy as np
 import pytest
@@ -22,6 +23,14 @@ def test_boundary_distance_is_in_range(detector):
     positions = np.array([[0.0, 0.0], [10.0, 0.0]])
     ranges = np.array([10.0, 10.0])
     assert detector.find_pairs(positions, ranges) == {(0, 1)}
+
+
+@pytest.mark.parametrize("detector", DETECTORS, ids=lambda d: type(d).__name__)
+def test_pairs_exactly_at_range_limit_are_included(detector):
+    # distance exactly equal to min(r_i, r_j): inclusive, like every detector
+    positions = np.array([[0.0, 0.0], [10.0, 0.0], [30.0, 0.0]])
+    ranges = np.array([10.0, 15.0, 20.0])
+    assert detector.update(positions, ranges).tolist() == [[0, 1]]
 
 
 @pytest.mark.parametrize("detector", DETECTORS, ids=lambda d: type(d).__name__)

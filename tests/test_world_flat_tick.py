@@ -482,9 +482,9 @@ def test_retired_tick_mode_fields_are_rejected():
 
 
 def test_world_workers_mode_validation():
-    # the sharded detector runs one thread pool, so there is no worker mode
-    # (nor worker count) to choose: both are unknown fields, on the
-    # constructor and on the --set override path alike
+    # detection is single-threaded, so there is no worker mode (nor worker
+    # count) to choose: both are unknown fields, on the constructor and on
+    # the --set override path alike
     for field, value in (("world_workers_mode", "process"),
                          ("world_workers_mode", "thread"),
                          ("world_workers", 2)):
