@@ -80,7 +80,11 @@ MAGIC = "repro-checkpoint"
 #: 9: the connectivity detector lost its sharded variant and that
 #: variant's worker pool; the one detector keeps a cached candidate set
 #: (snapshot, ranges, candidate columns) instead of a k-d tree
-FORMAT_VERSION = 9
+#: 10: nodes, path followers and message buffers are slotted (they pickle
+#: slot state, not a ``__dict__``), a node stores no default name, paths
+#: keep their waypoints once as float pairs, and every node of a
+#: random-waypoint world shares one movement model
+FORMAT_VERSION = 10
 #: arrays with at least this many elements move to their own NPY entry
 ARRAY_EXTERNALIZE_THRESHOLD = 32
 

@@ -115,14 +115,14 @@ def _hcmm_movements(config: ScenarioConfig):
 
 
 def _random_waypoint_movements(config: ScenarioConfig):
-    movements: List[MovementModel] = []
-    communities: List[int] = []
-    for index in range(config.num_nodes):
-        movements.append(RandomWaypointMovement(
-            area=(config.map_width, config.map_height),
-            min_speed=config.min_speed, max_speed=config.max_speed,
-            wait=config.stop_wait))
-        communities.append(index % config.num_communities)
+    """One shared random-waypoint model: it keeps no per-node state."""
+    model = RandomWaypointMovement(
+        area=(config.map_width, config.map_height),
+        min_speed=config.min_speed, max_speed=config.max_speed,
+        wait=config.stop_wait)
+    movements: List[MovementModel] = [model] * config.num_nodes
+    communities = [index % config.num_communities
+                   for index in range(config.num_nodes)]
     return movements, communities
 
 
@@ -252,14 +252,14 @@ def _assemble(config: ScenarioConfig, reference: bool) -> BuiltScenario:
     interface = Interface(transmit_range=config.transmit_range,
                           transmit_speed=config.transmit_speed)
     router_params = dict(config.router_params)
+    node_rngs = simulator.random.python_family("mobility-",
+                                               range(config.num_nodes))
     nodes: List[DTNNode] = []
     for node_id in range(config.num_nodes):
-        movement = movements[node_id]
-        node_rng = simulator.random.python(f"mobility-{node_id}")
         node = DTNNode(
             node_id=node_id,
-            movement=movement,
-            rng=node_rng,
+            movement=movements[node_id],
+            rng=node_rngs[node_id],
             interface=interface,
             buffer_capacity=config.buffer_capacity,
             community=communities[node_id],

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import abc
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -11,11 +11,14 @@ from repro.mobility.path import Path
 
 
 class MovementModel(abc.ABC):
-    """Produces an initial position and a stream of paths for one node.
+    """Produces an initial position and a stream of paths for a node.
 
-    A model instance is bound to a single node (so it may keep per-node state
-    such as the current stop index on a bus line).  All randomness must come
-    from the :class:`random.Random` passed in, so runs are reproducible.
+    A model that keeps per-node state (such as the current stop index on a
+    bus line) is bound to a single node.  A stateless model, one whose
+    answers depend only on its arguments, may be shared by many nodes:
+    random waypoint is, and the scenario builder gives every node of a
+    random-waypoint world one instance.  All randomness must come from the
+    :class:`random.Random` passed in, so runs are reproducible.
 
     Every follower advances through the batch kernel of
     :class:`~repro.mobility.engine.MovementEngine`, which mirrors the
@@ -24,8 +27,8 @@ class MovementModel(abc.ABC):
     """
 
     @abc.abstractmethod
-    def initial_position(self, rng) -> np.ndarray:
-        """Return the node's starting position."""
+    def initial_position(self, rng) -> Sequence[float]:
+        """Return the node's starting position as an ``(x, y)`` point."""
 
     @abc.abstractmethod
     def next_path(self, position: np.ndarray, now: float, rng) -> Optional[Path]:
@@ -62,6 +65,9 @@ class PathFollower:
     world-wide position matrix updates as a side effect of movement with no
     per-tick gathering.
     """
+
+    __slots__ = ("model", "_rng", "_position", "_path", "_halted",
+                 "_engine", "_engine_slot")
 
     def __init__(self, model: MovementModel, rng) -> None:
         self.model = model

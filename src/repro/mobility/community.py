@@ -107,11 +107,12 @@ class CommunityMovement(MovementModel):
         """The node's community id."""
         return self.community_id
 
-    def _point_in(self, bounds: Tuple[float, float, float, float], rng) -> np.ndarray:
+    def _point_in(self, bounds: Tuple[float, float, float, float],
+                  rng) -> Tuple[float, float]:
         min_x, min_y, max_x, max_y = bounds
-        return np.array([rng.uniform(min_x, max_x), rng.uniform(min_y, max_y)])
+        return rng.uniform(min_x, max_x), rng.uniform(min_y, max_y)
 
-    def initial_position(self, rng) -> np.ndarray:
+    def initial_position(self, rng) -> Tuple[float, float]:
         return self._point_in(self.layout.district_bounds(self.community_id), rng)
 
     def next_path(self, position: np.ndarray, now: float, rng) -> Path:

@@ -124,7 +124,13 @@ class MovementEngine:
 
     # ----------------------------------------------------------------- arrays
     def _grow(self) -> None:
-        """Resize the state arrays to the follower count; new slots go dirty."""
+        """Resize the state arrays to the follower count.
+
+        New slots start with the FALLBACK values, which is exactly what
+        :meth:`_refresh` writes for a follower with no path yet; only a new
+        follower that already has a path (or has halted) goes dirty.  So a
+        fresh node's first move refreshes its mirror once, after the move.
+        """
         old = self._size
         n = len(self._followers)
         grown = max(n, 1)
@@ -149,7 +155,10 @@ class MovementEngine:
         self._waited = resize(self._waited, 0.0)
         self._wait_time = resize(self._wait_time, -np.inf)
         self._size = n
-        self._dirty.update(range(old, n))
+        followers = self._followers
+        self._dirty.update(slot for slot in range(old, n)
+                           if followers[slot].path is not None
+                           or followers[slot].halted)
 
     def _refresh(self, slot: int) -> None:
         """Re-mirror one follower's path state into the flat arrays."""

@@ -79,9 +79,9 @@ class HomeCellMovement(MovementModel):
         """The *initial* home cell — the static label the oracle mode sees."""
         return self.initial_home
 
-    def _point_in(self, cell: int, rng) -> np.ndarray:
+    def _point_in(self, cell: int, rng) -> Tuple[float, float]:
         min_x, min_y, max_x, max_y = self.layout.district_bounds(cell)
-        return np.array([rng.uniform(min_x, max_x), rng.uniform(min_y, max_y)])
+        return rng.uniform(min_x, max_x), rng.uniform(min_y, max_y)
 
     def _other_cell(self, rng) -> int:
         """A uniformly random cell different from the current home cell."""
@@ -101,7 +101,7 @@ class HomeCellMovement(MovementModel):
                 self.rehomes += 1
             self._rehome_at += rng.expovariate(1.0 / self.rehome_interval)
 
-    def initial_position(self, rng) -> np.ndarray:
+    def initial_position(self, rng) -> Tuple[float, float]:
         return self._point_in(self.home_cell, rng)
 
     def next_path(self, position: np.ndarray, now: float, rng) -> Path:

@@ -9,15 +9,16 @@ and :meth:`Path.advance_into` writes the position straight into a
 caller-provided array — the node's row view of the world's
 :class:`~repro.world.positions.PositionStore`.
 
-Waypoints are copied at construction: callers routinely pass the node's live
-position view as the first waypoint, and the path must keep the *snapshot*,
-not alias storage that mutates as the node moves.
+Waypoints are kept once, as ``(x, y)`` float pairs: callers routinely pass
+the node's live position view as the first waypoint, and converting each
+coordinate to a Python float takes the *snapshot* rather than aliasing
+storage that mutates as the node moves.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -36,32 +37,38 @@ class Path:
         Pause (seconds) after the last waypoint before the path is "done".
     """
 
-    __slots__ = ("waypoints", "speed", "wait_time", "_xy", "_lengths",
+    __slots__ = ("speed", "wait_time", "_xy", "_lengths",
                  "_segment", "_offset", "_waited")
 
     def __init__(self, waypoints: Sequence[Sequence[float]], speed: float,
                  wait_time: float = 0.0) -> None:
-        # np.array (not asarray) so a live position view passed as a waypoint
-        # is snapshotted rather than aliased
-        pts = [np.array(p, dtype=float) for p in waypoints]
-        if not pts:
+        # float() snapshots a live position view passed as a waypoint; the
+        # scalar pairs are all advance() and position_into() ever touch
+        xy: List[Tuple[float, float]] = [(float(p[0]), float(p[1]))
+                                         for p in waypoints]
+        if not xy:
             raise ValueError("path needs at least one waypoint")
-        if len(pts) > 1 and speed <= 0:
+        if len(xy) > 1 and speed <= 0:
             raise ValueError(f"speed must be positive for a moving path, got {speed}")
         if wait_time < 0:
             raise ValueError("wait_time must be non-negative")
-        self.waypoints: List[np.ndarray] = pts
         self.speed = float(speed)
         self.wait_time = float(wait_time)
-        # scalar copies of the waypoint coordinates and pre-computed segment
-        # lengths: advance() and position_into() never touch ndarrays
-        self._xy: List[tuple] = [(float(p[0]), float(p[1])) for p in pts]
+        self._xy = xy
         self._lengths: List[float] = [
-            math.dist(a, b) for a, b in zip(self._xy[:-1], self._xy[1:])
+            math.dist(a, b) for a, b in zip(xy[:-1], xy[1:])
         ]
         self._segment = 0          # index of the segment currently being traversed
         self._offset = 0.0         # metres travelled into the current segment
         self._waited = 0.0         # seconds already waited at the end
+
+    @property
+    def waypoints(self) -> List[Tuple[float, float]]:
+        """The waypoints as ``(x, y)`` float pairs (the first is the start).
+
+        This is the list the path advances over: treat it as read-only.
+        """
+        return self._xy
 
     # ------------------------------------------------------------------ state
     def _position_xy(self) -> tuple:
@@ -195,5 +202,5 @@ class Path:
         return leftover
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"Path({len(self.waypoints)} waypoints, speed={self.speed}, "
+        return (f"Path({len(self._xy)} waypoints, speed={self.speed}, "
                 f"wait={self.wait_time})")

@@ -16,6 +16,9 @@ class RandomWaypointMovement(MovementModel):
     The node repeatedly picks a uniformly random destination in the area,
     moves there in a straight line at a per-trip random speed and pauses.
 
+    The model keeps no per-node state (every draw comes from the node's own
+    stream), so one instance can drive every node of a world.
+
     Parameters
     ----------
     area:
@@ -43,13 +46,11 @@ class RandomWaypointMovement(MovementModel):
         self.max_speed = float(max_speed)
         self.wait = (float(wait[0]), float(wait[1]))
 
-    def _random_point(self, rng) -> np.ndarray:
-        return np.array([
-            self.origin[0] + rng.uniform(0.0, self.area[0]),
-            self.origin[1] + rng.uniform(0.0, self.area[1]),
-        ])
+    def _random_point(self, rng) -> Tuple[float, float]:
+        return (self.origin[0] + rng.uniform(0.0, self.area[0]),
+                self.origin[1] + rng.uniform(0.0, self.area[1]))
 
-    def initial_position(self, rng) -> np.ndarray:
+    def initial_position(self, rng) -> Tuple[float, float]:
         return self._random_point(rng)
 
     def next_path(self, position: np.ndarray, now: float, rng) -> Path:

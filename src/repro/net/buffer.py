@@ -80,12 +80,10 @@ class MessageBuffer:
         this to O(evictions), not O(n log n) per add).
     """
 
-    # struct-of-arrays mirror binding (see repro.routing.soa): when a world
-    # registers this buffer's node, every mutation marks the node's row
-    # dirty so the sweep re-reads count/occupancy/next-expiry exactly once.
-    # Class-level defaults keep unbound buffers (and old pickles) inert.
-    _mirror_store = None
-    _mirror_row = -1
+    __slots__ = ("capacity", "drop_policy", "protected", "_messages",
+                 "_occupancy", "full_sorts", "heap_pops", "_seq", "_live_seq",
+                 "_evict_heap", "_expiry_heap", "_by_destination",
+                 "_mirror_store", "_mirror_row")
 
     def __init__(self, capacity: float = float("inf"),
                  drop_policy: DropPolicy = DropPolicy.OLDEST_RECEIVED,
@@ -109,6 +107,12 @@ class MessageBuffer:
         self._expiry_heap: List[Tuple[float, int, str]] = []
         #: destination -> insertion-ordered {message_id: Message}
         self._by_destination: Dict[int, Dict[str, Message]] = {}
+        # struct-of-arrays mirror binding (see repro.routing.soa): when a
+        # world registers this buffer's node, every mutation marks the
+        # node's row dirty so the sweep re-reads count/occupancy/next-expiry
+        # exactly once; an unbound buffer stays inert
+        self._mirror_store = None
+        self._mirror_row = -1
 
     # ------------------------------------------------------------- inspection
     def __len__(self) -> int:

@@ -10,7 +10,7 @@ derived deterministically from a single master seed with
 from __future__ import annotations
 
 import random
-from typing import Dict
+from typing import Dict, Iterable, List
 
 import numpy as np
 
@@ -67,6 +67,32 @@ class RandomStreams:
         # per process so it cannot be used here.  The seed prefix is hashed
         # once per instance and the loop continues from it over the name.
         return _fnv1a(self._prefix_hash, name.encode())
+
+    def _derive_family(self, prefix: str, suffixes: Iterable) -> List[int]:
+        # _derive(f"{prefix}{suffix}") for every suffix, with the prefix
+        # hashed once: FNV-1a is a left fold, so continuing from the
+        # prefix's state over the suffix bytes gives the same key
+        base = _fnv1a(self._prefix_hash, prefix.encode())
+        return [_fnv1a(base, str(suffix).encode()) for suffix in suffixes]
+
+    def python_family(self, prefix: str, suffixes: Iterable) -> List[random.Random]:
+        """The stdlib streams ``python(f"{prefix}{suffix}")``, one per suffix.
+
+        The same generators, in order, as one :meth:`python` call per name;
+        the shared prefix is hashed once instead of once per name (the
+        builder's per-node ``mobility-{id}`` streams).
+        """
+        suffixes = list(suffixes)
+        streams = self._python_streams
+        family = []
+        for suffix, key in zip(suffixes, self._derive_family(prefix, suffixes)):
+            name = f"{prefix}{suffix}"
+            gen = streams.get(name)
+            if gen is None:
+                gen = random.Random(key)
+                streams[name] = gen
+            family.append(gen)
+        return family
 
     def numpy(self, name: str) -> np.random.Generator:
         """Return the NumPy generator for stream *name* (created on demand)."""

@@ -39,10 +39,13 @@ class DTNNode:
         Community id; if ``None``, the movement model's
         :attr:`~repro.mobility.base.MovementModel.community` is used.
     name:
-        Optional human-readable name.
+        Optional human-readable name; ``"n<id>"`` when not given.
     drop_policy:
         Buffer eviction policy.
     """
+
+    __slots__ = ("node_id", "_name", "interface", "buffer", "follower",
+                 "movement", "_community", "router", "connections")
 
     def __init__(self, node_id: int, movement: MovementModel, rng,
                  interface: Optional[Interface] = None,
@@ -52,7 +55,8 @@ class DTNNode:
         if node_id < 0:
             raise ValueError("node_id must be non-negative")
         self.node_id = int(node_id)
-        self.name = name or f"n{node_id}"
+        # the default name is derived on demand, not stored per node
+        self._name = name or None
         self.interface = interface or Interface()
         self.buffer = MessageBuffer(buffer_capacity, drop_policy)
         self.follower = PathFollower(movement, rng)
@@ -64,14 +68,20 @@ class DTNNode:
         #: also rebuilds it on checkpoint restore)
         self.connections: Dict[int, "Connection"] = {}
 
-    def __getstate__(self) -> dict:
-        # pickled empty: the world rebuilds it from its link table, so
-        # pickling never follows node -> connection -> peer node chains
-        state = self.__dict__.copy()
+    def __getstate__(self):
+        # the connection map is pickled empty: the world rebuilds it from its
+        # link table, so pickling never follows node -> connection -> peer
+        # node chains
+        state = {name: getattr(self, name) for name in DTNNode.__slots__}
         state["connections"] = {}
-        return state
+        return None, state
 
     # --------------------------------------------------------------- identity
+    @property
+    def name(self) -> str:
+        """Human-readable name (``"n<id>"`` unless one was given)."""
+        return self._name or f"n{self.node_id}"
+
     @property
     def community(self) -> Optional[int]:
         """The node's community id, or ``None`` if not community-structured."""

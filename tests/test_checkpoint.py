@@ -376,6 +376,15 @@ def test_version_8_container_is_rejected(world_blob):
         load_checkpoint_bytes(v8)
 
 
+def test_version_9_container_is_rejected(world_blob):
+    # a version-9 snapshot pickles nodes, path followers and message buffers
+    # with a __dict__ (and paths with ndarray waypoints) instead of slots
+    v9 = _rewrite_manifest(world_blob, format_version=9)
+    with pytest.raises(CheckpointError,
+                       match=r"^unsupported checkpoint format version 9 "):
+        load_checkpoint_bytes(v9)
+
+
 # ------------------------------------------------------ a flat link graph
 def path_world(num_nodes):
     """A trace world whose live links form one path through every node,

@@ -72,6 +72,36 @@ def assert_bit_identical_trajectories(model_factory, count=30, ticks=400,
     return batch_engine, loop_engine
 
 
+def test_one_shared_random_waypoint_model_moves_like_one_per_node():
+    # the builder gives every node of a random-waypoint world one model
+    shared = rwp_factory(0)
+    frames = {}
+    for name, factory in (("shared", lambda index: shared),
+                          ("per-node", rwp_factory)):
+        store, engine, _ = make_population(factory, 40, seed=5, batch=True)
+        trace = []
+        for tick in range(1, 301):
+            engine.advance(1.0, float(tick))
+            trace.append(store.view().copy())
+        frames[name] = np.stack(trace)
+    assert frames["shared"].tobytes() == frames["per-node"].tobytes()
+
+
+def test_a_fresh_slot_refreshes_its_mirror_once_per_move():
+    # a new slot already holds the FALLBACK values, so its first move
+    # re-mirrors it once, after the move
+    _, engine, _ = make_population(rwp_factory, 25, seed=1, batch=True)
+    refreshed = []
+    refresh = engine._refresh
+
+    def counting(slot):
+        refreshed.append(slot)
+        refresh(slot)
+    engine._refresh = counting
+    assert engine.advance(1.0, 1.0) == (0, 25)
+    assert sorted(refreshed) == list(range(25))
+
+
 def test_random_waypoint_batch_is_bit_identical():
     batch_engine, _ = assert_bit_identical_trajectories(rwp_factory)
     # the point of the engine: almost every node-tick takes the fast path

@@ -90,3 +90,26 @@ def test_pickled_streams_derive_the_same_keys():
     assert restored._derive("mobility-7") == streams._derive("mobility-7")
     assert restored.python("traffic").random() == \
         streams.python("traffic").random()
+
+
+def test_python_family_keys_match_the_per_name_derivation():
+    # the builder's mobility-{id} streams hash the shared prefix once; the
+    # keys must equal the per-name FNV-1a loop on every id
+    ids = [0, 1, 9, 10, 99, 100, 4321, 65_535, 99_999, 2**31 - 1]
+    for seed in (0, 1, 12345):
+        streams = RandomStreams(seed)
+        assert streams._derive_family("mobility-", ids) == \
+            [streams._derive(f"mobility-{node_id}") for node_id in ids]
+
+
+def test_python_family_hands_out_the_cached_named_streams():
+    streams = RandomStreams(5)
+    early = streams.python("mobility-3")
+    family = streams.python_family("mobility-", range(6))
+    assert family[3] is early
+    assert [gen is streams.python(f"mobility-{i}")
+            for i, gen in enumerate(family)] == [True] * 6
+    fresh = RandomStreams(5)
+    assert [gen.random() for gen in RandomStreams(5).python_family(
+        "mobility-", range(6))] == \
+        [fresh.python(f"mobility-{i}").random() for i in range(6)]
