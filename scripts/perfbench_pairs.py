@@ -19,10 +19,12 @@ Each end-to-end metric is then judged against its ``BENCHMARK.json`` bound:
   ``unresolved``: the spread between runs is wider than the bound, and the
   pairs cannot tell a regression from noise.
 
-Writes the whole table (every run and every verdict) as one JSON file,
-which a change that claims a gain commits as its ``BENCH_PR<k>.json``, and
-exits 1 when the comparison fails.  Nothing under ``perfbench/`` is
-imported: each side runs its own benchmark code in a fresh process.
+Writes the whole table (every run and every verdict, and for each side its
+path relative to the working directory, its commit and whether its tree is
+dirty) as one JSON file, which a change that claims a gain commits as its
+``BENCH_PR<k>.json``, and exits 1 when the comparison fails.  Nothing under
+``perfbench/`` is imported: each side runs its own benchmark code in a
+fresh process.
 
 Usage::
 
@@ -32,6 +34,7 @@ Usage::
 
 import argparse
 import json
+import os
 import platform
 import statistics
 import subprocess
@@ -123,12 +126,21 @@ def judge(base: List[Optional[Dict]], head: List[Optional[Dict]],
             "verdict": "fail" if failed else "pass"}
 
 
-def revision(side: Path) -> Optional[str]:
-    """The commit checked out at *side*, when it is a git checkout."""
-    done = subprocess.run(["git", "-C", str(side), "rev-parse", "HEAD"],
+def _git(side: Path, *args: str) -> Optional[str]:
+    done = subprocess.run(["git", "-C", str(side), *args],
                           stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
                           check=False)
     return done.stdout.decode().strip() if done.returncode == 0 else None
+
+
+def provenance(side: Path) -> Dict:
+    """Where checkout *side* is, relative to the working directory, the
+    commit it has checked out and whether its tree differs from that commit
+    (``git status --porcelain``); the last two are ``None`` outside git."""
+    revision = _git(side, "rev-parse", "HEAD")
+    status = _git(side, "status", "--porcelain") if revision else None
+    return {"path": os.path.relpath(side), "revision": revision,
+            "dirty": None if status is None else bool(status)}
 
 
 def format_table(table: Dict) -> str:
@@ -162,8 +174,7 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 1")
     benchmark = load_benchmark()
     base, head = args.base.resolve(), args.head.resolve()
-    table = {"base": str(base), "base_revision": revision(base),
-             "head": str(head), "head_revision": revision(head),
+    table = {"base": provenance(base), "head": provenance(head),
              "pairs": args.pairs, "seconds": benchmark["seconds"],
              "python": platform.python_version(), "workloads": {}}
     checkouts = {"base": base, "head": head}

@@ -84,7 +84,9 @@ MAGIC = "repro-checkpoint"
 #: slot state, not a ``__dict__``), a node stores no default name, paths
 #: keep their waypoints once as float pairs, and every node of a
 #: random-waypoint world shares one movement model
-FORMAT_VERSION = 10
+#: 11: every stdlib stream is a ``LazyRandom`` (its key and, once drawn from,
+#: its prefetched draws or its ``random.Random``), not a ``random.Random``
+FORMAT_VERSION = 11
 #: arrays with at least this many elements move to their own NPY entry
 ARRAY_EXTERNALIZE_THRESHOLD = 32
 

@@ -18,7 +18,9 @@ class MovementModel(abc.ABC):
     answers depend only on its arguments, may be shared by many nodes:
     random waypoint is, and the scenario builder gives every node of a
     random-waypoint world one instance.  All randomness must come from the
-    :class:`random.Random` passed in, so runs are reproducible.
+    random stream passed in (a :class:`random.Random` or the
+    :class:`~repro.sim.rng.LazyRandom` the builder hands out), so runs are
+    reproducible.
 
     Every follower advances through the batch kernel of
     :class:`~repro.mobility.engine.MovementEngine`, which mirrors the
@@ -56,7 +58,7 @@ class PathFollower:
     model:
         The node's movement model.
     rng:
-        Node-specific :class:`random.Random`.
+        Node-specific random stream (see :class:`repro.sim.rng.LazyRandom`).
 
     The follower's :attr:`position` is one persistent ``(2,)`` float64 array
     that is mutated in place.  By default the follower owns it; once the node

@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.net.message import Message
 
@@ -93,20 +93,11 @@ class MessageBuffer:
         self.capacity = capacity
         self.drop_policy = drop_policy
         self.protected = protected
-        self._messages: Dict[str, Message] = {}
         self._occupancy = 0
         # instrumentation (see class docstring)
         self.full_sorts = 0
         self.heap_pops = 0
-        # lazy-deletion indexes: entries carry the sequence number that was
-        # live when pushed; stale entries (removed or re-added messages) are
-        # skipped at pop time
-        self._seq = itertools.count()
-        self._live_seq: Dict[str, int] = {}
-        self._evict_heap: List[Tuple[float, int, str]] = []
-        self._expiry_heap: List[Tuple[float, int, str]] = []
-        #: destination -> insertion-ordered {message_id: Message}
-        self._by_destination: Dict[int, Dict[str, Message]] = {}
+        self._reset()
         # struct-of-arrays mirror binding (see repro.routing.soa): when a
         # world registers this buffer's node, every mutation marks the
         # node's row dirty so the sweep re-reads count/occupancy/next-expiry
@@ -114,15 +105,38 @@ class MessageBuffer:
         self._mirror_store = None
         self._mirror_row = -1
 
+    def _reset(self) -> None:
+        # An empty buffer holds no containers (most nodes of a large world
+        # never store a message): ``_messages`` and the indexes are ``None``
+        # and the heaps the empty tuple until the first add creates them.
+        self._messages: Optional[Dict[str, Message]] = None
+        # lazy-deletion indexes: entries carry the sequence number that was
+        # live when pushed; stale entries (removed or re-added messages) are
+        # skipped at pop time
+        self._seq = None
+        self._live_seq: Optional[Dict[str, int]] = None
+        self._evict_heap: Sequence[Tuple[float, int, str]] = ()
+        self._expiry_heap: Sequence[Tuple[float, int, str]] = ()
+        #: destination -> insertion-ordered {message_id: Message}
+        self._by_destination: Optional[Dict[int, Dict[str, Message]]] = None
+
+    def _create_containers(self) -> None:
+        self._messages = {}
+        self._seq = itertools.count()
+        self._live_seq = {}
+        self._evict_heap = []
+        self._expiry_heap = []
+        self._by_destination = {}
+
     # ------------------------------------------------------------- inspection
     def __len__(self) -> int:
-        return len(self._messages)
+        return len(self._messages or ())
 
     def __contains__(self, message_id: str) -> bool:
-        return message_id in self._messages
+        return message_id in (self._messages or ())
 
     def __iter__(self) -> Iterator[Message]:
-        return iter(list(self._messages.values()))
+        return iter(self.messages())
 
     @property
     def occupancy(self) -> int:
@@ -143,15 +157,16 @@ class MessageBuffer:
 
     def get(self, message_id: str) -> Optional[Message]:
         """Return the stored replica with *message_id*, or ``None``."""
-        return self._messages.get(message_id)
+        messages = self._messages
+        return messages.get(message_id) if messages else None
 
     def messages(self) -> List[Message]:
         """Snapshot list of stored replicas in insertion order."""
-        return list(self._messages.values())
+        return list(self._messages.values()) if self._messages else []
 
     def message_ids(self) -> List[str]:
         """Snapshot list of stored message identifiers."""
-        return list(self._messages.keys())
+        return list(self._messages) if self._messages else []
 
     def messages_for_destination(self, destination: int) -> List[Message]:
         """Stored replicas destined to *destination*, in insertion order.
@@ -160,6 +175,8 @@ class MessageBuffer:
         the ``send_deliverable`` fast path that every protocol hits on every
         tick of every live connection.
         """
+        if not self._by_destination:
+            return []
         bucket = self._by_destination.get(int(destination))
         return list(bucket.values()) if bucket else []
 
@@ -170,7 +187,7 @@ class MessageBuffer:
         key = _POLICY_KEYS.get(self.drop_policy)
         if key is None:
             return []
-        msgs = [m for m in self._messages.values()
+        msgs = [m for m in self.messages()
                 if self.protected is None or not self.protected(m)]
         return sorted(msgs, key=key)
 
@@ -239,7 +256,7 @@ class MessageBuffer:
             stored even after evicting every unprotected message, it is *not*
             stored and ``BufferFullError`` is raised.
         """
-        if message.message_id in self._messages:
+        if message.message_id in self:
             raise ValueError(f"message {message.message_id!r} is already buffered")
         if message.size > self.capacity:
             raise BufferFullError(
@@ -264,6 +281,8 @@ class MessageBuffer:
                 # frees space before checking; but refuse the incoming message.
                 raise BufferFullError(
                     "buffer cannot make enough room for incoming message")
+        if self._messages is None:
+            self._create_containers()
         self._messages[message.message_id] = message
         self._occupancy += message.size
         self._index(message)
@@ -273,6 +292,8 @@ class MessageBuffer:
 
     def remove(self, message_id: str) -> Optional[Message]:
         """Remove and return the replica with *message_id* (or ``None``)."""
+        if not self._messages:
+            return None
         message = self._messages.pop(message_id, None)
         if message is not None:
             self._occupancy -= message.size
@@ -327,12 +348,8 @@ class MessageBuffer:
 
     def clear(self) -> None:
         """Drop everything."""
-        self._messages.clear()
         self._occupancy = 0
-        self._live_seq.clear()
-        self._evict_heap.clear()
-        self._expiry_heap.clear()
-        self._by_destination.clear()
+        self._reset()
         if self._mirror_store is not None:
             self._mirror_store.mark_dirty(self._mirror_row)
 

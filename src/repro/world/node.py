@@ -34,7 +34,8 @@ class DTNNode:
     buffer_capacity:
         Buffer size in bytes (the paper uses 1 MB).
     rng:
-        Node-specific :class:`random.Random` used by the movement model.
+        Node-specific random stream used by the movement model (a
+        :class:`~repro.sim.rng.LazyRandom`, or any :class:`random.Random`).
     community:
         Community id; if ``None``, the movement model's
         :attr:`~repro.mobility.base.MovementModel.community` is used.

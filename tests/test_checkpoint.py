@@ -385,6 +385,15 @@ def test_version_9_container_is_rejected(world_blob):
         load_checkpoint_bytes(v9)
 
 
+def test_version_10_container_is_rejected(world_blob):
+    # a version-10 snapshot pickles every stdlib stream as a seeded
+    # random.Random instead of a LazyRandom
+    v10 = _rewrite_manifest(world_blob, format_version=10)
+    with pytest.raises(CheckpointError,
+                       match=r"^unsupported checkpoint format version 10 "):
+        load_checkpoint_bytes(v10)
+
+
 # ------------------------------------------------------ a flat link graph
 def path_world(num_nodes):
     """A trace world whose live links form one path through every node,

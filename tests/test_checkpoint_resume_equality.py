@@ -9,7 +9,8 @@ Covered here: the four headline protocols and MaxProp, every admissible tick bou
 a short run, the reference tick (repro.testing.reference), columnar and disabled
 collectors, a 1 000-node world snapshotted while its detector holds a
 candidate cache, file trace replay,
-and online community detection (CR with the Newman tracker).
+online community detection (CR with the Newman tracker), and a snapshot
+that holds stdlib streams in all three ``LazyRandom`` stages.
 """
 
 import pytest
@@ -20,6 +21,7 @@ from repro.experiments.catalog import make_scenario
 from repro.experiments.runner import finalize_report
 from repro.experiments.scenario import ScenarioConfig
 from repro.metrics.collector import COUNTER_METERS
+from repro.sim.rng import PREFETCH
 from repro.testing import (
     admissible_checkpoint_times,
     assert_resume_equality,
@@ -105,6 +107,44 @@ def test_resume_equality_with_a_live_candidate_cache():
     try:
         assert world.detector.rebuilds == before
         assert rebuild_schedule(world, ticks) == expected
+    finally:
+        world.stop()
+
+
+def test_resume_equality_with_streams_in_every_stage():
+    """A snapshot taken while some stdlib streams are unseeded, some hold
+    their prefetched draws and some a materialized generator resumes to the
+    straight run's report, and every stream restores in its stage and goes
+    on drawing the values it would have drawn."""
+    # a small map and short waits: most nodes are past their prefetch by
+    # the snapshot, a few still inside it
+    config = ScenarioConfig.bench_scale(
+        protocol="epidemic", num_nodes=12, seed=6, sim_time=300.0,
+        mobility="random_waypoint", map_width=400.0, map_height=400.0,
+        stop_wait=(0.0, 30.0))
+    at = 120.0
+    assert_resume_equality(config, checkpoint_times=[at])
+
+    built = build_scenario(config)
+    try:
+        built.simulator.run(until=at)
+        streams = built.simulator.random
+        streams.python("spare")  # handed out, never drawn from
+        stages = {name: gen.stage
+                  for name, gen in streams._python_streams.items()}
+        assert set(stages.values()) == {"unseeded", "prefetched",
+                                        "materialized"}
+        blob = save_checkpoint_bytes(built.world, config=config)
+        expected = {name: [gen.random() for _ in range(2 * PREFETCH)]
+                    for name, gen in streams._python_streams.items()}
+    finally:
+        built.world.stop()
+    world = load_checkpoint_bytes(blob).world
+    try:
+        restored = world.simulator.random._python_streams
+        assert {name: gen.stage for name, gen in restored.items()} == stages
+        assert {name: [gen.random() for _ in range(2 * PREFETCH)]
+                for name, gen in restored.items()} == expected
     finally:
         world.stop()
 

@@ -1,9 +1,10 @@
 """Bytes per node: what every node of a large world holds.
 
 A world's memory grows with its node count, so the per-node objects are
-kept small: nodes, path followers and message buffers are slotted, a path
-keeps its waypoints once as float pairs, and every node of a
-random-waypoint world shares one stateless movement model.  The footprint
+kept small: nodes, path followers and message buffers are slotted, an empty
+buffer holds no containers, a path keeps its waypoints once as float pairs,
+every node of a random-waypoint world shares one stateless movement model,
+and a node's random stream keeps its prefetched draws, not a generator.  The footprint
 test builds its world in a *fresh* interpreter: a process that has already
 built a world can hide an instance ``__dict__`` that a first build
 materialises, and ``peak_rss_mb`` moves by 1-2 MB with allocator layout
@@ -29,10 +30,12 @@ from repro.world.node import DTNNode
 SRC = str(FilePath(__file__).resolve().parent.parent / "src")
 
 #: live tracemalloc bytes per node of a fresh 2 000-node rwp world after one
-#: tick.  Measured 5 089 B on CPython 3.11.7 (6 618 B before the per-node
-#: objects were slotted and the model shared; 2 560 B of it is each node's
-#: Mersenne Twister state); the ceiling leaves a 10 % margin.
-BYTES_PER_NODE_CEILING = 5_600
+#: tick.  Measured 2 084 B on CPython 3.11.7 (6 618 B before the per-node
+#: objects were slotted and the model shared, 5 089 B before each node's
+#: stream kept its prefetched draws instead of a Mersenne Twister and an
+#: empty buffer its containers); the ceiling is that plus a 10 % margin
+#: (2 292 B), rounded up.
+BYTES_PER_NODE_CEILING = 2_300
 
 _FOOTPRINT_CHILD = """
 import json, sys, tracemalloc
@@ -52,8 +55,12 @@ for node in world.nodes:
         if hasattr(obj, "__dict__"):
             name = type(obj).__name__
             with_dict[name] = with_dict.get(name, 0) + 1
+stages = {{}}
+for gen in built.simulator.random._python_streams.values():
+    stages[gen.stage] = stages.get(gen.stage, 0) + 1
 print(json.dumps({{"nodes": world.num_nodes, "updates": world.updates,
                   "bytes": current, "with_dict": with_dict,
+                  "stages": stages,
                   "types": sorted({{type(o).__name__ for node in world.nodes
                                    for o in (node, node.follower,
                                              node.buffer)}})}}))
@@ -70,6 +77,10 @@ def test_fresh_rwp_world_is_slotted_and_within_its_bytes_per_node():
     assert payload["updates"] == 1
     assert payload["types"] == ["DTNNode", "MessageBuffer", "PathFollower"]
     assert payload["with_dict"] == {}
+    # every node's mobility stream, and the traffic stream that drew the
+    # first message interval, still serve their prefetched draws: no
+    # Mersenne Twister is held
+    assert payload["stages"] == {"prefetched": 2001}
     per_node = payload["bytes"] / payload["nodes"]
     assert per_node < BYTES_PER_NODE_CEILING, (
         f"{per_node:.0f} B per node, ceiling {BYTES_PER_NODE_CEILING} B")

@@ -7,6 +7,7 @@ on hand-made perfbench results (no benchmark runs).
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -102,3 +103,40 @@ def test_a_faster_change_is_ok():
     verdict = pairs.judge(base, head, METRICS)
     assert verdict["verdict"] == "pass"
     assert verdict["metrics"]["wall_s"]["verdict"] == "ok"
+
+
+def git(cwd, *args):
+    subprocess.run(["git", "-c", "user.name=bench", "-c",
+                    "user.email=bench@example.com", *args],
+                   cwd=cwd, check=True, capture_output=True)
+
+
+def test_provenance_records_a_relative_path_the_commit_and_dirtiness(
+        tmp_path, monkeypatch):
+    side = tmp_path / "checkout"
+    side.mkdir()
+    git(side, "init", "-q")
+    (side / "a.txt").write_text("one\n")
+    git(side, "add", "a.txt")
+    git(side, "commit", "-q", "-m", "one")
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=side, check=True,
+                          capture_output=True, text=True).stdout.strip()
+    monkeypatch.chdir(tmp_path)
+    assert pairs.provenance(side) == {"path": "checkout", "revision": head,
+                                      "dirty": False}
+    (side / "a.txt").write_text("two\n")  # an uncommitted edit
+    assert pairs.provenance(side)["dirty"] is True
+    git(side, "checkout", "-q", "a.txt")
+    (side / "new.txt").write_text("untracked\n")  # an uncommitted file
+    assert pairs.provenance(side)["dirty"] is True
+    monkeypatch.chdir(side)
+    assert pairs.provenance(side)["path"] == "."
+
+
+def test_provenance_outside_git_has_no_revision(tmp_path, monkeypatch):
+    side = tmp_path / "archive"
+    side.mkdir()
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+    assert pairs.provenance(side) == {"path": "archive", "revision": None,
+                                      "dirty": None}
